@@ -5,16 +5,28 @@ vertical strips of widths 2^q_i.  Strip i is stretched horizontally by
 2^(n-q_i) and squashed vertically onto the band [N_{i-1}, N_i).  The map is
 admissible (has a reversible swap-gate circuit) exactly when every 2^q_i
 divides the preceding partial sum N_{i-1}.
+
+Admissible partitions are numbered by their lexicographic rank in q.  Since
+the admissible completions of a prefix depend only on its sum N, a DP over
+prefix sums counts them, and skipping whole subtrees by their counts unranks
+an index without listing the partitions before it (Kreher & Stinson,
+*Combinatorial Algorithms*, ch. 2).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
+from typing import Iterable
+
+import numpy as np
 
 Point = tuple[int, int]
 
-# Enumeration guard: admissible-partition counts explode with n.
-MAX_ENUM_N = 8
+# Enumeration guard: 458,330 admissible partitions at n=5, 2.1e11 at n=6.
+MAX_ENUM_N = 5
 
 
 @dataclass(frozen=True)
@@ -96,6 +108,72 @@ def enumerate_admissible(n: int, max_n: int = MAX_ENUM_N) -> list[BakerPartition
     return out
 
 
+@lru_cache(maxsize=None)
+def _ranking(n: int) -> tuple[int, tuple]:
+    """Partition count, and per prefix sum s < 2^n the admissible next
+    exponents (ascending) with the rank at which each one's subtree starts."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    total = 1 << n
+    counts = [0] * (total + 1)
+    counts[total] = 1
+    steps: list = [None] * total
+    for s in range(total - 1, -1, -1):
+        exps = [e for e in range(n + 1) if s % (1 << e) == 0 and s + (1 << e) <= total]
+        starts = list(accumulate((counts[s + (1 << e)] for e in exps), initial=0))
+        counts[s] = starts.pop()
+        steps[s] = (tuple(starts), tuple(exps))
+    return counts[0], tuple(steps)
+
+
+def count_admissible(n: int) -> int:
+    """Number of admissible partitions for a 2^n square."""
+    return _ranking(n)[0]
+
+
+def _unrank(n: int, index: int) -> list[int]:
+    count, steps = _ranking(n)
+    if not 0 <= index < count:
+        raise ValueError(f"rank {index} outside [0, {count})")
+    q: list[int] = []
+    s = 0
+    while s < 1 << n:
+        starts, exps = steps[s]
+        j = bisect_right(starts, index) - 1
+        index -= starts[j]
+        q.append(exps[j])
+        s += 1 << exps[j]
+    return q
+
+
+def unrank_admissible(n: int, index: int) -> BakerPartition:
+    """The partition at ``index`` in ``enumerate_admissible(n)`` order."""
+    return BakerPartition(n, tuple(_unrank(n, index)))
+
+
+def rank_tables(n: int, ranks: Iterable[int]) -> np.ndarray:
+    """Forward maps of the partitions with these ranks, one int32 row per
+    rank, as tables over indices (x << n) | y (so n <= 15).
+
+    One vectorized pass: every column x gets its strip's left edge N and
+    shift s = n - q, and (x, y) goes to ((x - N) << s | y mod 2^s, N + y >> s).
+    The y-dependent share of that index depends only on s, so it is looked up.
+    """
+    if not 1 <= n <= 15:
+        raise ValueError("tables need 1 <= n <= 15")
+    side = 1 << n
+    q = np.array([e for i in ranks for e in _unrank(n, int(i))], dtype=np.int32)
+    widths = 1 << q
+    edge = np.repeat((np.cumsum(widths, dtype=np.int32) - widths) % side, widths)
+    shift = np.repeat(n - q, widths)
+    x = np.arange(edge.size, dtype=np.int32) % side
+    y = np.arange(side, dtype=np.int32)
+    s = np.arange(n + 1, dtype=np.int32).reshape(-1, 1)
+    y_share = ((y & ((1 << s) - 1)) << n) | (y >> s)
+    column = ((x - edge) << (shift + n)) | edge
+    return (column.reshape(-1, 1) + y_share[shift]).reshape(-1, side * side)
+
+
 def strip_index(p: BakerPartition, x: int) -> int:
     """1-based index of the vertical strip containing column x."""
     prefix = 0
@@ -135,26 +213,6 @@ def apply_ms(s: int, n: int, pt: Point) -> Point:
     return ((low * x) % size + y % low, y // low + x - x % (1 << s))
 
 
-def permutation_table(p: BakerPartition) -> list[int]:
-    """Forward map as a table over indices x * 2^n + y."""
-    size = 1 << p.n
-    table = [0] * (size * size)
-    for x in range(size):
-        for y in range(size):
-            nx, ny = apply(p, (x, y))
-            table[x * size + y] = nx * size + ny
-    return table
-
-
-def inverse(p: BakerPartition) -> list[int]:
-    """Inverse map as a table over indices x * 2^n + y."""
-    table = permutation_table(p)
-    inv = [0] * len(table)
-    for src, dst in enumerate(table):
-        inv[dst] = src
-    return inv
-
-
 def iterate(p: BakerPartition, r: int, pt: Point) -> Point:
     """r-fold forward application (r >= 0)."""
     if r < 0:
@@ -162,27 +220,3 @@ def iterate(p: BakerPartition, r: int, pt: Point) -> Point:
     for _ in range(r):
         pt = apply(p, pt)
     return pt
-
-
-def iterate_table(p: BakerPartition, r: int) -> list[int]:
-    """Table of the r-fold map, built by repeated composition."""
-    if r < 0:
-        raise ValueError("iteration count must be >= 0")
-    size = 1 << p.n
-    table = list(range(size * size))
-    step = permutation_table(p)
-    for _ in range(r):
-        table = [step[t] for t in table]
-    return table
-
-
-def permutation_order(p: BakerPartition) -> int:
-    """Smallest r >= 1 with iterate(p, r) == identity."""
-    step = permutation_table(p)
-    table = step[:]
-    r = 1
-    identity = list(range(len(step)))
-    while table != identity:
-        table = [step[t] for t in table]
-        r += 1
-    return r

@@ -4,10 +4,15 @@ Stage 1 permutes the (image, plane) matrix independently at every pixel and
 block; stage 2 permutes pixel positions independently per plane, image, and
 block.  Baker parameters and iteration counts come from a keyed schedule
 (SHA-256 over the schedule seed and position, so both sides agree without
-sharing plaintext).  Diffusion XORs key digits derived from the plaintext-
-seeded chaotic sequences into the bit cube; the aggregates x0/alpha/beta
-travel in the ciphertext header so the receiver can rebuild the keystream,
-while the lambda tuning parameters stay secret.
+sharing plaintext).  A draw takes the digest's first 64 bits modulo the
+number of admissible partitions as a lexicographic rank, and only the drawn
+ranks are unranked into baker tables.  There are 2.1e11 admissible
+partitions at n=6 but 4.4e22 at n=7, more than a 64-bit draw can reach, so
+both squares are limited to n <= 6: images of at most 64x64 pixels, L <= 64.
+Diffusion XORs key digits derived from the plaintext-seeded chaotic
+sequences into the bit cube; the aggregates x0/alpha/beta travel in the
+ciphertext header so the receiver can rebuild the keystream, while the
+lambda tuning parameters stay secret.
 """
 
 from __future__ import annotations
@@ -20,13 +25,15 @@ from pathlib import Path
 import numpy as np
 
 from . import baker
-from .baker import BakerPartition
 from .chaos import ChaoticSequences, ScmParams, generate_sequences
 from .images import BitTensor, BlockLayout, ImageSet, pack, plan_layout, unpack
 from .keystream import Seed, derive_seed, key_table, seed_from_header
 
 MAX_ITERATIONS = 16
 MAGIC = b"QBMI1"
+# Largest square side exponent a 64-bit draw covers: count_admissible(6) is
+# 2.1e11, count_admissible(7) is 4.4e22 > 2^64.
+MAX_SCHEDULE_N = 6
 
 Mode = str  # "simplified" | "non_simplified"
 
@@ -53,25 +60,50 @@ class MasterKey:
 class KeySchedule:
     """Per-position partition choices and iteration counts for both stages.
 
-    Stage 1 tables are indexed [x, y, t]; stage 2 tables [l, m, t].  Entries
-    index into the corresponding admissible-partition list.
+    Stage 1 tables are indexed [x, y, t] and hold partitions of the 2^plane_n
+    (m, l) square; stage 2 tables are indexed [l, m, t] and hold partitions of
+    the 2^pixel_n (x, y) square.  A partition entry is the partition's
+    lexicographic rank among the admissible partitions of its square, as
+    ``baker.unrank_admissible`` reads it.
     """
 
-    plane_partitions: tuple[BakerPartition, ...]  # on the (m, l) square
-    pixel_partitions: tuple[BakerPartition, ...]  # on the (x, y) square
+    plane_n: int
+    pixel_n: int
     s1_part: np.ndarray
     s1_iter: np.ndarray
     s2_part: np.ndarray
     s2_iter: np.ndarray
 
 
-def _draw(seed: int, label: bytes, pos: tuple[int, ...], n_choices: int) -> tuple[int, int]:
-    digest = hashlib.sha256(
-        struct.pack(">Q", seed) + label + struct.pack(f">{len(pos)}I", *pos)
-    ).digest()
-    part = int.from_bytes(digest[:8], "big") % n_choices
-    iters = 1 + int.from_bytes(digest[8:16], "big") % MAX_ITERATIONS
+def _draws(seed: int, label: bytes, positions: np.ndarray, n_choices: int):
+    """Partition ranks and iteration counts, one draw per row of ``positions``.
+
+    A draw hashes the seed, the label and the position's coordinates (64-bit
+    and 32-bit big-endian words) with SHA-256; the first 64 digest bits
+    modulo ``n_choices`` give the rank, the next 64 bits the iteration count.
+    """
+    base = hashlib.sha256(struct.pack(">Q", seed) + label)
+    coords = positions.astype(">u4").tobytes()
+    width = 4 * positions.shape[1]
+    digests = []
+    for i in range(len(positions)):
+        h = base.copy()
+        h.update(coords[i * width : (i + 1) * width])
+        digests.append(h.digest())
+    words = np.frombuffer(b"".join(digests), dtype=">u8").reshape(-1, 4)
+    part = (words[:, 0] % np.uint64(n_choices)).astype(np.int64)
+    iters = (words[:, 1] % np.uint64(MAX_ITERATIONS)).astype(np.int64) + 1
     return part, iters
+
+
+def _choices(n: int) -> int:
+    """Admissible partitions of a 2^n square, if a 64-bit draw covers them."""
+    if n > MAX_SCHEDULE_N:
+        raise ValueError(
+            f"a 2^{n} square has more admissible partitions than the 64-bit "
+            f"schedule draw reaches; the keyed schedule supports n <= {MAX_SCHEDULE_N}"
+        )
+    return baker.count_admissible(n)
 
 
 def derive_schedule(key: MasterKey, n: int, layout: BlockLayout) -> KeySchedule:
@@ -79,75 +111,66 @@ def derive_schedule(key: MasterKey, n: int, layout: BlockLayout) -> KeySchedule:
     lplanes = (layout.images_per_block - 1).bit_length()
     if lplanes < 1:
         raise ValueError("plane square needs at least one bit")
-    plane_parts = tuple(baker.enumerate_admissible(lplanes))
-    pixel_parts = tuple(baker.enumerate_admissible(n))
-
-    side = 1 << n
-    blocks = layout.block_count
     per_block = layout.images_per_block
-
-    s1_part = np.empty((side, side, blocks), dtype=np.int64)
-    s1_iter = np.empty_like(s1_part)
-    s2_part = np.empty((per_block, per_block, blocks), dtype=np.int64)
-    s2_iter = np.empty_like(s2_part)
-
-    if key.mode == "simplified":
-        part, iters = _draw(key.schedule_seed, b"stage1", (), len(plane_parts))
-        s1_part[:], s1_iter[:] = part, iters
-        part, iters = _draw(key.schedule_seed, b"stage2", (), len(pixel_parts))
-        s2_part[:], s2_iter[:] = part, iters
-    else:
-        for x in range(side):
-            for y in range(side):
-                for t in range(blocks):
-                    part, iters = _draw(
-                        key.schedule_seed, b"stage1", (x, y, t), len(plane_parts)
-                    )
-                    s1_part[x, y, t], s1_iter[x, y, t] = part, iters
-        for l in range(per_block):
-            for m in range(per_block):
-                for t in range(blocks):
-                    part, iters = _draw(
-                        key.schedule_seed, b"stage2", (l, m, t), len(pixel_parts)
-                    )
-                    s2_part[l, m, t], s2_iter[l, m, t] = part, iters
-
-    return KeySchedule(plane_parts, pixel_parts, s1_part, s1_iter, s2_part, s2_iter)
+    stages = (
+        (b"stage1", (1 << n, 1 << n, layout.block_count), _choices(lplanes)),
+        (b"stage2", (per_block, per_block, layout.block_count), _choices(n)),
+    )
+    arrays = []
+    for label, shape, n_choices in stages:
+        if key.mode == "simplified":
+            positions = np.zeros((1, 0), dtype=np.uint32)  # one draw, no position
+        else:
+            positions = np.indices(shape).reshape(len(shape), -1).T
+        part, iters = _draws(key.schedule_seed, label, positions, n_choices)
+        # np.resize repeats the single simplified draw over every position
+        arrays += [np.resize(part, shape), np.resize(iters, shape)]
+    return KeySchedule(lplanes, n, *arrays)
 
 
-_TABLE_CACHE: dict[tuple, np.ndarray] = {}
+def iterated_tables(n: int, ranks: np.ndarray, iters: np.ndarray) -> np.ndarray:
+    """Row j: table over (x << n) | y of partition ranks[j] applied iters[j] times.
 
-
-def _iter_table(p: BakerPartition, r: int) -> np.ndarray:
-    """Flat table of the r-fold baker map over indices (x << n) | y."""
-    key = (p.n, p.q, r)
-    cached = _TABLE_CACHE.get(key)
-    if cached is None:
-        step = np.array(baker.permutation_table(p), dtype=np.int64)
-        table = np.arange(step.size, dtype=np.int64)
-        for _ in range(r):
-            table = step[table]
-        _TABLE_CACHE[key] = cached = table
-    return cached
+    Rows are sorted by iteration count, so the rows still composing at step s
+    form a prefix, and hold indices into the flat buffer of all one-step
+    tables, so one ``np.take`` advances every live row.
+    """
+    distinct, which = np.unique(ranks, return_inverse=True)
+    order = np.argsort(-iters, kind="stable")
+    counts = iters[order]
+    step = baker.rank_tables(n, distinct.tolist())[which[order]]
+    cells = step.shape[1]
+    dtype = np.int32 if step.size < 1 << 31 else np.int64
+    offsets = np.arange(0, step.size, cells, dtype=dtype).reshape(-1, 1)
+    step = step + offsets
+    done = np.where(counts.reshape(-1, 1) > 0, step, offsets + np.arange(cells, dtype=dtype))
+    for s in range(2, int(counts[0]) + 1):
+        live = np.searchsorted(-counts, -s, side="right")
+        np.take(step.reshape(-1), done[:live], out=done[:live])
+    out = np.empty_like(done)
+    out[order] = done - offsets
+    return out
 
 
 def _permute_planes(planes: np.ndarray, part_idx: np.ndarray, iter_cnt: np.ndarray,
-                    partitions, inverse: bool) -> np.ndarray:
-    """Permute each row of ``planes`` (positions, plane-cells) by its table."""
-    out = np.empty_like(planes)
-    flat_part = part_idx.reshape(-1)
-    flat_iter = iter_cnt.reshape(-1)
-    for key in set(zip(flat_part.tolist(), flat_iter.tolist())):
-        pi, r = key
-        table = _iter_table(partitions[pi], r)
-        rows = np.nonzero((flat_part == pi) & (flat_iter == r))[0]
-        if inverse:
-            out[rows] = planes[rows][:, table]
-        else:
-            sel = np.empty_like(table)
-            sel[table] = np.arange(table.size)
-            out[rows] = planes[rows][:, sel]
-    return out
+                    n: int, inverse: bool) -> np.ndarray:
+    """Permute each row of ``planes`` (positions, plane-cells) by its table.
+
+    The forward direction moves the bit at cell i to cell table[i], so it
+    gathers through the inverted table; the inverse gathers through table.
+    """
+    ranks = part_idx.reshape(-1)
+    iters = iter_cnt.reshape(-1)
+    keys, row_key = np.unique(ranks * (MAX_ITERATIONS + 1) + iters, return_inverse=True)
+    table = iterated_tables(n, keys // (MAX_ITERATIONS + 1), keys % (MAX_ITERATIONS + 1))
+    if not inverse:
+        sel = np.empty_like(table)
+        cells = np.broadcast_to(np.arange(table.shape[1], dtype=table.dtype), table.shape)
+        np.put_along_axis(sel, table, cells, axis=1)
+        table = sel
+    if len(keys) == 1:
+        return planes[:, table[0]]
+    return np.take_along_axis(planes, table[row_key], axis=1)
 
 
 def scramble_stage1(tensor: BitTensor, sched: KeySchedule, inverse: bool = False) -> BitTensor:
@@ -157,7 +180,7 @@ def scramble_stage1(tensor: BitTensor, sched: KeySchedule, inverse: bool = False
     blocks = tensor.block_count
     # (t, m, x, y, l) -> (x, y, t, m, l): one row per scrambling position
     moved = tensor.bits.transpose(2, 3, 0, 1, 4).reshape(side * side * blocks, -1)
-    done = _permute_planes(moved, sched.s1_part, sched.s1_iter, sched.plane_partitions, inverse)
+    done = _permute_planes(moved, sched.s1_part, sched.s1_iter, sched.plane_n, inverse)
     bits = done.reshape(side, side, blocks, per_block, per_block).transpose(2, 3, 0, 1, 4)
     return BitTensor(tensor.n, tensor.lplanes, np.ascontiguousarray(bits))
 
@@ -169,7 +192,7 @@ def scramble_stage2(tensor: BitTensor, sched: KeySchedule, inverse: bool = False
     blocks = tensor.block_count
     # (t, m, x, y, l) -> (l, m, t, x, y)
     moved = tensor.bits.transpose(4, 1, 0, 2, 3).reshape(per_block * per_block * blocks, -1)
-    done = _permute_planes(moved, sched.s2_part, sched.s2_iter, sched.pixel_partitions, inverse)
+    done = _permute_planes(moved, sched.s2_part, sched.s2_iter, sched.pixel_n, inverse)
     bits = done.reshape(per_block, per_block, blocks, side, side).transpose(2, 1, 3, 4, 0)
     return BitTensor(tensor.n, tensor.lplanes, np.ascontiguousarray(bits))
 
@@ -212,11 +235,11 @@ def _sequences_for(seed: Seed, key: MasterKey, n: int, layout: BlockLayout) -> C
 
 def encrypt(image_set: ImageSet, key: MasterKey) -> Ciphertext:
     layout = plan_layout(image_set.M, image_set.L)
+    sched = derive_schedule(key, image_set.n, layout)
     tensor = pack(image_set)
     seed = derive_seed(image_set, tensor)
     seqs = _sequences_for(seed, key, image_set.n, layout)
     keys = key_table(seqs, layout, image_set.n)
-    sched = derive_schedule(key, image_set.n, layout)
     scrambled = scramble_stage2(scramble_stage1(tensor, sched), sched)
     diffused = diffuse(scrambled, keys)
     return Ciphertext(
@@ -232,10 +255,10 @@ def decrypt(ct: Ciphertext, key: MasterKey) -> ImageSet:
         raise ValueError("ciphertext dimensions disagree with its header")
     if ct.mode != key.mode:
         raise ValueError("key mode disagrees with the ciphertext header")
+    sched = derive_schedule(key, ct.n, layout)
     seed = seed_from_header(ct.x0, ct.alpha, ct.beta)
     seqs = _sequences_for(seed, key, ct.n, layout)
     keys = key_table(seqs, layout, ct.n)
-    sched = derive_schedule(key, ct.n, layout)
     undiffused = diffuse(ct.tensor, keys)
     unscrambled = scramble_stage1(
         scramble_stage2(undiffused, sched, inverse=True), sched, inverse=True
@@ -289,28 +312,38 @@ def write_ciphertext(path: str | Path, ct: Ciphertext):
 
 
 def read_ciphertext(path: str | Path) -> Ciphertext:
+    """Parse a ciphertext file; any missing, malformed or inconsistent header
+    field, and a payload of the wrong length, raise ValueError."""
     blob = Path(path).read_bytes()
     sep = blob.find(b"---\n")
     if not blob.startswith(MAGIC) or sep < 0:
         raise ValueError(f"{path}: not a ciphertext file")
     fields: dict[str, str] = {}
-    for ln in blob[:sep].decode().splitlines()[1:]:
-        if ln.strip():
-            name, _, value = ln.partition("=")
-            fields[name.strip()] = value.strip()
-    n = int(fields["n"])
-    L = int(fields["L"])
-    M = int(fields["M"])
-    blocks = int(fields["blocks"])
-    lplanes = max(1, (L - 1).bit_length())
+    try:
+        for ln in blob[:sep].decode().splitlines()[1:]:
+            if ln.strip():
+                name, _, value = ln.partition("=")
+                fields[name.strip()] = value.strip()
+        n, L, M, blocks, alpha, beta = (
+            int(fields[name]) for name in ("n", "L", "M", "blocks", "alpha", "beta")
+        )
+        x0, mode = float(fields["x0"]), fields["mode"]
+        layout = plan_layout(M, L)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing ciphertext field {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad ciphertext header: {exc}") from None
+    if n < 0 or blocks != layout.block_count:
+        raise ValueError(f"{path}: bad ciphertext header: n={n}, blocks={blocks} for M={M}, L={L}")
     side = 1 << n
-    per_block = 1 << lplanes
+    per_block = layout.images_per_block
     total = blocks * per_block * side * side * per_block
-    payload = np.frombuffer(blob[sep + 4 :], dtype=np.uint8)
-    bits = np.unpackbits(payload, count=total)
+    payload = blob[sep + 4 :]
+    if len(payload) != (total + 7) // 8:
+        raise ValueError(
+            f"{path}: payload has {len(payload)} bytes, the header implies {(total + 7) // 8}"
+        )
+    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=total)
     tensor_bits = bits.reshape(blocks, per_block, per_block, side, side).transpose(0, 1, 4, 3, 2)
-    tensor = BitTensor(n, lplanes, np.ascontiguousarray(tensor_bits))
-    return Ciphertext(
-        tensor, n, L, M, float(fields["x0"]), int(fields["alpha"]),
-        int(fields["beta"]), fields["mode"],
-    )
+    tensor = BitTensor(n, per_block.bit_length() - 1, np.ascontiguousarray(tensor_bits))
+    return Ciphertext(tensor, n, L, M, x0, alpha, beta, mode)

@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbaker import baker
+from qbaker import baker, cipher
 from qbaker.baker import BakerPartition
 
 
@@ -16,6 +17,17 @@ def brute_force_baker(n, q, x, y):
             return (stretch * (x - prefix) + y % stretch, prefix + (y - y % stretch) // stretch)
         prefix += width
     raise AssertionError
+
+
+def permutation_table(p):
+    """Forward map as a table over indices x * 2^n + y, one baker.apply per point."""
+    size = 1 << p.n
+    table = [0] * (size * size)
+    for x in range(size):
+        for y in range(size):
+            nx, ny = baker.apply(p, (x, y))
+            table[x * size + y] = nx * size + ny
+    return table
 
 
 def all_partitions_brute(n):
@@ -86,6 +98,60 @@ class TestAdmissible:
             baker.enumerate_admissible(9)
         baker.enumerate_admissible(3, max_n=9)  # guard is configurable
 
+    def test_enumeration_guard_stops_at_n6(self):
+        # 2.1e11 partitions at n=6: the default guard refuses before listing
+        with pytest.raises(ValueError):
+            baker.enumerate_admissible(6)
+
+
+class TestRanking:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_unrank_matches_enumeration_everywhere(self, n):
+        listed = baker.enumerate_admissible(n)
+        assert baker.count_admissible(n) == len(listed)
+        assert [baker.unrank_admissible(n, i).q for i in range(len(listed))] == [
+            p.q for p in listed
+        ]
+
+    def test_counts_beyond_enumeration(self):
+        assert baker.count_admissible(5) == 458_330
+        assert 2.1e11 < baker.count_admissible(6) < 2.2e11
+
+    def test_unranked_partitions_admissible_at_n8(self):
+        total = baker.count_admissible(8)
+        for i in (0, 1, total // 3, total // 2, total - 1):
+            assert baker.is_admissible(baker.unrank_admissible(8, i))
+        assert baker.unrank_admissible(8, 0).q == (0,) * 256
+        assert baker.unrank_admissible(8, total - 1).q == (8,)
+
+    def test_rank_out_of_range_rejected(self):
+        with pytest.raises(ValueError):
+            baker.unrank_admissible(3, baker.count_admissible(3))
+        with pytest.raises(ValueError):
+            baker.unrank_admissible(3, -1)
+        with pytest.raises(ValueError):
+            baker.count_admissible(0)
+
+
+class TestRankTables:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_rows_match_pointwise_oracle(self, n):
+        listed = baker.enumerate_admissible(n)
+        got = baker.rank_tables(n, range(len(listed)))
+        assert got.shape == (len(listed), 4**n)
+        for row, p in zip(got, listed):
+            assert row.tolist() == permutation_table(p)
+
+    def test_sampled_ranks_at_n5_in_any_order(self):
+        ranks = [baker.count_admissible(5) - 1, 0, 123_456, 7, 123_456]
+        got = baker.rank_tables(5, ranks)
+        for row, i in zip(got, ranks):
+            assert row.tolist() == permutation_table(baker.unrank_admissible(5, i))
+
+    def test_size_guard(self):
+        with pytest.raises(ValueError):
+            baker.rank_tables(16, [0])
+
 
 class TestApply:
     def test_hand_example(self):
@@ -110,9 +176,8 @@ class TestApply:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_bijection_everywhere(self, n):
-        for p in baker.enumerate_admissible(n):
-            table = baker.permutation_table(p)
-            assert sorted(table) == list(range(4**n))
+        tables = baker.rank_tables(n, range(baker.count_admissible(n)))
+        assert (np.sort(tables, axis=1) == np.arange(4**n)).all()
 
     def test_strip_images_tile_bands(self):
         p = BakerPartition(3, (2, 1, 1))
@@ -166,48 +231,22 @@ class TestApplyMs:
 
 
 class TestInverseAndIterate:
-    def test_inverse_roundtrip(self):
-        p = BakerPartition(3, (2, 1, 1))
-        inv = baker.inverse(p)
-        for x in range(8):
-            for y in range(8):
-                nx, ny = baker.apply(p, (x, y))
-                assert inv[nx * 8 + ny] == x * 8 + y
-
     def test_iterate_zero_is_identity(self):
         p = BakerPartition(2, (1, 1))
         assert baker.iterate(p, 0, (3, 1)) == (3, 1)
 
     def test_iterate_matches_table(self):
-        p = BakerPartition(2, (1, 1))
-        table = baker.iterate_table(p, 5)
-        for x in range(4):
-            for y in range(4):
-                nx, ny = baker.iterate(p, 5, (x, y))
-                assert table[x * 4 + y] == nx * 4 + ny
-
-    def test_iterate_then_inverse_iterate(self):
-        p = BakerPartition(2, (1, 1))
-        fwd = baker.iterate_table(p, 3)
-        inv = [0] * len(fwd)
-        for src, dst in enumerate(fwd):
-            inv[dst] = src
-        assert [inv[v] for v in fwd] == list(range(16))
-
-    def test_permutation_order(self):
-        # cycle structure of the brute-force table determines the order
-        p = BakerPartition(2, (1, 1))
-        order = baker.permutation_order(p)
-        table = list(range(16))
-        step = baker.permutation_table(p)
-        for _ in range(order):
-            table = [step[t] for t in table]
-        assert table == list(range(16))
-        for r in range(1, order):
-            t2 = list(range(16))
-            for _ in range(r):
-                t2 = [step[v] for v in t2]
-            assert t2 != list(range(16))
+        # the cipher's stacked r-fold tables, checked pointwise against iterate
+        n = 2
+        ranks = np.repeat(np.arange(baker.count_admissible(n)), 4)
+        iters = np.tile([0, 1, 5, 16], baker.count_admissible(n))
+        tables = cipher.iterated_tables(n, ranks, iters)
+        for row, i, r in zip(tables, ranks, iters):
+            p = baker.unrank_admissible(n, int(i))
+            for x in range(4):
+                for y in range(4):
+                    nx, ny = baker.iterate(p, int(r), (x, y))
+                    assert row[x * 4 + y] == nx * 4 + ny
 
     def test_negative_iterations_rejected(self):
         with pytest.raises(ValueError):
@@ -221,5 +260,5 @@ def test_apply_is_injective_on_sampled_pairs(pidx, point):
     p = parts[pidx % len(parts)]
     x, y = divmod(point, 8)
     image = baker.apply(p, (x, y))
-    table = baker.permutation_table(p)
+    table = permutation_table(p)
     assert table.count(image[0] * 8 + image[1]) == 1

@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from qbaker import baker
 from qbaker.cipher import (
+    MAX_SCHEDULE_N,
     Ciphertext,
     KeySchedule,
     MasterKey,
@@ -10,6 +13,7 @@ from qbaker.cipher import (
     derive_schedule,
     diffuse,
     encrypt,
+    iterated_tables,
     read_ciphertext,
     read_key,
     scramble_stage1,
@@ -17,6 +21,7 @@ from qbaker.cipher import (
     write_ciphertext,
     write_key,
 )
+from qbaker.cli import main
 from qbaker.images import ImageSet, pack, plan_layout
 
 KEY = MasterKey((49.0, 23.0, 58.0, 120.0, 237.0), 0x1234ABCD)
@@ -76,22 +81,58 @@ class TestSchedule:
         assert sched.s1_iter.min() >= 1 and sched.s1_iter.max() <= 16
         assert sched.s2_iter.min() >= 1 and sched.s2_iter.max() <= 16
 
+    def test_ranks_index_admissible_partitions(self):
+        layout = plan_layout(200, 8)
+        sched = derive_schedule(KEY, 5, layout)
+        assert (sched.plane_n, sched.pixel_n) == (3, 5)
+        assert 0 <= sched.s1_part.min() and sched.s1_part.max() < baker.count_admissible(3)
+        assert 0 <= sched.s2_part.min() and sched.s2_part.max() < baker.count_admissible(5)
+
+    def test_never_enumerates(self, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("derive_schedule enumerated partitions")
+
+        monkeypatch.setattr(baker, "enumerate_admissible", refuse)
+        for mode in ("simplified", "non_simplified"):
+            key = MasterKey(KEY.lambdas, KEY.schedule_seed, mode)
+            sched = derive_schedule(key, 6, plan_layout(4, 8))
+            assert sched.s2_part.shape == (8, 8, 1)
+
+    @pytest.mark.parametrize("n, L", [(7, 8), (8, 8), (3, 128), (3, 1 << 40)])
+    def test_squares_past_the_64_bit_draw_rejected(self, n, L):
+        # 4.4e22 partitions at n=7: digest % count could not reach most of them
+        assert baker.count_admissible(MAX_SCHEDULE_N) < 1 << 64
+        assert baker.count_admissible(MAX_SCHEDULE_N + 1) >= 1 << 64
+        for mode in ("simplified", "non_simplified"):
+            with pytest.raises(ValueError, match="64-bit"):
+                derive_schedule(MasterKey(KEY.lambdas, 1, mode), n, plan_layout(2, L))
+
+
+class TestIteratedTables:
+    def test_one_key_per_row_at_n5(self):
+        rng = np.random.default_rng(3)
+        ranks = rng.integers(0, baker.count_admissible(5), 40)
+        iters = rng.integers(1, 17, 40)
+        tables = iterated_tables(5, ranks, iters)
+        for row, i, r in zip(tables, ranks, iters):
+            step = baker.rank_tables(5, [int(i)])[0]
+            want = np.arange(1024)
+            for _ in range(int(r)):
+                want = step[want]
+            assert np.array_equal(row, want)
+
 
 def _identity_schedule(n, layout):
-    plane_parts = tuple(baker.enumerate_admissible((layout.images_per_block - 1).bit_length()))
-    pixel_parts = tuple(baker.enumerate_admissible(n))
+    lplanes = (layout.images_per_block - 1).bit_length()
     side = 1 << n
     per = layout.images_per_block
     blocks = layout.block_count
-    id_plane = plane_parts.index(
-        next(p for p in plane_parts if p.q == (p.n,))
-    )
-    id_pixel = pixel_parts.index(
-        next(p for p in pixel_parts if p.q == (p.n,))
-    )
+    # (n,) is the lexicographically last admissible partition
+    id_plane = baker.count_admissible(lplanes) - 1
+    id_pixel = baker.count_admissible(n) - 1
     return KeySchedule(
-        plane_parts,
-        pixel_parts,
+        lplanes,
+        n,
         np.full((side, side, blocks), id_plane),
         np.ones((side, side, blocks), dtype=np.int64),
         np.full((per, per, blocks), id_pixel),
@@ -118,14 +159,14 @@ class TestScrambling:
         lit = type(tensor)(tensor.n, tensor.lplanes, bits)
 
         out = scramble_stage1(lit, sched)
-        p = sched.plane_partitions[sched.s1_part[x0, y0, 0]]
+        p = baker.unrank_admissible(sched.plane_n, int(sched.s1_part[x0, y0, 0]))
         r = int(sched.s1_iter[x0, y0, 0])
         nm, nl = baker.iterate(p, r, (m0, l0))
         assert out.bits[0, nm, x0, y0, nl] == 1
         assert out.bits.sum() == 1
 
         out2 = scramble_stage2(lit, sched)
-        p2 = sched.pixel_partitions[sched.s2_part[l0, m0, 0]]
+        p2 = baker.unrank_admissible(sched.pixel_n, int(sched.s2_part[l0, m0, 0]))
         r2 = int(sched.s2_iter[l0, m0, 0])
         nx, ny = baker.iterate(p2, r2, (x0, y0))
         assert out2.bits[0, m0, nx, ny, l0] == 1
@@ -163,7 +204,7 @@ class TestScrambling:
         tweaked_iter = sched.s1_iter.copy()
         tweaked_iter[1, 1, 0] = (tweaked_iter[1, 1, 0] % 16) + 1
         tweaked = KeySchedule(
-            sched.plane_partitions, sched.pixel_partitions,
+            sched.plane_n, sched.pixel_n,
             sched.s1_part, tweaked_iter, sched.s2_part, sched.s2_iter,
         )
         a = scramble_stage1(tensor, sched).bits
@@ -257,3 +298,102 @@ class TestPipeline:
         path.write_bytes(b"not a ciphertext")
         with pytest.raises(ValueError):
             read_ciphertext(path)
+
+    def test_roundtrip_keyed_n6(self):
+        s = ImageSet(6, 8, (np.arange(4 * 64 * 64).reshape(4, 64, 64) * 7 + 3) % 256)
+        ct = encrypt(s, KEY)
+        assert not np.array_equal(ct.tensor.bits, pack(s).bits)
+        assert np.array_equal(decrypt(ct, KEY).images, s.images)
+
+    def test_n7_images_rejected(self):
+        s = ImageSet(7, 8, np.zeros((2, 128, 128), dtype=int))
+        with pytest.raises(ValueError, match="64-bit"):
+            encrypt(s, KEY)
+
+
+def _arithmetic_images(M, n):
+    side = 1 << n
+    return ImageSet(n, 8, (np.arange(M * side * side).reshape(M, side, side) * 37 + 11) % 256)
+
+
+class TestBitIdentity:
+    """SHA-256 of ciphertext files, recorded before the schedule moved from
+    enumerating partitions to count-and-unrank; format QBMI1 must not drift."""
+
+    @pytest.mark.parametrize("mode, n, M, digest", [
+        ("non_simplified", 3, 5,
+         "236373b311ab8fcd80e7c426b4c29c586948fa29f809ed258b312565320a03fd"),
+        ("non_simplified", 2, 12,
+         "f2786a1924491bbfc7aafffbdbc0cc9c3278c90e7efd3f04808c19f62d49f95b"),
+        ("simplified", 3, 5,
+         "8706c401f9feef9d464067dc041a971de69ecf7275f7b12b62e1723bfde30259"),
+        ("simplified", 4, 20,
+         "54b8dee83c7dbcd4a0614ccbb00d581409c033994b9e8a8ada30b3470668d446"),
+    ])
+    def test_ciphertext_digest(self, tmp_path, mode, n, M, digest):
+        key = MasterKey((49.0, 23.0, 58.0, 120.0, 237.0), 0x5EED, mode)
+        path = tmp_path / "ct.bin"
+        write_ciphertext(path, encrypt(_arithmetic_images(M, n), key))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+class TestCiphertextFile:
+    """Damaged files raise ValueError, and ``qbaker decrypt`` exits 1."""
+
+    @pytest.fixture
+    def written(self, tmp_path):
+        ct = encrypt(_arithmetic_images(5, 3), KEY)
+        path = tmp_path / "ct.bin"
+        write_ciphertext(path, ct)
+        key = tmp_path / "key.txt"
+        write_key(key, KEY)
+        return path, key
+
+    @staticmethod
+    def _rejected(path, key, capsys):
+        with pytest.raises(ValueError):
+            read_ciphertext(path)
+        rc = main(["decrypt", "--in", str(path), "--key", str(key),
+                   "--out-dir", str(path.parent / "out")])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_intact_file_decrypts(self, written, capsys):
+        path, key = written
+        assert main(["decrypt", "--in", str(path), "--key", str(key),
+                     "--out-dir", str(path.parent / "out")]) == 0
+
+    def test_truncated_payload(self, written, capsys):
+        path, key = written
+        blob = path.read_bytes()
+        payload = len(blob) - blob.index(b"---\n") - 4
+        path.write_bytes(blob[: len(blob) - payload // 2])
+        self._rejected(path, key, capsys)
+
+    def test_trailing_bytes(self, written, capsys):
+        path, key = written
+        path.write_bytes(path.read_bytes() + b"\0")
+        self._rejected(path, key, capsys)
+
+    @pytest.mark.parametrize("field", ["n", "L", "M", "blocks", "x0", "alpha", "beta", "mode"])
+    def test_missing_field(self, written, capsys, field):
+        path, key = written
+        blob = path.read_bytes()
+        head, sep, payload = blob.partition(b"---\n")
+        lines = [ln for ln in head.split(b"\n") if not ln.startswith(field.encode() + b" =")]
+        path.write_bytes(b"\n".join(lines) + sep + payload)
+        self._rejected(path, key, capsys)
+
+    @pytest.mark.parametrize("line, bad", [
+        (b"alpha = ", b"alpha = many"),
+        (b"x0 = ", b"x0 = zero"),
+        (b"n = ", b"n = -3"),
+        (b"blocks = ", b"blocks = 2"),
+        (b"L = ", b"L = 1"),
+    ])
+    def test_unparsable_or_inconsistent_field(self, written, capsys, line, bad):
+        path, key = written
+        head, sep, payload = path.read_bytes().partition(b"---\n")
+        lines = [bad if ln.startswith(line) else ln for ln in head.split(b"\n")]
+        path.write_bytes(b"\n".join(lines) + sep + payload)
+        self._rejected(path, key, capsys)

@@ -37,6 +37,18 @@ class TestEncryptDecrypt:
             recovered = (out / f"image_{i:04d}.pgm").read_bytes()
             assert original == recovered
 
+    def test_images_past_n6_exit_one(self, tmp_path, capsys):
+        for i in range(2):
+            images.write_pgm(tmp_path / f"big{i}.pgm", np.zeros((128, 128), dtype=np.uint8))
+        (tmp_path / "manifest.txt").write_text("big0.pgm\nbig1.pgm\n")
+        write_key(tmp_path / "key.txt", MasterKey((49.0, 23.0, 58.0, 120.0, 237.0), 77))
+        rc = main([
+            "encrypt", "--manifest", str(tmp_path / "manifest.txt"),
+            "--key", str(tmp_path / "key.txt"), "--out", str(tmp_path / "ct.bin"),
+        ])
+        assert rc == 1
+        assert "64-bit" in capsys.readouterr().err
+
     def test_missing_manifest_exits_one(self, workspace, capsys):
         rc = main([
             "encrypt", "--manifest", str(workspace / "nope.txt"),
@@ -76,6 +88,16 @@ class TestEnumerate:
         out = capsys.readouterr().out.strip().splitlines()
         assert len(out) == 5
         assert "1,1" in out
+
+    def test_guard_refuses_n6_at_once(self, capsys):
+        assert main(["enumerate", "--n", "6"]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_max_n_overrides_guard(self, capsys):
+        assert main(["enumerate", "--n", "3", "--max-n", "2"]) == 1
+        capsys.readouterr()
+        assert main(["enumerate", "--n", "3", "--max-n", "3"]) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 26
 
 
 class TestTable1:

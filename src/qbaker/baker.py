@@ -19,7 +19,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -151,9 +151,10 @@ def unrank_admissible(n: int, index: int) -> BakerPartition:
     return BakerPartition(n, tuple(_unrank(n, index)))
 
 
-def rank_tables(n: int, ranks: Iterable[int]) -> np.ndarray:
-    """Forward maps of the partitions with these ranks, one int32 row per
-    rank, as tables over indices (x << n) | y (so n <= 15).
+def partition_tables(n: int, partitions: Iterable[Sequence[int]]) -> np.ndarray:
+    """Forward maps of these exponent lists, one int32 row per list, as
+    tables over indices (x << n) | y (so n <= 15).  Each list's widths 2^q
+    must sum to 2^n.
 
     One vectorized pass: every column x gets its strip's left edge N and
     shift s = n - q, and (x, y) goes to ((x - N) << s | y mod 2^s, N + y >> s).
@@ -162,7 +163,7 @@ def rank_tables(n: int, ranks: Iterable[int]) -> np.ndarray:
     if not 1 <= n <= 15:
         raise ValueError("tables need 1 <= n <= 15")
     side = 1 << n
-    q = np.array([e for i in ranks for e in _unrank(n, int(i))], dtype=np.int32)
+    q = np.array([e for qs in partitions for e in qs], dtype=np.int32)
     widths = 1 << q
     edge = np.repeat((np.cumsum(widths, dtype=np.int32) - widths) % side, widths)
     shift = np.repeat(n - q, widths)
@@ -172,6 +173,11 @@ def rank_tables(n: int, ranks: Iterable[int]) -> np.ndarray:
     y_share = ((y & ((1 << s) - 1)) << n) | (y >> s)
     column = ((x - edge) << (shift + n)) | edge
     return (column.reshape(-1, 1) + y_share[shift]).reshape(-1, side * side)
+
+
+def rank_tables(n: int, ranks: Iterable[int]) -> np.ndarray:
+    """``partition_tables`` of the partitions with these ranks."""
+    return partition_tables(n, (_unrank(n, int(i)) for i in ranks))
 
 
 def strip_index(p: BakerPartition, x: int) -> int:

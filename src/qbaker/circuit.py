@@ -24,7 +24,6 @@ subfunction at the gate count predicted by the closed-form model in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from .baker import BakerPartition, is_admissible
@@ -106,6 +105,9 @@ def circuit_from_text(text: str) -> Circuit:
     if not lines or not lines[0].startswith("#"):
         raise ValueError("missing '# n=<n> partition=<q>' header")
     header = dict(part.split("=", 1) for part in lines[0][1:].split())
+    for field in ("n", "partition"):
+        if field not in header:
+            raise ValueError(f"circuit header lacks '{field}='")
     n = int(header["n"])
     partition = BakerPartition.parse(n, header["partition"])
 
@@ -409,20 +411,14 @@ def _pad(stream: list[Gate], deficit: int, n: int) -> list[Gate]:
     return stream
 
 
-@lru_cache(maxsize=None)
-def _f1_piece(n: int, q1: int) -> tuple[Gate, ...]:
-    return tuple(_first_strip_gates(n, n, q1, ()))
-
-
-@lru_cache(maxsize=None)
 def _window_piece(n: int, q1: int, qs: tuple[int, ...], start: int) -> tuple[Gate, ...]:
     """Padded gate stream for one window (or one wide strip) at the top level.
 
     ``qs`` is either a single exponent > q1 (wide strip) or the exponent run
     of a 2^q1 window; ``start`` is the window's absolute column offset.  The
     piece is padded so its length equals the summed gate-count model of the
-    strips it covers; keying on (n, q1, qs, start) lets enumeration-scale
-    callers reuse pieces across partitions.
+    strips it covers.  It is built afresh on every call: the equivalence
+    sweep memoizes piece permutations by key instead of gate tuples.
     """
     if len(qs) == 1 and qs[0] > q1:
         tag = _window_tag(n, start, qs[0], n - 1, ())
@@ -445,39 +441,37 @@ def _window_piece(n: int, q1: int, qs: tuple[int, ...], start: int) -> tuple[Gat
     return tuple(_pad(piece, deficit, n))
 
 
-def _window_spans(q1: int, qs: tuple[int, ...], starts: list[int]):
-    """Split strips 2..k into same-width runs, wide strips, and windows."""
-    spans = []  # (i, j, kind) with kind in {"same", "wide", "window"}
+def piece_keys(p: BakerPartition) -> list[tuple]:
+    """Keys of the pieces a partition's gate stream is cut into, in order.
+
+    ``(n, q1)`` is the M_{q1} pass over the whole square; each later key
+    ``(n, q1, qs, start)`` is one wide strip or one 2^q1 window (same-width
+    strips emit no gates).  Equal keys give equal pieces in every partition.
+    """
+    n, q = p.n, p.q
+    q1 = q[0]
+    keys: list[tuple] = [(n, q1)]
+    start = 1 << q1
     i = 1
-    while i < len(qs):
-        if qs[i] == q1:
-            spans.append((i, i + 1, "same"))
-            i += 1
-        elif qs[i] > q1:
-            spans.append((i, i + 1, "wide"))
-            i += 1
-        else:
-            width = 0
-            j = i
+    while i < len(q):
+        width = 1 << q[i]
+        j = i + 1
+        if q[i] < q1:
             while width < (1 << q1):
-                width += 1 << qs[j]
+                width += 1 << q[j]
                 j += 1
             if width != 1 << q1:
                 raise AssertionError("strips straddle a window boundary")
-            spans.append((i, j, "window"))
-            i = j
-    return spans
+        if q[i] != q1:
+            keys.append((n, q1, q[i:j], start))
+        start += width
+        i = j
+    return keys
 
 
-def _stream_pieces(p: BakerPartition) -> list[tuple[Gate, ...]]:
-    """The stream as cached pieces: the M_{q1} pass, then one per window."""
-    q1 = p.q[0]
-    starts = p.prefix_sums()[:-1]
-    pieces = [_f1_piece(p.n, q1)]
-    for i, j, kind in _window_spans(q1, p.q, starts):
-        if kind != "same":
-            pieces.append(_window_piece(p.n, q1, p.q[i:j], starts[i]))
-    return pieces
+def build_piece(key: tuple) -> tuple[Gate, ...]:
+    """The gates of the piece with this ``piece_keys`` key."""
+    return tuple(synth_f1(*key)) if len(key) == 2 else _window_piece(*key)
 
 
 def _flat_stream(p: BakerPartition) -> tuple[list[Gate], list[int]]:
@@ -486,8 +480,8 @@ def _flat_stream(p: BakerPartition) -> tuple[list[Gate], list[int]]:
     counts = [_count_first(p.n, q1)]
     counts.extend(_count_later(q1, qi) for qi in p.q[1:])
     stream: list[Gate] = []
-    for piece in _stream_pieces(p):
-        stream.extend(piece)
+    for key in piece_keys(p):
+        stream.extend(build_piece(key))
     assert len(stream) == sum(counts), (len(stream), sum(counts), p)
     return stream, counts
 

@@ -104,30 +104,38 @@ def plan_layout(M: int, L: int) -> BlockLayout:
 
 
 def pack(image_set: ImageSet) -> BitTensor:
-    """Pack images into the bit cube; blank padding images are all zero."""
+    """Pack images into the bit cube; blank padding images are all zero.
+
+    Planes are written one at a time from a copy of the images in the
+    narrowest unsigned type that holds L bits, so no intermediate is wider
+    than that copy.
+    """
     layout = plan_layout(image_set.M, image_set.L)
     lplanes = _ceil_log2(image_set.L)
     side = 1 << image_set.n
-    padded = np.zeros((layout.padded_total, side, side), dtype=np.int64)
-    padded[: image_set.M] = image_set.images
-    grouped = padded.reshape(layout.block_count, layout.images_per_block, side, side)
-    planes = (grouped[..., None] >> np.arange(1 << lplanes)) & 1
-    return BitTensor(image_set.n, lplanes, planes.astype(np.uint8))
+    values = np.asarray(image_set.images).astype(np.min_scalar_type((1 << image_set.L) - 1))
+    bits = np.zeros((layout.padded_total, side, side, 1 << lplanes), dtype=np.uint8)
+    for plane in range(image_set.L):  # planes L and up stay zero
+        bits[: image_set.M, ..., plane] = (values >> plane) & 1
+    shape = (layout.block_count, layout.images_per_block, side, side, 1 << lplanes)
+    return BitTensor(image_set.n, lplanes, bits.reshape(shape))
 
 
 def unpack(tensor: BitTensor, layout: BlockLayout, M: int, L: int = 8) -> ImageSet:
-    """Rebuild the first M images; padding content is discarded."""
+    """Rebuild the first M images from their low L planes; padding content
+    is discarded."""
     if tensor.block_count != layout.block_count or (
         1 << tensor.lplanes
     ) != layout.images_per_block:
         raise ValueError("tensor dimensions disagree with the layout")
     if not 1 <= M <= layout.padded_total:
         raise ValueError(f"M={M} outside [1, {layout.padded_total}]")
-    weights = 1 << np.arange(1 << tensor.lplanes, dtype=np.int64)
-    values = (tensor.bits.astype(np.int64) * weights).sum(axis=-1)
     side = 1 << tensor.n
-    flat = values.reshape(layout.padded_total, side, side)
-    return ImageSet(tensor.n, L, flat[:M] & ((1 << L) - 1))
+    cube = tensor.bits.reshape(layout.padded_total, side, side, -1)[:M]
+    values = np.zeros((M, side, side), dtype=np.min_scalar_type((1 << L) - 1))
+    for plane in range(min(L, cube.shape[-1])):
+        values |= cube[..., plane].astype(values.dtype) << plane
+    return ImageSet(tensor.n, L, values.astype(np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -3,24 +3,30 @@
 Every gate maps computational basis states to basis states, so a circuit is
 simulated exactly as a permutation of (x, y) integer pairs.  States pack as
 s = (x << n) | y; x wire i is bit n+i, y wire i is bit i.
+
+``to_permutation`` is the one simulation kernel: numpy applies each gate to
+all 4^n packed states at once.  ``equivalence_sweep`` does not simulate
+whole circuits.  Every synthesized circuit is a concatenation of pieces
+(``circuit.piece_keys``), so the sweep simulates each distinct piece once,
+memoizes its permutation by key, and composes a partition's circuit from
+one gather per piece.  Circuit tables are compared pointwise against the
+baker map rows of ``baker.partition_tables``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import baker
+from . import baker, circuit
 from .baker import BakerPartition
 from .circuit import Circuit, Gate
 
-try:  # optional fast path for the exhaustive equivalence sweeps
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMBA = False
-
 BasisState = tuple[int, int]
+
+# Piece key -> (permutation of the packed states, gate count); see
+# equivalence_sweep.  Emptied whenever it reaches _PIECES_MAX entries.
+_PIECES: dict[tuple, tuple[np.ndarray, int]] = {}
+_PIECES_MAX = 1024
 
 
 def _bitpos(wire, n: int) -> int:
@@ -48,122 +54,42 @@ def run(c: Circuit, s: BasisState) -> BasisState:
     return s
 
 
-def _gate_rows(gates, n: int):
-    rows = []
-    for g in gates:
-        cmask = 0
-        cval = 0
-        for wire, value in g.controls:
-            pos = _bitpos(wire, n)
-            cmask |= 1 << pos
-            cval |= value << pos
-        rows.append((_bitpos(g.targets[0], n), _bitpos(g.targets[1], n), cmask, cval))
-    return rows
-
-
-def _gate_arrays(c: Circuit):
-    """Pack the circuit into flat arrays for vectorized simulation."""
-    rows = _gate_rows(c.gates, c.n)
-    arr = np.array(rows, dtype=np.uint64).reshape(len(rows), 4)
-    return arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _run_all(size, p1, p2, cmask, cval):  # pragma: no cover - jitted
-        out = np.arange(size, dtype=np.uint64)
-        one = np.uint64(1)
-        for i in range(size):
-            s = out[i]
-            for g in range(p1.shape[0]):
-                if (s & cmask[g]) == cval[g]:
-                    if ((s >> p1[g]) ^ (s >> p2[g])) & one:
-                        s ^= (one << p1[g]) | (one << p2[g])
-            out[i] = s
-        return out
-
-    @njit(cache=True)
-    def _sweep_chunk(n, gate_off, garr, part_off, q_flat):  # pragma: no cover
-        """Simulate many circuits and compare each against its baker map.
-
-        Returns the first mismatching state per circuit, or -1 if equivalent.
-        """
-        count = gate_off.shape[0] - 1
-        fails = np.full(count, -1, dtype=np.int64)
-        size = 1 << n
-        nstates = size * size
-        one = np.uint64(1)
-        un = np.uint64(n)
-        prefix = np.empty(size, dtype=np.uint64)
-        stretch = np.empty(size, dtype=np.uint64)
-        for ci in range(count):
-            pos = 0
-            for t in range(part_off[ci], part_off[ci + 1]):
-                width = 1 << q_flat[t]
-                for x in range(pos, pos + width):
-                    prefix[x] = pos
-                    stretch[x] = 1 << (n - q_flat[t])
-                pos += width
-            g0 = gate_off[ci]
-            g1 = gate_off[ci + 1]
-            for s0 in range(nstates):
-                s = np.uint64(s0)
-                for g in range(g0, g1):
-                    if (s & garr[g, 2]) == garr[g, 3]:
-                        if ((s >> garr[g, 0]) ^ (s >> garr[g, 1])) & one:
-                            s ^= (one << garr[g, 0]) | (one << garr[g, 1])
-                x = np.uint64(s0) >> un
-                y = np.uint64(s0) & np.uint64(size - 1)
-                st = stretch[x]
-                bx = st * (x - prefix[x]) + y % st
-                by = prefix[x] + y // st
-                if s != ((bx << un) | by):
-                    fails[ci] = s0
-                    break
-        return fails
-
-
-def _run_all_numpy(size, p1, p2, cmask, cval):
-    out = np.arange(size, dtype=np.uint64)
-    one = np.uint64(1)
-    for g in range(p1.shape[0]):
-        fire = (out & cmask[g]) == cval[g]
-        differ = (((out >> p1[g]) ^ (out >> p2[g])) & one).astype(bool)
-        flip = fire & differ
-        out[flip] ^= (one << p1[g]) | (one << p2[g])
-    return out
+def _state_dtype(n: int):
+    return np.uint16 if n <= 8 else np.uint32
 
 
 def to_permutation(c: Circuit) -> np.ndarray:
-    """Permutation table over packed indices (x << n) | y."""
-    if c.n > 12:
+    """Permutation table over packed indices (x << n) | y.
+
+    Entry s is the image of state s.  The table is uint16 while 4^n <= 65536
+    and uint32 above that.
+    """
+    n = c.n
+    if n > 12:
         raise ValueError("table materialization capped at n=12")
-    size = 1 << (2 * c.n)
-    arrays = _gate_arrays(c)
-    if HAVE_NUMBA:
-        return _run_all(size, *arrays)
-    return _run_all_numpy(size, *arrays)
+    out = np.arange(1 << (2 * n), dtype=_state_dtype(n))
+    for g in c.gates:
+        cmask = cval = 0
+        for wire, value in g.controls:
+            cmask |= 1 << _bitpos(wire, n)
+            cval |= value << _bitpos(wire, n)
+        p1 = _bitpos(g.targets[0], n)
+        p2 = _bitpos(g.targets[1], n)
+        flip = ((out >> p1) ^ (out >> p2)) & 1 == 1
+        if cmask:
+            flip &= (out & cmask) == cval
+        out[flip] ^= (1 << p1) | (1 << p2)
+    return out
 
 
-def baker_permutation(p: BakerPartition) -> np.ndarray:
-    """The baker map over packed indices, vectorized per strip."""
-    n = p.n
-    size = 1 << n
-    idx = np.arange(size * size, dtype=np.uint64)
-    x = idx >> n
-    y = idx & (size - 1)
-    nx = np.empty_like(x)
-    ny = np.empty_like(y)
-    prefix = 0
-    for e in p.q:
-        width = 1 << e
-        stretch = 1 << (n - e)
-        m = (x >= prefix) & (x < prefix + width)
-        nx[m] = stretch * (x[m] - prefix) + (y[m] % stretch)
-        ny[m] = prefix + y[m] // stretch
-        prefix += width
-    return (nx << np.uint64(n)) | ny
+def _witness(perm: np.ndarray, ref: np.ndarray, n: int):
+    """(point, circuit_image, baker_image) at the first state where the
+    tables (of one dtype) differ, or None when they agree everywhere."""
+    if perm.tobytes() == ref.tobytes():
+        return None
+    i = int(np.flatnonzero(perm != ref)[0])
+    unpack = lambda s: (s >> n, s & ((1 << n) - 1))
+    return unpack(i), unpack(int(perm[i])), unpack(int(ref[i]))
 
 
 def equivalence(c: Circuit, p: BakerPartition):
@@ -173,104 +99,67 @@ def equivalence(c: Circuit, p: BakerPartition):
     baker_image)) for the first mismatching basis state.
     """
     perm = to_permutation(c)
-    ref = baker_permutation(p)
-    bad = np.nonzero(perm != ref)[0]
-    if bad.size == 0:
-        return True, None
-    i = int(bad[0])
-    n = c.n
-    unpack = lambda s: (s >> n, s & ((1 << n) - 1))
-    return False, (unpack(i), unpack(int(perm[i])), unpack(int(ref[i])))
+    ref = baker.partition_tables(p.n, [p.q])[0].astype(perm.dtype)
+    witness = _witness(perm, ref, c.n)
+    return witness is None, witness
 
 
-_PIECE_ROWS: dict[int, list] = {}
+def _piece_permutation(key: tuple) -> tuple[np.ndarray, int]:
+    """Memoized table and gate count of one stream piece."""
+    hit = _PIECES.get(key)
+    if hit is None:
+        n = key[0]
+        gates = circuit.build_piece(key)
+        # A one-block circuit; the simulation never reads its partition.
+        table = to_permutation(Circuit(n, BakerPartition(n, (n,)), (gates,)))
+        if len(_PIECES) >= _PIECES_MAX:
+            _PIECES.clear()
+        hit = _PIECES[key] = (table, len(gates))
+    return hit
 
 
-def _rows_for_piece(piece, n: int) -> list:
-    # Pieces are interned by the synthesis caches, so id-keying is stable.
-    rows = _PIECE_ROWS.get(id(piece))
-    if rows is None:
-        rows = _gate_rows(piece, n)
-        _PIECE_ROWS[id(piece)] = rows
-    return rows
+def _composed(p: BakerPartition) -> np.ndarray:
+    """Permutation table of ``synthesize(p)``, one gather per piece; the
+    summed piece lengths are asserted against the gate-count model."""
+    keys = circuit.piece_keys(p)
+    perm, total = _piece_permutation(keys[0])
+    for key in keys[1:]:
+        table, length = _piece_permutation(key)
+        perm = table[perm]
+        total += length
+    q1 = p.q[0]
+    model = circuit._count_first(p.n, q1) + sum(circuit._count_later(q1, e) for e in p.q[1:])
+    if total != model:
+        raise AssertionError(f"gate count {total} != model {model} for {p}")
+    return perm
 
 
-def equivalence_sweep(n: int, partitions, chunk: int = 8192):
+def equivalence_sweep(n: int, partitions, chunk: int = 64):
     """Check synthesized-circuit vs baker-map equality for many partitions.
 
-    Yields (partition, first_bad_state) for every failure; silent when all
-    match.  Stream lengths are asserted against the gate-count model as they
-    are built.
+    Yields (partition, (point, circuit_image, baker_image)) for every
+    partition whose circuit differs from its baker map, with the witness
+    ``equivalence`` reports; silent when all match.  Every partition is
+    checked at all 4^n states, and the gate count of its circuit is asserted
+    against the closed-form model.
+
+    Piece tables are memoized across calls, keyed by ``circuit.piece_keys``;
+    no gate tuples are kept.  All n <= 5 together have 930 distinct pieces,
+    1.9 MB as uint16 tables; the memo is emptied when it reaches 1024 pieces.
+    Baker rows are built ``chunk`` partitions at a time.
     """
-    from .circuit import _count_first, _count_later, _stream_pieces
-
-    batch: list = []
-    rows: list = []
-    gate_off = [0]
-    part_off = [0]
-    q_flat: list[int] = []
-
-    def flush():
-        nonlocal batch, rows, gate_off, part_off, q_flat
-        if not batch:
-            return
-        garr = np.array(rows, dtype=np.uint64).reshape(len(rows), 4)
-        goff = np.array(gate_off, dtype=np.int64)
-        poff = np.array(part_off, dtype=np.int64)
-        qf = np.array(q_flat, dtype=np.int64)
-        if HAVE_NUMBA:
-            fails = _sweep_chunk(n, goff, garr, poff, qf)
-            for p, bad in zip(batch, fails):
-                if bad >= 0:
-                    yield p, int(bad)
-        else:  # pragma: no cover - numba is an install-time expectation
-            from .circuit import synthesize
-
-            for p in batch:
-                ok, witness = equivalence(synthesize(p), p)
-                if not ok:
-                    yield p, witness
-        batch = []
-        rows = []
-        gate_off = [0]
-        part_off = [0]
-        q_flat = []
-
+    batch: list[BakerPartition] = []
     for p in partitions:
-        total = 0
-        for piece in _stream_pieces(p):
-            rows.extend(_rows_for_piece(piece, n))
-            total += len(piece)
-        model = _count_first(n, p.q[0]) + sum(_count_later(p.q[0], e) for e in p.q[1:])
-        if total != model:
-            raise AssertionError(f"gate count {total} != model {model} for {p}")
-        gate_off.append(len(rows))
-        q_flat.extend(p.q)
-        part_off.append(len(q_flat))
         batch.append(p)
-        if len(batch) >= chunk:
-            yield from flush()
-    yield from flush()
+        if len(batch) == chunk:
+            yield from _sweep_batch(n, batch)
+            batch = []
+    yield from _sweep_batch(n, batch)
 
 
-def permutation_to_csv(perm: np.ndarray) -> str:
-    lines = ["index,image"]
-    lines.extend(f"{i},{int(v)}" for i, v in enumerate(perm))
-    return "\n".join(lines) + "\n"
-
-
-def permutation_parity(perm: np.ndarray) -> int:
-    """0 for even, 1 for odd, via cycle decomposition."""
-    seen = np.zeros(len(perm), dtype=bool)
-    parity = 0
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        cur = start
-        while not seen[cur]:
-            seen[cur] = True
-            cur = int(perm[cur])
-            length += 1
-        parity ^= (length - 1) & 1
-    return parity
+def _sweep_batch(n: int, batch: list[BakerPartition]):
+    refs = baker.partition_tables(n, [p.q for p in batch]).astype(_state_dtype(n))
+    for p, ref in zip(batch, refs):
+        witness = _witness(_composed(p), ref, n)
+        if witness is not None:
+            yield p, witness

@@ -94,7 +94,8 @@ def test_criterion_4_circuit_formula_equivalence():
         checked += len(parts)
     elapsed = time.time() - start
     _report(4, f"{checked} admissible partitions (n<=5) simulate to the strip map "
-               f"at model gate counts in {elapsed:.0f}s")
+               f"at model gate counts in {elapsed:.0f}s ({checked / elapsed:.0f} "
+               f"partitions/s, {len(sim._PIECES)} memoized pieces)")
 
 
 def _roundtrip(images: np.ndarray, n: int, M: int) -> float:

@@ -187,6 +187,11 @@ class TestTextFormat:
         with pytest.raises(ValueError):
             circuit_from_text("SWAP x0 y0\n")
 
+    @pytest.mark.parametrize("header", ["# partition=1,1", "# n=2"])
+    def test_header_field_required(self, header):
+        with pytest.raises(ValueError, match="header lacks"):
+            circuit_from_text(header + "\nSWAP x0 y0\n")
+
     def test_bad_gate_rejected(self):
         with pytest.raises(ValueError):
             circuit_from_text("# n=2 partition=1,1\nNOPE x0 y0\n")

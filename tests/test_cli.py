@@ -74,6 +74,16 @@ class TestSynthVerify:
         assert main(["verify", "--circuit", str(circ)]) == 1
         assert "MISMATCH" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("field", ["n", "partition"])
+    def test_verify_header_without_field_exits_one(self, tmp_path, capsys, field):
+        circ = tmp_path / "c.txt"
+        main(["synth", "--n", "3", "--partition", "2,1,1", "--out", str(circ)])
+        header, *gates = circ.read_text().splitlines()
+        header = " ".join(part for part in header.split() if not part.startswith(field + "="))
+        circ.write_text("\n".join([header, *gates]) + "\n")
+        assert main(["verify", "--circuit", str(circ)]) == 1
+        assert f"error: circuit header lacks '{field}='" in capsys.readouterr().err
+
     def test_count(self, capsys):
         assert main(["count", "--n", "3", "--partition", "2,1,1"]) == 0
         assert "= 11 gates" in capsys.readouterr().out

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qbaker import baker, sim
+from qbaker import baker, circuit, sim
 from qbaker.baker import BakerPartition
 from qbaker.circuit import Circuit, ControlCondition, Gate, Wire, synthesize
 
@@ -71,12 +71,6 @@ class TestToPermutation:
         perm = sim.to_permutation(circ)
         assert np.array_equal(np.sort(perm), np.arange(256))
 
-    def test_numpy_fallback_agrees(self):
-        circ = synthesize(BakerPartition(3, (2, 1, 1)))
-        arrays = sim._gate_arrays(circ)
-        got = sim._run_all_numpy(64, *arrays)
-        assert np.array_equal(got, sim.to_permutation(circ))
-
     def test_size_cap(self):
         with pytest.raises(ValueError):
             sim.to_permutation(Circuit(13, BakerPartition(13, (13,)), ((),)))
@@ -108,6 +102,28 @@ class TestEquivalence:
             assert not ok
 
 
+def _flip_first_control(piece):
+    """The piece with one control value inverted; same length."""
+    for i, g in enumerate(piece):
+        if g.controls:
+            (wire, value), *rest = g.controls
+            flipped = Gate(g.targets, (ControlCondition(wire, 1 - value), *rest))
+            return piece[:i] + (flipped,) + piece[i + 1 :]
+    return piece
+
+
+@pytest.fixture
+def fresh_pieces(monkeypatch):
+    """An empty piece memo for this test, so patched builders take effect."""
+    monkeypatch.setattr(sim, "_PIECES", {})
+
+
+def _corrupt_window_pieces(monkeypatch):
+    build = circuit._window_piece
+    monkeypatch.setattr(circuit, "_window_piece",
+                        lambda *key: _flip_first_control(build(*key)))
+
+
 class TestSweep:
     def test_matches_single_equivalence(self):
         parts = baker.enumerate_admissible(3)
@@ -122,21 +138,74 @@ class TestSweep:
         fails = list(sim.equivalence_sweep(3, [p, bad]))
         assert fails == []
 
+    def test_dropped_gate_raises(self, fresh_pieces, monkeypatch):
+        build = circuit._window_piece
+        monkeypatch.setattr(circuit, "_window_piece", lambda *key: build(*key)[:-1])
+        with pytest.raises(AssertionError, match="gate count"):
+            list(sim.equivalence_sweep(3, [BakerPartition(3, (2, 1, 1))]))
+
+    def test_corrupted_piece_yields_confirmed_witness(self, fresh_pieces, monkeypatch):
+        _corrupt_window_pieces(monkeypatch)
+        p = BakerPartition(3, (2, 1, 1))
+        [(got_p, (point, circuit_image, baker_image))] = sim.equivalence_sweep(3, [p])
+        assert got_p == p
+        assert sim.run(synthesize(p), point) == circuit_image
+        assert baker.apply(p, point) == baker_image
+        assert circuit_image != baker_image
+
+    @pytest.mark.parametrize("corrupt", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_verdicts_equal_equivalence(self, n, corrupt, fresh_pieces, monkeypatch):
+        if corrupt:
+            _corrupt_window_pieces(monkeypatch)
+        parts = baker.enumerate_admissible(n)
+        want = {}
+        for p in parts:
+            ok, witness = sim.equivalence(synthesize(p), p)
+            if not ok:
+                want[p] = witness
+        assert dict(sim.equivalence_sweep(n, parts, chunk=50)) == want
+        assert bool(want) == (corrupt and n > 1)
+
+    def test_composed_pieces_are_the_synthesized_stream(self, fresh_pieces, monkeypatch):
+        rng = np.random.default_rng(5)
+        parts = [p for n in (1, 2, 3) for p in baker.enumerate_admissible(n)]
+        parts += [baker.unrank_admissible(5, int(i))
+                  for i in rng.integers(0, baker.count_admissible(5), 64)]
+        built = {}
+        build = circuit.build_piece
+        monkeypatch.setattr(circuit, "build_piece",
+                            lambda key: built.setdefault(key, build(key)))
+        for n in (1, 2, 3, 5):
+            assert list(sim.equivalence_sweep(n, [p for p in parts if p.n == n])) == []
+        assert set(built) == set(sim._PIECES)
+        for p in parts:
+            stream = sum((built[key] for key in circuit.piece_keys(p)), ())
+            assert stream == synthesize(p).gates
+
 
 def _fired_transpositions(circ):
     """Count state pairs each gate actually exchanges, summed over gates."""
     n = circ.n
-    total = 0
-    state = np.arange(1 << (2 * n), dtype=np.uint64)
-    for g in circ.gates:
-        p1, p2, cmask, cval = (a[0] for a in sim._gate_arrays(
-            Circuit(n, circ.partition, ((g,),))))
-        fire = (state & cmask) == cval
-        differ = (((state >> p1) ^ (state >> p2)) & np.uint64(1)).astype(bool)
-        flip = fire & differ
-        total += int(flip.sum()) // 2
-        state[flip] ^= (np.uint64(1) << p1) | (np.uint64(1) << p2)
-    return total
+    states = [(x, y) for x in range(1 << n) for y in range(1 << n)]
+    return sum(
+        sum(sim.apply_gate(g, s, n) != s for s in states) // 2 for g in circ.gates
+    )
+
+
+def _parity(perm) -> int:
+    """0 for an even permutation, 1 for an odd one, via cycle decomposition."""
+    seen = np.zeros(len(perm), dtype=bool)
+    parity = 0
+    for start in range(len(perm)):
+        length = 0
+        cur = start
+        while not seen[cur]:
+            seen[cur] = True
+            cur = int(perm[cur])
+            length += 1
+        parity ^= max(length - 1, 0) & 1
+    return parity
 
 
 class TestParity:
@@ -145,13 +214,4 @@ class TestParity:
         p = BakerPartition(3, q)
         circ = synthesize(p)
         perm = sim.to_permutation(circ)
-        assert sim.permutation_parity(perm) == _fired_transpositions(circ) % 2
-
-
-class TestCsv:
-    def test_header_and_rows(self):
-        perm = sim.to_permutation(synthesize(BakerPartition(1, (1,))))
-        text = sim.permutation_to_csv(perm)
-        lines = text.strip().splitlines()
-        assert lines[0] == "index,image"
-        assert len(lines) == 5
+        assert _parity(perm) == _fired_transpositions(circ) % 2

@@ -128,27 +128,40 @@ def derive_schedule(key: MasterKey, n: int, layout: BlockLayout) -> KeySchedule:
     return KeySchedule(lplanes, n, *arrays)
 
 
+def _rows_per_take(cells: int) -> int:
+    """Rows per gather, so that numpy's intp copy of the indices stays
+    near 2 MB instead of scaling with the number of positions."""
+    return max(1, (1 << 18) // cells)
+
+
 def iterated_tables(n: int, ranks: np.ndarray, iters: np.ndarray) -> np.ndarray:
     """Row j: table over (x << n) | y of partition ranks[j] applied iters[j] times.
 
     Rows are sorted by iteration count, so the rows still composing at step s
     form a prefix, and hold indices into the flat buffer of all one-step
-    tables, so one ``np.take`` advances every live row.
+    tables, so ``np.take`` advances the live rows a bounded block at a time.
     """
-    distinct, which = np.unique(ranks, return_inverse=True)
     order = np.argsort(-iters, kind="stable")
     counts = iters[order]
-    step = baker.rank_tables(n, distinct.tolist())[which[order]]
+    step = baker.rank_tables(n, ranks[order].tolist())
     cells = step.shape[1]
     dtype = np.int32 if step.size < 1 << 31 else np.int64
+    step = step.astype(dtype, copy=False)
     offsets = np.arange(0, step.size, cells, dtype=dtype).reshape(-1, 1)
-    step = step + offsets
-    done = np.where(counts.reshape(-1, 1) > 0, step, offsets + np.arange(cells, dtype=dtype))
+    step += offsets
+    done = step.copy()
+    idle = counts == 0
+    done[idle] = offsets[idle] + np.arange(cells, dtype=dtype)
+    flat = step.reshape(-1)
+    chunk = _rows_per_take(cells)
     for s in range(2, int(counts[0]) + 1):
         live = np.searchsorted(-counts, -s, side="right")
-        np.take(step.reshape(-1), done[:live], out=done[:live])
+        for lo in range(0, live, chunk):
+            rows = done[lo : min(live, lo + chunk)]
+            np.take(flat, rows, out=rows)
+    done -= offsets
     out = np.empty_like(done)
-    out[order] = done - offsets
+    out[order] = done
     return out
 
 
@@ -156,21 +169,30 @@ def _permute_planes(planes: np.ndarray, part_idx: np.ndarray, iter_cnt: np.ndarr
                     n: int, inverse: bool) -> np.ndarray:
     """Permute each row of ``planes`` (positions, plane-cells) by its table.
 
-    The forward direction moves the bit at cell i to cell table[i], so it
-    gathers through the inverted table; the inverse gathers through table.
+    The forward direction moves the bit at cell i to cell table[i]: it
+    scatters through table (a single table is inverted and gathered
+    through instead); the inverse gathers through table.  Rows are
+    permuted a bounded block at a time.
     """
     ranks = part_idx.reshape(-1)
     iters = iter_cnt.reshape(-1)
     keys, row_key = np.unique(ranks * (MAX_ITERATIONS + 1) + iters, return_inverse=True)
     table = iterated_tables(n, keys // (MAX_ITERATIONS + 1), keys % (MAX_ITERATIONS + 1))
-    if not inverse:
-        sel = np.empty_like(table)
-        cells = np.broadcast_to(np.arange(table.shape[1], dtype=table.dtype), table.shape)
-        np.put_along_axis(sel, table, cells, axis=1)
-        table = sel
     if len(keys) == 1:
-        return planes[:, table[0]]
-    return np.take_along_axis(planes, table[row_key], axis=1)
+        row = table[0]
+        if not inverse:
+            row = np.empty_like(row)
+            row[table[0]] = np.arange(row.size, dtype=row.dtype)
+        return planes[:, row]
+    out = np.empty_like(planes)
+    chunk = _rows_per_take(table.shape[1])
+    for lo in range(0, len(planes), chunk):
+        rows = slice(lo, lo + chunk)
+        if inverse:
+            out[rows] = np.take_along_axis(planes[rows], table[row_key[rows]], axis=1)
+        else:
+            np.put_along_axis(out[rows], table[row_key[rows]], planes[rows], axis=1)
+    return out
 
 
 def scramble_stage1(tensor: BitTensor, sched: KeySchedule, inverse: bool = False) -> BitTensor:

@@ -145,7 +145,7 @@ def equivalence_sweep(n: int, partitions, chunk: int = 64):
 
     Piece tables are memoized across calls, keyed by ``circuit.piece_keys``;
     no gate tuples are kept.  All n <= 5 together have 930 distinct pieces,
-    1.9 MB as uint16 tables; the memo is emptied when it reaches 1024 pieces.
+    1.8 MB as uint16 tables; the memo is emptied when it reaches 1024 pieces.
     Baker rows are built ``chunk`` partitions at a time.
     """
     batch: list[BakerPartition] = []

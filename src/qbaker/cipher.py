@@ -179,11 +179,7 @@ def _permute_planes(planes: np.ndarray, part_idx: np.ndarray, iter_cnt: np.ndarr
     keys, row_key = np.unique(ranks * (MAX_ITERATIONS + 1) + iters, return_inverse=True)
     table = iterated_tables(n, keys // (MAX_ITERATIONS + 1), keys % (MAX_ITERATIONS + 1))
     if len(keys) == 1:
-        row = table[0]
-        if not inverse:
-            row = np.empty_like(row)
-            row[table[0]] = np.arange(row.size, dtype=row.dtype)
-        return planes[:, row]
+        return planes[:, table[0] if inverse else np.argsort(table[0])]
     out = np.empty_like(planes)
     chunk = _rows_per_take(table.shape[1])
     for lo in range(0, len(planes), chunk):

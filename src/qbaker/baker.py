@@ -180,16 +180,6 @@ def rank_tables(n: int, ranks: Iterable[int]) -> np.ndarray:
     return partition_tables(n, (_unrank(n, int(i)) for i in ranks))
 
 
-def strip_index(p: BakerPartition, x: int) -> int:
-    """1-based index of the vertical strip containing column x."""
-    prefix = 0
-    for i, e in enumerate(p.q, start=1):
-        prefix += 1 << e
-        if x < prefix:
-            return i
-    raise ValueError(f"x={x} outside the {1 << p.n} square")
-
-
 def apply(p: BakerPartition, pt: Point) -> Point:
     """Forward baker map of a single point."""
     x, y = pt

@@ -2,13 +2,18 @@
 
 Stage 1 permutes the (image, plane) matrix independently at every pixel and
 block; stage 2 permutes pixel positions independently per plane, image, and
-block.  Baker parameters and iteration counts come from a keyed schedule
-(SHA-256 over the schedule seed and position, so both sides agree without
-sharing plaintext).  A draw takes the digest's first 64 bits modulo the
-number of admissible partitions as a lexicographic rank, and only the drawn
-ranks are unranked into baker tables.  There are 2.1e11 admissible
-partitions at n=6 but 4.4e22 at n=7, more than a 64-bit draw can reach, so
-both squares are limited to n <= 6: images of at most 64x64 pixels, L <= 64.
+block.  ``scramble`` composes both stages into one cell map per block, where
+each cell's bit lands after stage 1 and then stage 2, and applies it with
+one scatter (encrypt) or one gather (decrypt) per block; when every
+position shares one key (simplified mode), all blocks share one map and the
+whole cube moves in one gather in either direction.  Baker parameters and
+iteration counts come from a keyed schedule (SHA-256 over the schedule seed
+and position, so both sides agree without sharing plaintext).  A draw takes
+the digest's first 64 bits modulo the number of admissible partitions as a
+lexicographic rank, and only the drawn ranks are unranked into baker
+tables.  There are 2.1e11 admissible partitions at n=6 but 4.4e22 at n=7,
+more than a 64-bit draw can reach, so both squares are limited to n <= 6:
+images of at most 64x64 pixels, L <= 64.
 Diffusion XORs key digits derived from the plaintext-seeded chaotic
 sequences into the bit cube; the aggregates x0/alpha/beta travel in the
 ciphertext header so the receiver can rebuild the keystream, while the
@@ -116,15 +121,15 @@ def derive_schedule(key: MasterKey, n: int, layout: BlockLayout) -> KeySchedule:
         (b"stage1", (1 << n, 1 << n, layout.block_count), _choices(lplanes)),
         (b"stage2", (per_block, per_block, layout.block_count), _choices(n)),
     )
+    simplified = key.mode == "simplified"
     arrays = []
     for label, shape, n_choices in stages:
-        if key.mode == "simplified":
+        if simplified:
             positions = np.zeros((1, 0), dtype=np.uint32)  # one draw, no position
         else:
             positions = np.indices(shape).reshape(len(shape), -1).T
-        part, iters = _draws(key.schedule_seed, label, positions, n_choices)
-        # np.resize repeats the single simplified draw over every position
-        arrays += [np.resize(part, shape), np.resize(iters, shape)]
+        for drawn in _draws(key.schedule_seed, label, positions, n_choices):
+            arrays.append(np.full(shape, drawn[0]) if simplified else drawn.reshape(shape))
     return KeySchedule(lplanes, n, *arrays)
 
 
@@ -137,13 +142,15 @@ def _rows_per_take(cells: int) -> int:
 def iterated_tables(n: int, ranks: np.ndarray, iters: np.ndarray) -> np.ndarray:
     """Row j: table over (x << n) | y of partition ranks[j] applied iters[j] times.
 
-    Rows are sorted by iteration count, so the rows still composing at step s
-    form a prefix, and hold indices into the flat buffer of all one-step
-    tables, so ``np.take`` advances the live rows a bounded block at a time.
+    Each distinct rank is unranked once.  Rows are sorted by iteration
+    count, so the rows still composing at step s form a prefix, and hold
+    indices into the flat buffer of all one-step tables, so ``np.take``
+    advances the live rows a bounded block at a time.
     """
     order = np.argsort(-iters, kind="stable")
     counts = iters[order]
-    step = baker.rank_tables(n, ranks[order].tolist())
+    distinct, which = np.unique(ranks[order], return_inverse=True)
+    step = baker.rank_tables(n, distinct.tolist())[which]
     cells = step.shape[1]
     dtype = np.int32 if step.size < 1 << 31 else np.int64
     step = step.astype(dtype, copy=False)
@@ -165,54 +172,84 @@ def iterated_tables(n: int, ranks: np.ndarray, iters: np.ndarray) -> np.ndarray:
     return out
 
 
-def _permute_planes(planes: np.ndarray, part_idx: np.ndarray, iter_cnt: np.ndarray,
-                    n: int, inverse: bool) -> np.ndarray:
-    """Permute each row of ``planes`` (positions, plane-cells) by its table.
+class _StageTables:
+    """One stage's iterated tables, handed out a block at a time.
 
-    The forward direction moves the bit at cell i to cell table[i]: it
-    scatters through table (a single table is inverted and gathered
-    through instead); the inverse gathers through table.  Rows are
-    permuted a bounded block at a time.
+    When the stage's distinct (rank, iterations) keys need no more table
+    cells than ``budget`` (one block's map), their tables are built once for
+    all blocks; otherwise each block's tables are built from its own keys,
+    so memory scales with one block and not with the block count.
     """
-    ranks = part_idx.reshape(-1)
-    iters = iter_cnt.reshape(-1)
-    keys, row_key = np.unique(ranks * (MAX_ITERATIONS + 1) + iters, return_inverse=True)
-    table = iterated_tables(n, keys // (MAX_ITERATIONS + 1), keys % (MAX_ITERATIONS + 1))
-    if len(keys) == 1:
-        return planes[:, table[0] if inverse else np.argsort(table[0])]
-    out = np.empty_like(planes)
-    chunk = _rows_per_take(table.shape[1])
-    for lo in range(0, len(planes), chunk):
-        rows = slice(lo, lo + chunk)
-        if inverse:
-            out[rows] = np.take_along_axis(planes[rows], table[row_key[rows]], axis=1)
-        else:
-            np.put_along_axis(out[rows], table[row_key[rows]], planes[rows], axis=1)
-    return out
+
+    def __init__(self, n: int, ranks: np.ndarray, iters: np.ndarray, budget: int):
+        self.n = n
+        self.keys = ranks * (MAX_ITERATIONS + 1) + iters
+        self.distinct, row = np.unique(self.keys, return_inverse=True)
+        self.whole = None
+        if len(self.distinct) << (2 * n) <= budget:
+            self.whole = self._tables(self.distinct), row.reshape(self.keys.shape)
+
+    def _tables(self, keys: np.ndarray) -> np.ndarray:
+        return iterated_tables(self.n, keys // (MAX_ITERATIONS + 1), keys % (MAX_ITERATIONS + 1))
+
+    def block(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """Tables, and the row of each of block t's positions in them."""
+        if self.whole is not None:
+            tables, row = self.whole
+            return tables, row[..., t]
+        distinct, row = np.unique(self.keys[..., t], return_inverse=True)
+        return self._tables(distinct), row.reshape(self.keys.shape[:2])
 
 
-def scramble_stage1(tensor: BitTensor, sched: KeySchedule, inverse: bool = False) -> BitTensor:
-    """Permute the (m, l) matrix at every (x, y, t); point = (m, l)."""
-    side = 1 << tensor.n
-    per_block = 1 << tensor.lplanes
-    blocks = tensor.block_count
-    # (t, m, x, y, l) -> (x, y, t, m, l): one row per scrambling position
-    moved = tensor.bits.transpose(2, 3, 0, 1, 4).reshape(side * side * blocks, -1)
-    done = _permute_planes(moved, sched.s1_part, sched.s1_iter, sched.plane_n, inverse)
-    bits = done.reshape(side, side, blocks, per_block, per_block).transpose(2, 3, 0, 1, 4)
-    return BitTensor(tensor.n, tensor.lplanes, np.ascontiguousarray(bits))
+def _cell_map(stage1: _StageTables, stage2: _StageTables, t: int) -> np.ndarray:
+    """Where both stages send each cell of block t: an int32 array over the
+    block's flat (m, x, y, l) cells holding the flat (m', x', y', l') index.
+
+    Stage 1 sends (m, l) to (m', l') by the table at (x, y, t); stage 2 then
+    sends (x, y) to (x', y') by the table at (l', m', t).
+    """
+    n, lplanes = stage2.n, stage1.n
+    side, per_block = 1 << n, 1 << lplanes
+    t1, row1 = stage1.block(t)
+    t2, row2 = stage2.block(t)
+    # (x, y, m, l) -> (m, x, y, l), holding (m' << lplanes) | l'
+    ml = t1[row1].reshape(side, side, per_block, per_block).transpose(2, 0, 1, 3)
+    at = row2.T.reshape(-1)[ml]  # stage-2 row at (l', m')
+    xy = np.arange(side * side).reshape(1, side, side, 1)
+    xy2 = t2.reshape(-1)[(at << (2 * n)) | xy]
+    m2, l2 = ml >> lplanes, ml & (per_block - 1)
+    return ((m2 << (2 * n + lplanes)) | (xy2 << lplanes) | l2).reshape(-1)
 
 
-def scramble_stage2(tensor: BitTensor, sched: KeySchedule, inverse: bool = False) -> BitTensor:
-    """Permute pixel positions at every (l, m, t); point = (x, y)."""
-    side = 1 << tensor.n
-    per_block = 1 << tensor.lplanes
-    blocks = tensor.block_count
-    # (t, m, x, y, l) -> (l, m, t, x, y)
-    moved = tensor.bits.transpose(4, 1, 0, 2, 3).reshape(per_block * per_block * blocks, -1)
-    done = _permute_planes(moved, sched.s2_part, sched.s2_iter, sched.pixel_n, inverse)
-    bits = done.reshape(per_block, per_block, blocks, side, side).transpose(2, 1, 3, 4, 0)
-    return BitTensor(tensor.n, tensor.lplanes, np.ascontiguousarray(bits))
+def scramble(tensor: BitTensor, sched: KeySchedule, inverse: bool = False) -> BitTensor:
+    """Both baker stages as one permutation of each block's cells.
+
+    The forward direction moves the bit at cell i to cell dest[i] (stage 1,
+    then stage 2); the inverse gathers through dest.  Maps are built and
+    applied one block at a time.  When each stage has one key for every
+    position (simplified mode), all blocks share one map: it is built once
+    and applied to every block in one gather.
+    """
+    bits = tensor.bits.reshape(tensor.block_count, -1)
+    budget = bits.shape[1]
+    stage1 = _StageTables(sched.plane_n, sched.s1_part, sched.s1_iter, budget)
+    stage2 = _StageTables(sched.pixel_n, sched.s2_part, sched.s2_iter, budget)
+    if len(stage1.distinct) == len(stage2.distinct) == 1:
+        index = _cell_map(stage1, stage2, 0)
+        if not inverse:
+            src = np.empty_like(index)
+            src[index] = np.arange(index.size, dtype=index.dtype)
+            index = src
+        out = np.take(bits, index, axis=1)
+    else:
+        out = np.empty_like(bits)
+        for t in range(len(bits)):
+            dest = _cell_map(stage1, stage2, t)
+            if inverse:
+                out[t] = bits[t][dest]
+            else:
+                out[t][dest] = bits[t]
+    return BitTensor(tensor.n, tensor.lplanes, out.reshape(tensor.bits.shape))
 
 
 def diffuse(tensor: BitTensor, keys: np.ndarray) -> BitTensor:
@@ -225,11 +262,13 @@ def diffuse(tensor: BitTensor, keys: np.ndarray) -> BitTensor:
     blocks, per_block, side, _ = keys.shape
     if (blocks, per_block) != (tensor.block_count, 1 << tensor.lplanes):
         raise ValueError("key table disagrees with the tensor layout")
-    planes = 1 << tensor.lplanes
-    bit_idx = np.arange(planes) % tensor.lplanes if tensor.lplanes else np.zeros(planes, int)
-    # keys: (t, m, x, y) -> plane mask (t, m, x, y, l)
-    mask = (keys[..., None] >> bit_idx) & 1
-    return BitTensor(tensor.n, tensor.lplanes, tensor.bits ^ mask.astype(np.uint8))
+    shifts = (np.arange(1 << tensor.lplanes) % max(1, tensor.lplanes)).astype(np.uint8)
+    # keys: (t, m, x, y) -> plane mask (t, m, x, y, l), XORed in place: one
+    # uint8 buffer the size of the cube
+    mask = np.asarray(keys, dtype=np.uint8)[..., None] >> shifts
+    mask &= 1
+    mask ^= tensor.bits
+    return BitTensor(tensor.n, tensor.lplanes, mask)
 
 
 @dataclass(frozen=True)
@@ -258,8 +297,7 @@ def encrypt(image_set: ImageSet, key: MasterKey) -> Ciphertext:
     seed = derive_seed(image_set, tensor)
     seqs = _sequences_for(seed, key, image_set.n, layout)
     keys = key_table(seqs, layout, image_set.n)
-    scrambled = scramble_stage2(scramble_stage1(tensor, sched), sched)
-    diffused = diffuse(scrambled, keys)
+    diffused = diffuse(scramble(tensor, sched), keys)
     return Ciphertext(
         diffused, image_set.n, image_set.L, image_set.M,
         seed.x0, seed.alpha, seed.beta, key.mode,
@@ -278,10 +316,7 @@ def decrypt(ct: Ciphertext, key: MasterKey) -> ImageSet:
     seqs = _sequences_for(seed, key, ct.n, layout)
     keys = key_table(seqs, layout, ct.n)
     undiffused = diffuse(ct.tensor, keys)
-    unscrambled = scramble_stage1(
-        scramble_stage2(undiffused, sched, inverse=True), sched, inverse=True
-    )
-    return unpack(unscrambled, layout, ct.M, ct.L)
+    return unpack(scramble(undiffused, sched, inverse=True), layout, ct.M, ct.L)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +366,8 @@ def write_ciphertext(path: str | Path, ct: Ciphertext):
 
 def read_ciphertext(path: str | Path) -> Ciphertext:
     """Parse a ciphertext file; any missing, malformed or inconsistent header
-    field, and a payload of the wrong length, raise ValueError."""
+    field, aggregates no plaintext can produce, and a payload of the wrong
+    length raise ValueError."""
     blob = Path(path).read_bytes()
     sep = blob.find(b"---\n")
     if not blob.startswith(MAGIC) or sep < 0:
@@ -355,6 +391,14 @@ def read_ciphertext(path: str | Path) -> Ciphertext:
         raise ValueError(f"{path}: bad ciphertext header: n={n}, blocks={blocks} for M={M}, L={L}")
     side = 1 << n
     per_block = layout.images_per_block
+    # alpha and beta floor the mean and mean square of per-pixel bit counts,
+    # which lie in [0, c]; mean(c^2) >= mean(c)^2 gives alpha^2 <= beta.
+    c = blocks * per_block * per_block
+    if not (0.0 <= x0 <= 1.0 and 0 <= alpha <= c and alpha * alpha <= beta <= c * c):
+        raise ValueError(
+            f"{path}: impossible header aggregates x0={x0!r}, alpha={alpha}, beta={beta} "
+            f"(per-pixel bit counts lie in [0, {c}])"
+        )
     total = blocks * per_block * side * side * per_block
     payload = blob[sep + 4 :]
     if len(payload) != (total + 7) // 8:

@@ -24,7 +24,7 @@ subfunction at the gate count predicted by the closed-form model in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .baker import BakerPartition, is_admissible
 
@@ -211,42 +211,6 @@ def synth_f1(n: int, q1: int) -> list[Gate]:
 
 # ---------------------------------------------------------------------------
 # Control bookkeeping
-
-
-def reduce_to_distinct(prefix: Iterable[int]) -> list[int]:
-    """Distinct exponents of the binary expansion of sum(2^q), descending."""
-    total = sum(1 << e for e in prefix)
-    if total <= 0:
-        raise ValueError("prefix must be non-empty")
-    return [j for j in range(total.bit_length() - 1, -1, -1) if (total >> j) & 1]
-
-
-def _home_wire(j: int, q1: int, n: int) -> Wire:
-    """Where the original column bit j sits after the first subfunction."""
-    return Wire("y", j) if j >= q1 else Wire("x", n - q1 + j)
-
-
-def controls_for(r: int, p: BakerPartition) -> list[ControlCondition]:
-    """Strip-membership conditions for subfunction r (1-based, r >= 2).
-
-    One value-1 condition per set bit of the prefix sum; for r < k also a
-    value-0 condition at every other position in [q_r, n-1].  Bits below q_1
-    are read from the x wires they were moved to.
-    """
-    if r < 2:
-        raise ValueError("subfunction 1 carries no controls")
-    if r > p.k:
-        raise ValueError(f"r={r} exceeds k={p.k}")
-    q1 = p.q[0]
-    qr = p.q[r - 1]
-    ones = reduce_to_distinct(p.q[: r - 1])
-    conds = [ControlCondition(_home_wire(j, q1, p.n), 1) for j in ones]
-    if r < p.k:
-        one_set = set(ones)
-        for j in range(p.n - 1, qr - 1, -1):
-            if j not in one_set:
-                conds.append(ControlCondition(_home_wire(j, q1, p.n), 0))
-    return conds
 
 
 def _window_tag(n: int, start: int, lo: int, hi: int,
@@ -497,10 +461,3 @@ def synthesize(p: BakerPartition) -> Circuit:
         blocks.append(tuple(stream[pos : pos + c]))
         pos += c
     return Circuit(p.n, p, tuple(blocks))
-
-
-def synth_fi(i: int, p: BakerPartition) -> tuple[Gate, ...]:
-    """Gates attributed to subfunction i (1-based; i >= 2)."""
-    if i < 2:
-        raise ValueError("use synth_f1 for the first subfunction")
-    return synthesize(p).subfunctions[i - 1]

@@ -11,7 +11,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import analysis, baker, chaos, cipher, circuit, images, sim
+# analysis, circuit and sim are imported by the subcommands that use them,
+# so encrypt and decrypt start without them.
+from . import baker, chaos, cipher, images
 
 
 def _cmd_encrypt(args) -> int:
@@ -37,6 +39,8 @@ def _cmd_decrypt(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    from . import circuit
+
     p = baker.BakerPartition.parse(args.n, args.partition)
     circ = circuit.synthesize(p)
     text = circ.to_text()
@@ -49,6 +53,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import circuit, sim
+
     circ = circuit.circuit_from_text(Path(args.circuit).read_text())
     ok, witness = sim.equivalence(circ, circ.partition)
     if ok:
@@ -60,6 +66,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    from . import circuit
+
     p = baker.BakerPartition.parse(args.n, args.partition)
     counts, total = circuit.gate_count(p)
     per = " + ".join(str(c) for c in counts)
@@ -76,6 +84,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_table1(args) -> int:
+    from . import analysis
+
     table = analysis.table1()
     if args.csv:
         Path(args.csv).write_text(table.to_csv())

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,8 +17,7 @@ from qbaker.cipher import (
     iterated_tables,
     read_ciphertext,
     read_key,
-    scramble_stage1,
-    scramble_stage2,
+    scramble,
     write_ciphertext,
     write_key,
 )
@@ -140,78 +140,111 @@ def _identity_schedule(n, layout):
     )
 
 
+def _with_identity_stage2(sched):
+    """The same stage 1, and stage 2 the identity at every position."""
+    ident = baker.count_admissible(sched.pixel_n) - 1
+    return KeySchedule(
+        sched.plane_n, sched.pixel_n, sched.s1_part, sched.s1_iter,
+        np.full_like(sched.s2_part, ident), np.ones_like(sched.s2_iter),
+    )
+
+
+def _lit(tensor, cell):
+    bits = np.zeros_like(tensor.bits)
+    bits[cell] = 1
+    return type(tensor)(tensor.n, tensor.lplanes, bits)
+
+
+MODES = ("simplified", "non_simplified")
+
+
 class TestScrambling:
+    """``scramble`` against the pointwise baker map, stage 1 then stage 2."""
+
     def test_identity_partitions_leave_tensor_alone(self):
         rng = np.random.default_rng(5)
-        tensor = pack(random_images(rng))
-        layout = plan_layout(3, 8)
-        sched = _identity_schedule(2, layout)
-        assert np.array_equal(scramble_stage1(tensor, sched).bits, tensor.bits)
-        assert np.array_equal(scramble_stage2(tensor, sched).bits, tensor.bits)
+        tensor = pack(random_images(rng, M=20))
+        layout = plan_layout(20, 8)
+        same = _identity_schedule(2, layout)
+        # any iteration count of the identity is the identity; varied counts
+        # give every block its own keys
+        varied = KeySchedule(
+            same.plane_n, same.pixel_n,
+            same.s1_part, rng.integers(1, 17, same.s1_iter.shape),
+            same.s2_part, rng.integers(1, 17, same.s2_iter.shape),
+        )
+        for sched in (same, varied):
+            for inverse in (False, True):
+                assert np.array_equal(scramble(tensor, sched, inverse).bits, tensor.bits)
 
     def test_single_bit_follows_iterated_map(self):
-        layout = plan_layout(3, 8)
-        sched = derive_schedule(KEY, 2, layout)
-        tensor = pack(ImageSet(2, 8, np.zeros((3, 4, 4), dtype=int)))
-        bits = tensor.bits.copy()
-        m0, l0, x0, y0 = 2, 5, 1, 3
-        bits[0, m0, x0, y0, l0] = 1
-        lit = type(tensor)(tensor.n, tensor.lplanes, bits)
-
-        out = scramble_stage1(lit, sched)
-        p = baker.unrank_admissible(sched.plane_n, int(sched.s1_part[x0, y0, 0]))
-        r = int(sched.s1_iter[x0, y0, 0])
-        nm, nl = baker.iterate(p, r, (m0, l0))
-        assert out.bits[0, nm, x0, y0, nl] == 1
-        assert out.bits.sum() == 1
-
-        out2 = scramble_stage2(lit, sched)
-        p2 = baker.unrank_admissible(sched.pixel_n, int(sched.s2_part[l0, m0, 0]))
-        r2 = int(sched.s2_iter[l0, m0, 0])
-        nx, ny = baker.iterate(p2, r2, (x0, y0))
-        assert out2.bits[0, m0, nx, ny, l0] == 1
-        assert out2.bits.sum() == 1
+        rng = np.random.default_rng(4)
+        layout = plan_layout(20, 8)  # 4 blocks of 8 images, 4x4 pixels
+        empty = pack(ImageSet(2, 8, np.zeros((20, 4, 4), dtype=int)))
+        scheds = [
+            derive_schedule(MasterKey(KEY.lambdas, KEY.schedule_seed, mode), 2, layout)
+            for mode in MODES
+        ]
+        # a few keys per stage, mixed over positions: tables shared by blocks
+        keyed = scheds[1]
+        scheds.append(KeySchedule(
+            keyed.plane_n, keyed.pixel_n,
+            rng.choice([3, 17], keyed.s1_part.shape), rng.integers(1, 3, keyed.s1_iter.shape),
+            rng.choice([0, 2], keyed.s2_part.shape), rng.integers(1, 3, keyed.s2_iter.shape),
+        ))
+        for sched in scheds:
+            for _ in range(24):
+                t, m, x, y, l = (int(v) for v in rng.integers(0, [4, 8, 4, 4, 8]))
+                p1 = baker.unrank_admissible(sched.plane_n, int(sched.s1_part[x, y, t]))
+                m2, l2 = baker.iterate(p1, int(sched.s1_iter[x, y, t]), (m, l))
+                p2 = baker.unrank_admissible(sched.pixel_n, int(sched.s2_part[l2, m2, t]))
+                x2, y2 = baker.iterate(p2, int(sched.s2_iter[l2, m2, t]), (x, y))
+                out = scramble(_lit(empty, (t, m, x, y, l)), sched).bits
+                assert out[t, m2, x2, y2, l2] == 1 and out.sum() == 1
+                back = scramble(_lit(empty, (t, m2, x2, y2, l2)), sched, inverse=True).bits
+                assert back[t, m, x, y, l] == 1 and back.sum() == 1
 
     def test_stage_inverses(self):
         rng = np.random.default_rng(6)
-        tensor = pack(random_images(rng, M=5))
-        layout = plan_layout(5, 8)
-        sched = derive_schedule(KEY, 2, layout)
-        s1 = scramble_stage1(tensor, sched)
-        assert np.array_equal(
-            scramble_stage1(s1, sched, inverse=True).bits, tensor.bits
-        )
-        s2 = scramble_stage2(tensor, sched)
-        assert np.array_equal(
-            scramble_stage2(s2, sched, inverse=True).bits, tensor.bits
-        )
+        tensor = pack(random_images(rng, M=20))
+        layout = plan_layout(20, 8)
+        assert layout.block_count == 4
+        for mode in MODES:
+            sched = derive_schedule(MasterKey(KEY.lambdas, KEY.schedule_seed, mode), 2, layout)
+            out = scramble(tensor, sched)
+            assert not np.array_equal(out.bits, tensor.bits)
+            assert np.array_equal(scramble(out, sched, inverse=True).bits, tensor.bits)
+            assert np.array_equal(scramble(scramble(tensor, sched, True), sched).bits, tensor.bits)
 
     def test_multiset_preserved_per_plane(self):
+        # with stage 2 the identity, stage 1 only reorders (m, l) at each pixel
         rng = np.random.default_rng(7)
-        tensor = pack(random_images(rng))
-        layout = plan_layout(3, 8)
-        sched = derive_schedule(KEY, 2, layout)
-        out = scramble_stage1(tensor, sched)
-        assert np.array_equal(
-            tensor.bits.sum(axis=(1, 4)), out.bits.sum(axis=(1, 4))
-        )
+        tensor = pack(random_images(rng, M=20))
+        sched = _with_identity_stage2(derive_schedule(KEY, 2, plan_layout(20, 8)))
+        out = scramble(tensor, sched)
+        assert not np.array_equal(out.bits, tensor.bits)
+        assert np.array_equal(tensor.bits.sum(axis=(1, 4)), out.bits.sum(axis=(1, 4)))
 
     def test_schedule_entry_localized(self):
         rng = np.random.default_rng(8)
-        tensor = pack(random_images(rng))
-        layout = plan_layout(3, 8)
-        sched = derive_schedule(KEY, 2, layout)
+        tensor = pack(random_images(rng, M=20))
+        sched = _with_identity_stage2(derive_schedule(KEY, 2, plan_layout(20, 8)))
+        x, y, t = 1, 1, 2
+        rank, iters = sched.s1_part[x, y, t], sched.s1_iter[x, y, t]
+        table = iterated_tables(sched.plane_n, np.array([rank] * 16), np.arange(1, 17))
+        # an iteration count whose table differs from the scheduled one
+        other = next(r for r in range(1, 17) if not np.array_equal(table[r - 1], table[iters - 1]))
         tweaked_iter = sched.s1_iter.copy()
-        tweaked_iter[1, 1, 0] = (tweaked_iter[1, 1, 0] % 16) + 1
+        tweaked_iter[x, y, t] = other
         tweaked = KeySchedule(
             sched.plane_n, sched.pixel_n,
             sched.s1_part, tweaked_iter, sched.s2_part, sched.s2_iter,
         )
-        a = scramble_stage1(tensor, sched).bits
-        b = scramble_stage1(tensor, tweaked).bits
-        differs = (a != b).any(axis=(1, 4))  # collapse (m, l) per plane
-        assert differs[0, 1, 1] or (a == b).all()
-        differs[0, 1, 1] = False
+        a = scramble(tensor, sched).bits
+        b = scramble(tensor, tweaked).bits
+        differs = (a != b).any(axis=(1, 4))  # collapse (m, l) per (t, x, y)
+        assert differs[t, x, y]
+        differs[t, x, y] = False
         assert not differs.any()
 
 
@@ -241,6 +274,19 @@ class TestDiffuse:
         tensor = pack(random_images(rng))
         with pytest.raises(ValueError):
             diffuse(tensor, np.zeros((2, 8, 4, 4), dtype=np.uint8))
+
+    def test_peak_memory_within_two_cubes(self):
+        # 4096 images of 16x16: a 512-block, 8.4 MB cube
+        tensor = pack(ImageSet(4, 8, np.zeros((4096, 16, 16), dtype=np.uint8)))
+        keys = np.random.default_rng(12).integers(0, 8, size=(512, 8, 16, 16)).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            out = diffuse(tensor, keys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.bits.sum() > 0
+        assert peak <= 2 * tensor.bits.nbytes
 
 
 class TestPipeline:
@@ -384,6 +430,12 @@ class TestCiphertextFile:
         path.write_bytes(b"\n".join(lines) + sep + payload)
         self._rejected(path, key, capsys)
 
+    @staticmethod
+    def _replace_line(path, line, bad):
+        head, sep, payload = path.read_bytes().partition(b"---\n")
+        lines = [bad if ln.startswith(line) else ln for ln in head.split(b"\n")]
+        path.write_bytes(b"\n".join(lines) + sep + payload)
+
     @pytest.mark.parametrize("line, bad", [
         (b"alpha = ", b"alpha = many"),
         (b"x0 = ", b"x0 = zero"),
@@ -393,7 +445,19 @@ class TestCiphertextFile:
     ])
     def test_unparsable_or_inconsistent_field(self, written, capsys, line, bad):
         path, key = written
-        head, sep, payload = path.read_bytes().partition(b"---\n")
-        lines = [bad if ln.startswith(line) else ln for ln in head.split(b"\n")]
-        path.write_bytes(b"\n".join(lines) + sep + payload)
+        self._replace_line(path, line, bad)
+        self._rejected(path, key, capsys)
+
+    @pytest.mark.parametrize("line, bad", [
+        (b"beta = ", b"beta = 99999999999999999999"),
+        (b"beta = ", b"beta = 0"),  # below alpha^2
+        (b"alpha = ", b"alpha = -1"),
+        (b"alpha = ", b"alpha = 65"),  # a pixel spans 64 bits here
+        (b"x0 = ", b"x0 = 1.5"),
+        (b"x0 = ", b"x0 = nan"),
+        (b"x0 = ", b"x0 = -inf"),
+    ])
+    def test_impossible_aggregates(self, written, capsys, line, bad):
+        path, key = written
+        self._replace_line(path, line, bad)
         self._rejected(path, key, capsys)

@@ -7,13 +7,50 @@ from qbaker.circuit import (
     Gate,
     Wire,
     circuit_from_text,
-    controls_for,
     gate_count,
-    reduce_to_distinct,
     synth_f1,
-    synth_fi,
     synthesize,
 )
+
+
+# The paper's strip-membership conditions, kept here as a formula oracle:
+# synthesis itself gates narrow strips on window tags instead.
+
+
+def reduce_to_distinct(prefix):
+    """Distinct exponents of the binary expansion of sum(2^q), descending."""
+    total = sum(1 << e for e in prefix)
+    if total <= 0:
+        raise ValueError("prefix must be non-empty")
+    return [j for j in range(total.bit_length() - 1, -1, -1) if (total >> j) & 1]
+
+
+def _home_wire(j, q1, n):
+    """Where the original column bit j sits after the first subfunction."""
+    return Wire("y", j) if j >= q1 else Wire("x", n - q1 + j)
+
+
+def controls_for(r, p):
+    """Strip-membership conditions for subfunction r (1-based, r >= 2).
+
+    One value-1 condition per set bit of the prefix sum; for r < k also a
+    value-0 condition at every other position in [q_r, n-1].  Bits below q_1
+    are read from the x wires they were moved to.
+    """
+    if r < 2:
+        raise ValueError("subfunction 1 carries no controls")
+    if r > p.k:
+        raise ValueError(f"r={r} exceeds k={p.k}")
+    q1 = p.q[0]
+    qr = p.q[r - 1]
+    ones = reduce_to_distinct(p.q[: r - 1])
+    conds = [ControlCondition(_home_wire(j, q1, p.n), 1) for j in ones]
+    if r < p.k:
+        one_set = set(ones)
+        for j in range(p.n - 1, qr - 1, -1):
+            if j not in one_set:
+                conds.append(ControlCondition(_home_wire(j, q1, p.n), 0))
+    return conds
 
 
 class TestGateCount:
@@ -120,22 +157,19 @@ class TestControlsFor:
 
 
 class TestSynthFi:
+    """Subfunction f_i of a circuit is its i-th slice."""
+
     def test_flagship_block_sizes(self):
-        p = BakerPartition(3, (2, 1, 1))
-        assert len(synth_fi(2, p)) == 3
-        assert len(synth_fi(3, p)) == 3
+        circ = synthesize(BakerPartition(3, (2, 1, 1)))
+        assert [len(block) for block in circ.subfunctions[1:]] == [3, 3]
 
     def test_equal_width_block_is_empty(self):
-        assert synth_fi(2, BakerPartition(3, (2, 2))) == ()
+        assert synthesize(BakerPartition(3, (2, 2))).subfunctions[1] == ()
 
     def test_two_halves_whole_circuit(self):
         p = BakerPartition(3, (2, 2))
         ok, _ = sim.equivalence(synthesize(p), p)
         assert ok
-
-    def test_rejects_first_index(self):
-        with pytest.raises(ValueError):
-            synth_fi(1, BakerPartition(3, (2, 1, 1)))
 
 
 class TestSynthesize:
@@ -169,7 +203,8 @@ class TestSynthesize:
         circ = synthesize(p)
         block = circ.subfunctions[2]
         assert len(block) == 3
-        want = {ControlCondition(Wire("y", 2), 1)}
+        want = set(controls_for(3, p))
+        assert want == {ControlCondition(Wire("y", 2), 1)}
         for g in block:
             assert set(g.controls) == want
 

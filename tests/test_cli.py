@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qbaker
 from qbaker import images
 from qbaker.cipher import MasterKey, write_key
 from qbaker.cli import main
@@ -136,6 +142,17 @@ class TestChaosTrace:
 
     def test_bad_init_rejected(self, capsys):
         assert main(["chaos-trace", "--init", "0.1,0.2"]) == 1
+
+
+def test_cli_import_leaves_circuit_side_out():
+    # encrypt and decrypt pay for every module the CLI imports at start
+    env = dict(os.environ, PYTHONPATH=str(Path(qbaker.__file__).resolve().parents[1]))
+    code = "import sys, qbaker.cli; print(sorted(m for m in sys.modules if m.startswith('qbaker')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    for name in ("qbaker.circuit", "qbaker.sim", "qbaker.analysis"):
+        assert f"'{name}'" not in out
+    assert "'qbaker.cipher'" in out
 
 
 def test_unknown_command_exits_two(capsys):

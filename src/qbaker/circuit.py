@@ -4,11 +4,14 @@ Wires are x_{n-1}..x_0 (column register) and y_{n-1}..y_0 (row register).
 ``synthesize`` lowers an admissible partition to a gate list in three layers:
 
 * the first strip's map M_{q_1} as plain swaps (``synth_f1``);
-* for each later strip, controlled swaps that convert the M_{q_1} image to
-  the strip's own image, gated on the strip-identifying y wires;
-* strips narrower than 2^{q_1} share a 2^{q_1}-aligned window, and the
-  window's correction is itself a baker map one size down, so the lowering
-  recurses on the top q_1 x wires and bottom q_1 y wires.
+* the later strips split into runs (``_runs``): a strip wider than 2^{q_1}
+  is one run, lowered by the minimal swap cycles that convert the M_{q_1}
+  image to the strip's own (``_cycle_gates``), gated on the strip-identifying
+  y wires; strips as wide as the first need no gates;
+* strips narrower than 2^{q_1} share a 2^{q_1}-aligned window, one run whose
+  correction is itself a baker map one size down, so the lowering recurses
+  on the top q_1 x wires and bottom q_1 y wires and splits the window into
+  runs the same way.
 
 Controls are placed only on wires that (a) are never targets of the same
 subcircuit and (b) provably hold the strip pattern at that point in the
@@ -16,9 +19,10 @@ stream.  Conditioning each gate on wires its own subcircuit relocates would
 break the swap-gate involution property, so narrow-strip gates condition on
 window tags (high y wires) rather than on every pattern bit; a documented
 consequence is that consecutive same-width strips are handled by shared
-gates.  Streams are then padded with net-identity swap triples to keep every
-subfunction at the gate count predicted by the closed-form model in
-``gate_count``, and sliced per subfunction.
+gates.  The stream is cut into pieces, the M_{q_1} pass and one per
+top-level run (``piece_keys``); each run's piece is padded with net-identity
+swaps up to its share of the closed-form model (``piece_budget``), and the
+stream is sliced per subfunction by ``gate_count``.
 """
 
 from __future__ import annotations
@@ -112,7 +116,7 @@ def circuit_from_text(text: str) -> Circuit:
     partition = BakerPartition.parse(n, header["partition"])
 
     def parse_wire(tok: str) -> Wire:
-        if tok[0] not in ("x", "y") or not tok[1:].isdigit():
+        if tok[:1] not in ("x", "y") or not tok[1:].isdigit():
             raise ValueError(f"bad wire {tok!r}")
         return Wire(tok[0], int(tok[1:]))
 
@@ -163,6 +167,16 @@ def gate_count(p: BakerPartition) -> tuple[list[int], int]:
     counts = [_count_first(p.n, q1)]
     counts.extend(_count_later(q1, qi) for qi in p.q[1:])
     return counts, sum(counts)
+
+
+def piece_budget(key: tuple) -> int:
+    """Model gate count of the piece with this ``piece_keys`` key; a
+    partition's piece budgets sum to its ``gate_count`` total, because
+    strips as wide as the first cost nothing."""
+    if len(key) == 2:
+        return _count_first(*key)
+    _, q1, qs, _ = key
+    return sum(_count_later(q1, e) for e in qs)
 
 
 # ---------------------------------------------------------------------------
@@ -226,23 +240,6 @@ def _window_tag(n: int, start: int, lo: int, hi: int,
 # Wide strips (width > 2^{q_1} at the current level)
 
 
-def _wide_strip_gates(n: int, w: int, v: int,
-                      controls: tuple[ControlCondition, ...]) -> list[Gate]:
-    """Convert M_w staging to an M_v image, v > w (three swap families)."""
-    X = lambda j: Wire("x", j)
-    Y = lambda j: Wire("y", j)
-    out: list[Gate] = []
-    for k in range(w):
-        for l in range(v - w):
-            out.append(Gate((X(n - w - l + k), X(n - w - l - 1 + k)), controls))
-    for l in range(v - w):
-        out.append(Gate((X(n - 1 - l), Y(v - 1 - l)), controls))
-    for k in range(v - w):
-        for l in range(w):
-            out.append(Gate((Y(w - l + k), Y(w - l - 1 + k)), controls))
-    return out
-
-
 def _m_move(n: int, s: int, u: int) -> dict[Wire, Wire]:
     """Content movement of M_u on the 2^s sub-square, in global wires."""
     move: dict[Wire, Wire] = {}
@@ -287,37 +284,61 @@ def _cycle_gates(move: dict[Wire, Wire],
 # Recursive stream construction
 
 
-def _stream(n: int, s: int, parts: list[tuple[int, int]],
-            controls: tuple[ControlCondition, ...]) -> list[Gate]:
-    """Gate stream for an admissible partition of a 2^s sub-square.
+def _runs(qs: tuple[int, ...], start: int) -> list[tuple[tuple[int, ...], int]]:
+    """The runs after the head strip ``qs[0]``, with their start columns.
 
-    ``parts`` holds (exponent, absolute start) pairs.  The head strip becomes
-    an M_{head} pass over the whole sub-square; same-width strips are covered
-    by that pass; wider strips get their own tagged conversion; narrower
-    strips recurse one window down.
+    ``start`` is the head's column.  A run is one strip wider than the head,
+    or the narrower strips that exactly fill one head-width window.  Strips
+    as wide as the head are covered by its M_head pass and form no run.
     """
-    head_q = parts[0][0]
-    out = _first_strip_gates(n, s, head_q, controls)
+    head = qs[0]
+    window = 1 << head
+    runs = []
+    pos = start + window
     i = 1
-    while i < len(parts):
-        q, start = parts[i]
-        if q == head_q:
-            i += 1
-        elif q > head_q:
-            tag = _window_tag(n, start, q, s - 1, controls)
-            out.extend(_cycle_gates(_delta_move(n, s, head_q, q), tag))
-            i += 1
-        else:
-            width = 0
+    while i < len(qs):
+        q = qs[i]
+        if q < head:
             j = i
-            while width < (1 << head_q):
-                width += 1 << parts[j][0]
+            width = 0
+            while width < window:
+                width += 1 << qs[j]
                 j += 1
-            if width != 1 << head_q:
+            if width != window:
                 raise AssertionError("strips straddle a window boundary")
-            tag = _window_tag(n, start, head_q, s - 1, controls)
-            out.extend(_stream(n, head_q, parts[i:j], tag))
+            runs.append((qs[i:j], pos))
             i = j
+        else:
+            width = 1 << q
+            if q > head:
+                runs.append((qs[i : i + 1], pos))
+            i += 1
+        pos += width
+    return runs
+
+
+def _run_gates(n: int, s: int, head: int, run: tuple[int, ...], start: int,
+               controls: tuple[ControlCondition, ...]) -> list[Gate]:
+    """Gates of one run of a 2^s sub-square whose strips are staged by M_head.
+
+    A wide strip converts the M_head image to its own by the minimal swap
+    cycles, tagged with its y pattern; a window of narrower strips is a baker
+    map one size down, tagged with the window's y pattern.
+    """
+    if run[0] > head:
+        tag = _window_tag(n, start, run[0], s - 1, controls)
+        return _cycle_gates(_delta_move(n, s, head, run[0]), tag)
+    return _stream(n, head, run, start, _window_tag(n, start, head, s - 1, controls))
+
+
+def _stream(n: int, s: int, qs: tuple[int, ...], start: int,
+            controls: tuple[ControlCondition, ...]) -> list[Gate]:
+    """Gate stream for an admissible partition ``qs`` of a 2^s sub-square
+    whose first column is ``start``: an M_head pass over the whole
+    sub-square, then the gates of each run."""
+    out = _first_strip_gates(n, s, qs[0], controls)
+    for run, run_start in _runs(qs, start):
+        out.extend(_run_gates(n, s, qs[0], run, run_start, controls))
     return out
 
 
@@ -376,28 +397,14 @@ def _pad(stream: list[Gate], deficit: int, n: int) -> list[Gate]:
 
 
 def _window_piece(n: int, q1: int, qs: tuple[int, ...], start: int) -> tuple[Gate, ...]:
-    """Padded gate stream for one window (or one wide strip) at the top level.
+    """Padded gate stream for one top-level run (a wide strip or a 2^q1
+    window) starting at column ``start``, padded to its ``piece_budget``.
 
-    ``qs`` is either a single exponent > q1 (wide strip) or the exponent run
-    of a 2^q1 window; ``start`` is the window's absolute column offset.  The
-    piece is padded so its length equals the summed gate-count model of the
-    strips it covers.  It is built afresh on every call: the equivalence
-    sweep memoizes piece permutations by key instead of gate tuples.
+    It is built afresh on every call: the equivalence sweep memoizes piece
+    permutations by key instead of gate tuples.
     """
-    if len(qs) == 1 and qs[0] > q1:
-        tag = _window_tag(n, start, qs[0], n - 1, ())
-        piece = _wide_strip_gates(n, q1, qs[0], tag)
-        budget = _count_later(q1, qs[0])
-    else:
-        tag = _window_tag(n, start, q1, n - 1, ())
-        pos = start
-        parts = []
-        for e in qs:
-            parts.append((e, pos))
-            pos += 1 << e
-        piece = _stream(n, q1, parts, tag)
-        budget = sum(_count_later(q1, e) for e in qs)
-    deficit = budget - len(piece)
+    piece = _run_gates(n, n, q1, qs, start, ())
+    deficit = piece_budget((n, q1, qs, start)) - len(piece)
     if deficit < 0:
         raise AssertionError(
             f"window emission exceeds the count model (q1={q1}, qs={qs})"
@@ -409,27 +416,12 @@ def piece_keys(p: BakerPartition) -> list[tuple]:
     """Keys of the pieces a partition's gate stream is cut into, in order.
 
     ``(n, q1)`` is the M_{q1} pass over the whole square; each later key
-    ``(n, q1, qs, start)`` is one wide strip or one 2^q1 window (same-width
-    strips emit no gates).  Equal keys give equal pieces in every partition.
+    ``(n, q1, qs, start)`` is one run of ``_runs``.  Equal keys give equal
+    pieces in every partition.
     """
-    n, q = p.n, p.q
-    q1 = q[0]
+    n, q1 = p.n, p.q[0]
     keys: list[tuple] = [(n, q1)]
-    start = 1 << q1
-    i = 1
-    while i < len(q):
-        width = 1 << q[i]
-        j = i + 1
-        if q[i] < q1:
-            while width < (1 << q1):
-                width += 1 << q[j]
-                j += 1
-            if width != 1 << q1:
-                raise AssertionError("strips straddle a window boundary")
-        if q[i] != q1:
-            keys.append((n, q1, q[i:j], start))
-        start += width
-        i = j
+    keys += [(n, q1, run, start) for run, start in _runs(p.q, 0)]
     return keys
 
 
@@ -438,23 +430,10 @@ def build_piece(key: tuple) -> tuple[Gate, ...]:
     return tuple(synth_f1(*key)) if len(key) == 2 else _window_piece(*key)
 
 
-def _flat_stream(p: BakerPartition) -> tuple[list[Gate], list[int]]:
-    """Full padded gate stream plus the per-subfunction count model."""
-    q1 = p.q[0]
-    counts = [_count_first(p.n, q1)]
-    counts.extend(_count_later(q1, qi) for qi in p.q[1:])
-    stream: list[Gate] = []
-    for key in piece_keys(p):
-        stream.extend(build_piece(key))
-    assert len(stream) == sum(counts), (len(stream), sum(counts), p)
-    return stream, counts
-
-
 def synthesize(p: BakerPartition) -> Circuit:
     """Full circuit for an admissible partition, sliced per subfunction."""
-    if not is_admissible(p):
-        raise ValueError(f"partition {p} is not admissible")
-    stream, counts = _flat_stream(p)
+    counts, _ = gate_count(p)
+    stream = [g for key in piece_keys(p) for g in build_piece(key)]
     blocks: list[tuple[Gate, ...]] = []
     pos = 0
     for c in counts:

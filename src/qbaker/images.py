@@ -8,7 +8,6 @@ pixel is split into bit planes.  The result is a five-axis bit cube indexed
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -88,9 +87,6 @@ class BitTensor:
         assert total == 1 << (total.bit_length() - 1), "sizes are powers of two"
         return total.bit_length() - 1
 
-    def copy(self) -> "BitTensor":
-        return BitTensor(self.n, self.lplanes, self.bits.copy())
-
 
 def plan_layout(M: int, L: int) -> BlockLayout:
     """Block geometry for M images with L bit planes; blank count minimal."""
@@ -106,14 +102,16 @@ def plan_layout(M: int, L: int) -> BlockLayout:
 def pack(image_set: ImageSet) -> BitTensor:
     """Pack images into the bit cube; blank padding images are all zero.
 
-    Planes are written one at a time from a copy of the images in the
-    narrowest unsigned type that holds L bits, so no intermediate is wider
-    than that copy.
+    Planes are written one at a time from the images in the narrowest
+    unsigned type that holds L bits (copied only when they are stored wider),
+    so no intermediate is wider than that type.
     """
     layout = plan_layout(image_set.M, image_set.L)
     lplanes = _ceil_log2(image_set.L)
     side = 1 << image_set.n
-    values = np.asarray(image_set.images).astype(np.min_scalar_type((1 << image_set.L) - 1))
+    values = np.asarray(image_set.images).astype(
+        np.min_scalar_type((1 << image_set.L) - 1), copy=False
+    )
     bits = np.zeros((layout.padded_total, side, side, 1 << lplanes), dtype=np.uint8)
     for plane in range(image_set.L):  # planes L and up stay zero
         bits[: image_set.M, ..., plane] = (values >> plane) & 1
@@ -135,7 +133,7 @@ def unpack(tensor: BitTensor, layout: BlockLayout, M: int, L: int = 8) -> ImageS
     values = np.zeros((M, side, side), dtype=np.min_scalar_type((1 << L) - 1))
     for plane in range(min(L, cube.shape[-1])):
         values |= cube[..., plane].astype(values.dtype) << plane
-    return ImageSet(tensor.n, L, values.astype(np.int64))
+    return ImageSet(tensor.n, L, values)
 
 
 # ---------------------------------------------------------------------------
@@ -189,4 +187,4 @@ def read_manifest(path: str | Path, L: int = 8) -> ImageSet:
     if any(img.shape[0] != side for img in images):
         raise ValueError("all images must share one size")
     n = side.bit_length() - 1
-    return ImageSet(n, L, np.stack(images).astype(np.int64))
+    return ImageSet(n, L, np.stack(images))

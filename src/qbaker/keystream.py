@@ -14,7 +14,6 @@ use the mirrored index (len - i + 1) reduced mod len.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +41,7 @@ class Seed:
 
 def intensity_seed(image_set: ImageSet) -> float:
     """Total intensity normalized into [0, 1]."""
-    total = int(np.asarray(image_set.images, dtype=np.int64).sum())
+    total = int(np.asarray(image_set.images).sum(dtype=np.int64))
     denom = image_set.M * (1 << (2 * image_set.n)) * ((1 << image_set.L) - 1)
     return total / denom
 
@@ -69,34 +68,6 @@ def seed_from_header(x0: float, alpha: int, beta: int) -> Seed:
     t0 = chebyshev(beta, z0)
     w0 = ((x0 + z0) * 1e3) % 1.0
     return Seed(x0, z0, y0, t0, w0, alpha, beta)
-
-
-def _mirrored(length: int, i: int) -> int:
-    return (length - i + 1) % length
-
-
-def _cheb(k: int, x: float) -> float:
-    # Same ufuncs as the vectorized table so both paths floor identically.
-    return float(np.cos(k * np.arccos(x)))
-
-
-def key_bits(
-    seqs: ChaoticSequences, layout: BlockLayout, b: int, m: int, i: int, j: int
-) -> int:
-    """Key digit for block b, image m, pixel (i, j)."""
-    if not (0 <= b < len(seqs.ts) and 0 <= m < len(seqs.zs)):
-        raise ValueError("block or image index outside the layout")
-    if not (0 <= i < len(seqs.xs) and 0 <= j < len(seqs.ys)):
-        raise ValueError("pixel index outside the grid")
-    lplanes = (layout.images_per_block - 1).bit_length()
-    # Multiplication order matches key_table so both floor identically.
-    prod = (
-        _cheb(seqs.rs[m], seqs.ts[_mirrored(len(seqs.ts), b)])
-        * _cheb(seqs.ss[b], seqs.zs[_mirrored(len(seqs.zs), m)])
-        * _cheb(seqs.ns[i], seqs.ys[_mirrored(len(seqs.ys), i)])
-        * _cheb(seqs.ks[j], seqs.xs[_mirrored(len(seqs.xs), j)])
-    )
-    return int(math.floor(abs(prod) * KEY_SCALE)) % (1 << lplanes)
 
 
 def key_table(seqs: ChaoticSequences, layout: BlockLayout, n: int) -> np.ndarray:

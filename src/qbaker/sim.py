@@ -8,9 +8,12 @@ s = (x << n) | y; x wire i is bit n+i, y wire i is bit i.
 all 4^n packed states at once.  ``equivalence_sweep`` does not simulate
 whole circuits.  Every synthesized circuit is a concatenation of pieces
 (``circuit.piece_keys``), so the sweep simulates each distinct piece once,
-memoizes its permutation by key, and composes a partition's circuit from
-one gather per piece.  Circuit tables are compared pointwise against the
-baker map rows of ``baker.partition_tables``.
+memoizes its permutation table by key (the memo holds tables, never gates),
+and composes a partition's circuit from one gather per piece.  Each piece's
+gate count is checked against ``circuit.piece_budget`` once, when the piece
+is built; the budgets of a partition's pieces sum to its closed-form count.
+Circuit tables are compared pointwise against the baker map rows of
+``baker.partition_tables``.
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ from .circuit import Circuit, Gate
 
 BasisState = tuple[int, int]
 
-# Piece key -> (permutation of the packed states, gate count); see
-# equivalence_sweep.  Emptied whenever it reaches _PIECES_MAX entries.
-_PIECES: dict[tuple, tuple[np.ndarray, int]] = {}
+# Piece key -> permutation of the packed states; see equivalence_sweep.
+# Emptied whenever it reaches _PIECES_MAX entries.
+_PIECES: dict[tuple, np.ndarray] = {}
 _PIECES_MAX = 1024
 
 
@@ -104,33 +107,30 @@ def equivalence(c: Circuit, p: BakerPartition):
     return witness is None, witness
 
 
-def _piece_permutation(key: tuple) -> tuple[np.ndarray, int]:
-    """Memoized table and gate count of one stream piece."""
-    hit = _PIECES.get(key)
-    if hit is None:
+def _piece_permutation(key: tuple) -> np.ndarray:
+    """Memoized table of one stream piece; its gate count is checked
+    against ``circuit.piece_budget`` when the piece is built."""
+    table = _PIECES.get(key)
+    if table is None:
         n = key[0]
         gates = circuit.build_piece(key)
+        budget = circuit.piece_budget(key)
+        if len(gates) != budget:
+            raise AssertionError(f"gate count {len(gates)} != model {budget} for piece {key}")
         # A one-block circuit; the simulation never reads its partition.
         table = to_permutation(Circuit(n, BakerPartition(n, (n,)), (gates,)))
         if len(_PIECES) >= _PIECES_MAX:
             _PIECES.clear()
-        hit = _PIECES[key] = (table, len(gates))
-    return hit
+        _PIECES[key] = table
+    return table
 
 
 def _composed(p: BakerPartition) -> np.ndarray:
-    """Permutation table of ``synthesize(p)``, one gather per piece; the
-    summed piece lengths are asserted against the gate-count model."""
+    """Permutation table of ``synthesize(p)``, one gather per piece."""
     keys = circuit.piece_keys(p)
-    perm, total = _piece_permutation(keys[0])
+    perm = _piece_permutation(keys[0])
     for key in keys[1:]:
-        table, length = _piece_permutation(key)
-        perm = table[perm]
-        total += length
-    q1 = p.q[0]
-    model = circuit._count_first(p.n, q1) + sum(circuit._count_later(q1, e) for e in p.q[1:])
-    if total != model:
-        raise AssertionError(f"gate count {total} != model {model} for {p}")
+        perm = _piece_permutation(key)[perm]
     return perm
 
 
@@ -140,8 +140,8 @@ def equivalence_sweep(n: int, partitions, chunk: int = 64):
     Yields (partition, (point, circuit_image, baker_image)) for every
     partition whose circuit differs from its baker map, with the witness
     ``equivalence`` reports; silent when all match.  Every partition is
-    checked at all 4^n states, and the gate count of its circuit is asserted
-    against the closed-form model.
+    checked at all 4^n states, and the gate count of every piece of its
+    circuit is asserted against the piece's share of the closed-form model.
 
     Piece tables are memoized across calls, keyed by ``circuit.piece_keys``;
     no gate tuples are kept.  All n <= 5 together have 930 distinct pieces,

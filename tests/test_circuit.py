@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbaker import baker, sim
 from qbaker.baker import BakerPartition
@@ -234,6 +236,41 @@ class TestTextFormat:
     def test_control_on_target_rejected(self):
         with pytest.raises(ValueError):
             circuit_from_text("# n=2 partition=1,1\nCSWAP x0 y0 ? x0=1\n")
+
+    @pytest.mark.parametrize("line", ["CSWAP x0 y0 ? =1", "CSWAP x0 y0 ? y1=1 =0"])
+    def test_empty_wire_rejected(self, line):
+        with pytest.raises(ValueError, match="bad wire"):
+            circuit_from_text(f"# n=2 partition=1,1\n{line}\n")
+
+
+# Tokens of the gate-line format, well-formed and not, for the parser property;
+# well-formed ones come first and are drawn more often.
+_HEADERS = ["# n=2 partition=1,1", "# n=3 partition=2,1,1", "# n=1 partition=1",
+            "# n=2", "# partition=1,1", "# n=0 partition=0", "# n=2 partition=1,-1",
+            "# n=x partition=1,1", "# n=2 partition=", "# n", "#", "SWAP x0 y0", ""]
+_WIRES = ["x0", "x1", "y0", "y1", "x2", "y3", "x", "y", "z0", "x-1", "", "="]
+_TOKENS = ["SWAP", "CSWAP", "?", "#", "n=2", *_WIRES]
+_header = st.one_of(st.sampled_from(_HEADERS[:3]), st.sampled_from(_HEADERS))
+_wire = st.one_of(st.sampled_from(_WIRES[:4]), st.sampled_from(_WIRES))
+_control = st.builds("{}={}".format, _wire, st.sampled_from(["0", "1", "2", "", "x", "1=0"]))
+_swap_line = st.builds(lambda a, b: ["SWAP", a, b], _wire, _wire)
+_cswap_line = st.builds(lambda a, b, mark, conds: ["CSWAP", a, b, mark, *conds],
+                        _wire, _wire, st.sampled_from(["?", "?", "!"]),
+                        st.lists(_control, min_size=1, max_size=3))
+_gate_line = st.one_of(_swap_line, _cswap_line, _cswap_line,
+                       st.lists(st.sampled_from(_TOKENS), max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_header, st.lists(_gate_line, max_size=4))
+def test_parser_accepts_valid_or_raises_value_error(header, lines):
+    text = "\n".join([header, *(" ".join(toks) for toks in lines)])
+    try:
+        circ = circuit_from_text(text)
+    except ValueError:
+        return
+    circ.validate()
+    assert circuit_from_text(circ.to_text()).gates == circ.gates
 
 
 class TestGateValidation:

@@ -90,6 +90,12 @@ class TestSynthVerify:
         assert main(["verify", "--circuit", str(circ)]) == 1
         assert f"error: circuit header lacks '{field}='" in capsys.readouterr().err
 
+    def test_verify_empty_wire_exits_one(self, tmp_path, capsys):
+        circ = tmp_path / "c.txt"
+        circ.write_text("# n=2 partition=1,1\nCSWAP x0 y0 ? =1\n")
+        assert main(["verify", "--circuit", str(circ)]) == 1
+        assert "error: bad wire ''" in capsys.readouterr().err
+
     def test_count(self, capsys):
         assert main(["count", "--n", "3", "--partition", "2,1,1"]) == 0
         assert "= 11 gates" in capsys.readouterr().out

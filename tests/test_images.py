@@ -94,6 +94,13 @@ class TestUnpack:
         back = unpack(pack(s), plan_layout(2, 8), 2)
         assert back.images.sum() == 0
 
+    @pytest.mark.parametrize("L,dtype", [(8, np.uint8), (12, np.uint16), (2, np.uint8)])
+    def test_narrowest_dtype(self, L, dtype):
+        imgs = np.arange(3 * 4, dtype=np.int64).reshape(3, 2, 2) % (1 << L)
+        back = unpack(pack(ImageSet(1, L, imgs)), plan_layout(3, L), 3, L)
+        assert back.images.dtype == dtype
+        assert np.array_equal(back.images, imgs)
+
     def test_layout_mismatch_reported(self):
         tensor = pack(ImageSet(1, 8, np.zeros((2, 2, 2), dtype=int)))
         with pytest.raises(ValueError):
@@ -138,3 +145,4 @@ class TestPgm:
         manifest.write_text("0.pgm\n1.pgm\n2.pgm\n")
         s = images.read_manifest(manifest)
         assert s.M == 3 and s.n == 2
+        assert s.images.dtype == np.uint8  # no wider copy of the pixels

@@ -1,18 +1,51 @@
+import math
+
 import numpy as np
 import pytest
 
 from qbaker.chaos import ChaoticSequences, ScmParams, generate_sequences, rank
-from qbaker.images import ImageSet, pack, plan_layout
+from qbaker.images import BlockLayout, ImageSet, pack, plan_layout
 from qbaker.keystream import (
+    KEY_SCALE,
     alpha_beta,
     derive_seed,
     intensity_seed,
-    key_bits,
     key_table,
     seed_from_header,
 )
 
 LAMBDAS = ScmParams((49.0, 23.0, 58.0, 120.0, 237.0))
+
+
+# Pointwise oracle for key_table: one key digit straight from the formula.
+
+
+def _mirrored(length: int, i: int) -> int:
+    return (length - i + 1) % length
+
+
+def _cheb(k: int, x: float) -> float:
+    # Same ufuncs as the vectorized table so both paths floor identically.
+    return float(np.cos(k * np.arccos(x)))
+
+
+def key_bits(
+    seqs: ChaoticSequences, layout: BlockLayout, b: int, m: int, i: int, j: int
+) -> int:
+    """Key digit for block b, image m, pixel (i, j)."""
+    if not (0 <= b < len(seqs.ts) and 0 <= m < len(seqs.zs)):
+        raise ValueError("block or image index outside the layout")
+    if not (0 <= i < len(seqs.xs) and 0 <= j < len(seqs.ys)):
+        raise ValueError("pixel index outside the grid")
+    lplanes = (layout.images_per_block - 1).bit_length()
+    # Multiplication order matches key_table so both floor identically.
+    prod = (
+        _cheb(seqs.rs[m], seqs.ts[_mirrored(len(seqs.ts), b)])
+        * _cheb(seqs.ss[b], seqs.zs[_mirrored(len(seqs.zs), m)])
+        * _cheb(seqs.ns[i], seqs.ys[_mirrored(len(seqs.ys), i)])
+        * _cheb(seqs.ks[j], seqs.xs[_mirrored(len(seqs.xs), j)])
+    )
+    return int(math.floor(abs(prod) * KEY_SCALE)) % (1 << lplanes)
 
 
 def _sequences(n, layout, seed=(0.1, 0.5, 0.2, -0.8, 0.9)):

@@ -184,6 +184,34 @@ class TestSweep:
             assert stream == synthesize(p).gates
 
 
+def _wide_partition(n, q1, v):
+    """q1-wide strips up to column 2^v, a 2^v strip, then the rest of the
+    square in strips of growing width."""
+    q = [q1] * (1 << (v - q1)) + [v]
+    pos = 1 << (v + 1)
+    while pos < 1 << n:
+        e = (pos & -pos).bit_length() - 1  # widest strip 2^e aligned at pos
+        q.append(e)
+        pos += 1 << e
+    return BakerPartition(n, tuple(q))
+
+
+class TestWidePieces:
+    """Wide-strip pieces the n <= 5 sweep never builds."""
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_equivalent_and_padded_to_model(self, n):
+        for q1 in range(n):
+            for v in range(q1 + 1, n):
+                p = _wide_partition(n, q1, v)
+                assert baker.is_admissible(p)
+                assert (n, q1, (v,), 1 << v) in circuit.piece_keys(p)
+                circ = synthesize(p)
+                ok, witness = sim.equivalence(circ, p)
+                assert ok, (p, witness)
+                assert len(circ.gates) == circuit.gate_count(p)[1]
+
+
 def _fired_transpositions(circ):
     """Count state pairs each gate actually exchanges, summed over gates."""
     n = circ.n

@@ -15,10 +15,7 @@ from dataclasses import dataclass
 
 from .baker import BakerPartition
 from .circuit import gate_count
-
-
-def _ceil_log2(v: int) -> int:
-    return max(0, (v - 1).bit_length())
+from .images import ceil_log2
 
 
 #: Benchmark decompositions for the image-index square of protocol 1 at
@@ -61,14 +58,14 @@ class ProtocolParams:
 
 
 def qubit_width(p: ProtocolParams) -> int:
-    lM = _ceil_log2(p.M)
-    lL = _ceil_log2(p.L)
+    lM = ceil_log2(p.M)
+    lL = ceil_log2(p.L)
     if p.protocol == "P1":
         return 2 * (p.n + lM) + 1
     return 2 * p.n + lM + lL + 1
 
 
-def simplified_depth(p: ProtocolParams, index_partition: BakerPartition,
+def simplified_depth(index_partition: BakerPartition,
                      pixel_partition: BakerPartition = PIXEL_PARTITION) -> int:
     """One index-square circuit plus one pixel-square circuit."""
     _, index_gates = gate_count(index_partition)
@@ -82,8 +79,8 @@ def nonsimplified_depth(p: ProtocolParams, n1: int, n2: int, n3: int) -> int:
     n1: pixel-square circuit, n2: image-index-square circuit (P1),
     n3: plane/image-square circuit (P2).
     """
-    lM = _ceil_log2(p.M)
-    lL = _ceil_log2(p.L)
+    lM = ceil_log2(p.M)
+    lL = ceil_log2(p.L)
     if p.protocol == "P1":
         return n1 * (1 << (2 * lM)) + n2 * (1 << (2 * p.n))
     return n1 * (1 << (lM + lL)) + n3 * (1 << (2 * p.n)) * (1 << (lM - lL))
@@ -191,10 +188,10 @@ def table1() -> Table1:
         widths_p1.append(Cell(qubit_width(p1), REFERENCE["widths_p1"][j]))
         widths_p2.append(Cell(qubit_width(p2), REFERENCE["widths_p2"][j]))
         simp_p1.append(
-            Cell(simplified_depth(p1, part), REFERENCE["simplified_p1"][j])
+            Cell(simplified_depth(part), REFERENCE["simplified_p1"][j])
         )
         simp_p2.append(
-            Cell(simplified_depth(p2, PLANE_PARTITION), REFERENCE["simplified_p2"][j])
+            Cell(simplified_depth(PLANE_PARTITION), REFERENCE["simplified_p2"][j])
         )
         d1 = nonsimplified_depth(p1, pixel_gates, case_gates, plane_gates)
         d2 = nonsimplified_depth(p2, pixel_gates, case_gates, plane_gates)

@@ -82,10 +82,10 @@ def is_admissible(p: BakerPartition) -> bool:
     return True
 
 
-def enumerate_admissible(n: int, max_n: int = MAX_ENUM_N) -> list[BakerPartition]:
+def enumerate_admissible(n: int) -> list[BakerPartition]:
     """All admissible partitions for a 2^n square, lexicographic in q."""
-    if not 1 <= n <= max_n:
-        raise ValueError(f"n must lie in [1, {max_n}]")
+    if not 1 <= n <= MAX_ENUM_N:
+        raise ValueError(f"n must lie in [1, {MAX_ENUM_N}]")
     total = 1 << n
     out: list[BakerPartition] = []
 

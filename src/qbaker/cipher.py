@@ -113,7 +113,7 @@ def _choices(n: int) -> int:
 
 def derive_schedule(key: MasterKey, n: int, layout: BlockLayout) -> KeySchedule:
     """Deterministic schedule from the seed; positions ignored when simplified."""
-    lplanes = (layout.images_per_block - 1).bit_length()
+    lplanes = layout.lplanes
     if lplanes < 1:
         raise ValueError("plane square needs at least one bit")
     per_block = layout.images_per_block
@@ -407,5 +407,5 @@ def read_ciphertext(path: str | Path) -> Ciphertext:
         )
     bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=total)
     tensor_bits = bits.reshape(blocks, per_block, per_block, side, side).transpose(0, 1, 4, 3, 2)
-    tensor = BitTensor(n, per_block.bit_length() - 1, np.ascontiguousarray(tensor_bits))
+    tensor = BitTensor(n, layout.lplanes, np.ascontiguousarray(tensor_bits))
     return Ciphertext(tensor, n, L, M, x0, alpha, beta, mode)

@@ -1,17 +1,19 @@
 """Swap-gate circuits for baker-map permutations on 2n wires.
 
 Wires are x_{n-1}..x_0 (column register) and y_{n-1}..y_0 (row register).
-``synthesize`` lowers an admissible partition to a gate list in three layers:
+Every pass of a circuit moves whole wires, and every pass has one lowering:
+the minimal swap cycles of its wire move (``_cycle_gates``).  ``synthesize``
+lowers an admissible partition to a gate list in three layers:
 
-* the first strip's map M_{q_1} as plain swaps (``synth_f1``);
+* the first strip's map M_{q_1} over the whole square (``_m_move``);
 * the later strips split into runs (``_runs``): a strip wider than 2^{q_1}
-  is one run, lowered by the minimal swap cycles that convert the M_{q_1}
-  image to the strip's own (``_cycle_gates``), gated on the strip-identifying
-  y wires; strips as wide as the first need no gates;
+  is one run, the move that converts the M_{q_1} image to the strip's own
+  (``_delta_move``), gated on the strip-identifying y wires; strips as wide
+  as the first need no gates;
 * strips narrower than 2^{q_1} share a 2^{q_1}-aligned window, one run whose
   correction is itself a baker map one size down, so the lowering recurses
-  on the top q_1 x wires and bottom q_1 y wires and splits the window into
-  runs the same way.
+  on the top q_1 x wires and bottom q_1 y wires: an M_head pass over the
+  window, then its runs split the same way.
 
 Controls are placed only on wires that (a) are never targets of the same
 subcircuit and (b) provably hold the strip pattern at that point in the
@@ -20,9 +22,9 @@ break the swap-gate involution property, so narrow-strip gates condition on
 window tags (high y wires) rather than on every pattern bit; a documented
 consequence is that consecutive same-width strips are handled by shared
 gates.  The stream is cut into pieces, the M_{q_1} pass and one per
-top-level run (``piece_keys``); each run's piece is padded with net-identity
-swaps up to its share of the closed-form model (``piece_budget``), and the
-stream is sliced per subfunction by ``gate_count``.
+top-level run (``piece_keys``).  ``build_piece`` lowers each piece and pads
+it with net-identity swaps up to its share of the closed-form model
+(``piece_budget``); the stream is sliced per subfunction by ``gate_count``.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .baker import BakerPartition, is_admissible
+
+# Largest square whose circuits can be simulated (4^12 states per table).
+MAX_N = 12
 
 
 class Wire(NamedTuple):
@@ -113,6 +118,8 @@ def circuit_from_text(text: str) -> Circuit:
         if field not in header:
             raise ValueError(f"circuit header lacks '{field}='")
     n = int(header["n"])
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"circuit header n={n} outside [1, {MAX_N}]")
     partition = BakerPartition.parse(n, header["partition"])
 
     def parse_wire(tok: str) -> Wire:
@@ -180,50 +187,6 @@ def piece_budget(key: tuple) -> int:
 
 
 # ---------------------------------------------------------------------------
-# First subfunction (plain swaps)
-
-
-def _first_strip_gates(n: int, s: int, q: int,
-                       controls: tuple[ControlCondition, ...]) -> list[Gate]:
-    """M_q on the sub-square spanned by x[n-s..n-1] and y[0..s-1].
-
-    Two gate families, chosen by q against s/2; both orderings are pinned by
-    the exhaustive circuit-vs-permutation suite.
-    """
-    X = lambda j: Wire("x", n - s + j)
-    Y = lambda j: Wire("y", j)
-    out: list[Gate] = []
-
-    def sw(a: Wire, b: Wire):
-        out.append(Gate((a, b), controls))
-
-    for i in range(s - q):
-        sw(X(i), Y(i))
-    if 2 * q <= s:
-        for i in range(q):
-            sw(X(s - q + i), Y(i))
-        for i in range(q):
-            sw(Y(s - q + i), Y(i))
-    else:
-        for j in range(q):
-            for i in range(s - q):
-                sw(Y(s - q - i + j), Y(s - q - i - 1 + j))
-        for i in range(q, s):
-            sw(X(i), Y(i))
-        for j in range(s - q):
-            for i in range(2 * q - s):
-                sw(X(q - i + j), X(q - i - 1 + j))
-    return out
-
-
-def synth_f1(n: int, q1: int) -> list[Gate]:
-    """Uncontrolled circuit for the first strip's map M_{q1} on the full square."""
-    if not 0 <= q1 <= n:
-        raise ValueError(f"q1 must lie in [0, {n}]")
-    return _first_strip_gates(n, n, q1, ())
-
-
-# ---------------------------------------------------------------------------
 # Control bookkeeping
 
 
@@ -237,7 +200,7 @@ def _window_tag(n: int, start: int, lo: int, hi: int,
 
 
 # ---------------------------------------------------------------------------
-# Wide strips (width > 2^{q_1} at the current level)
+# Wire moves and their one swap lowering
 
 
 def _m_move(n: int, s: int, u: int) -> dict[Wire, Wire]:
@@ -253,7 +216,8 @@ def _m_move(n: int, s: int, u: int) -> dict[Wire, Wire]:
 
 
 def _delta_move(n: int, s: int, w: int, v: int) -> dict[Wire, Wire]:
-    """Content movement of M_v after undoing M_w, on the 2^s sub-square."""
+    """Content movement of M_v after undoing M_w, on the 2^s sub-square;
+    ``_m_move(n, s, u)`` is the case w = s."""
     mw = _m_move(n, s, w)
     mv = _m_move(n, s, v)
     inv_w = {dst: src for src, dst in mw.items()}
@@ -336,7 +300,7 @@ def _stream(n: int, s: int, qs: tuple[int, ...], start: int,
     """Gate stream for an admissible partition ``qs`` of a 2^s sub-square
     whose first column is ``start``: an M_head pass over the whole
     sub-square, then the gates of each run."""
-    out = _first_strip_gates(n, s, qs[0], controls)
+    out = _cycle_gates(_m_move(n, s, qs[0]), controls)
     for run, run_start in _runs(qs, start):
         out.extend(_run_gates(n, s, qs[0], run, run_start, controls))
     return out
@@ -396,22 +360,6 @@ def _pad(stream: list[Gate], deficit: int, n: int) -> list[Gate]:
     return stream
 
 
-def _window_piece(n: int, q1: int, qs: tuple[int, ...], start: int) -> tuple[Gate, ...]:
-    """Padded gate stream for one top-level run (a wide strip or a 2^q1
-    window) starting at column ``start``, padded to its ``piece_budget``.
-
-    It is built afresh on every call: the equivalence sweep memoizes piece
-    permutations by key instead of gate tuples.
-    """
-    piece = _run_gates(n, n, q1, qs, start, ())
-    deficit = piece_budget((n, q1, qs, start)) - len(piece)
-    if deficit < 0:
-        raise AssertionError(
-            f"window emission exceeds the count model (q1={q1}, qs={qs})"
-        )
-    return tuple(_pad(piece, deficit, n))
-
-
 def piece_keys(p: BakerPartition) -> list[tuple]:
     """Keys of the pieces a partition's gate stream is cut into, in order.
 
@@ -426,8 +374,22 @@ def piece_keys(p: BakerPartition) -> list[tuple]:
 
 
 def build_piece(key: tuple) -> tuple[Gate, ...]:
-    """The gates of the piece with this ``piece_keys`` key."""
-    return tuple(synth_f1(*key)) if len(key) == 2 else _window_piece(*key)
+    """The gates of the piece with this ``piece_keys`` key, padded to its
+    ``piece_budget``.
+
+    It is built afresh on every call: the equivalence sweep memoizes piece
+    permutations by key instead of gate tuples.
+    """
+    if len(key) == 2:
+        n, q1 = key
+        piece = _cycle_gates(_m_move(n, n, q1), ())
+    else:
+        n, q1, qs, start = key
+        piece = _run_gates(n, n, q1, qs, start, ())
+    deficit = piece_budget(key) - len(piece)
+    if deficit < 0:
+        raise AssertionError(f"piece {key} emits more gates than the count model")
+    return tuple(_pad(piece, deficit, n))
 
 
 def synthesize(p: BakerPartition) -> Circuit:

@@ -76,7 +76,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    parts = baker.enumerate_admissible(args.n, max_n=args.max_n)
+    parts = baker.enumerate_admissible(args.n)
     for p in parts:
         print(p)
     print(f"# {len(parts)} admissible partitions for n={args.n}", file=sys.stderr)
@@ -149,7 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     enm = sub.add_parser("enumerate", help="list admissible partitions")
     enm.add_argument("--n", type=int, required=True)
-    enm.add_argument("--max-n", type=int, default=baker.MAX_ENUM_N)
     enm.set_defaults(func=_cmd_enumerate)
 
     tab = sub.add_parser("table1", help="reproduce the width/depth benchmark table")

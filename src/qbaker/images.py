@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 
 
-def _ceil_log2(v: int) -> int:
+def ceil_log2(v: int) -> int:
+    """The least e >= 0 with 2^e >= v."""
     return max(0, (v - 1).bit_length())
 
 
@@ -51,6 +52,12 @@ class ImageSet:
 class BlockLayout:
     images_per_block: int
     block_count: int
+
+    @property
+    def lplanes(self) -> int:
+        """ceil(log2 L): the index width of a bit plane and of an image in
+        its block."""
+        return ceil_log2(self.images_per_block)
 
     @property
     def padded_total(self) -> int:
@@ -94,8 +101,8 @@ def plan_layout(M: int, L: int) -> BlockLayout:
         raise ValueError("M must be >= 1")
     if L < 2:
         raise ValueError("L must be >= 2")
-    images_per_block = 1 << _ceil_log2(L)
-    block_count = 1 << max(0, _ceil_log2(M) - _ceil_log2(L))
+    images_per_block = 1 << ceil_log2(L)
+    block_count = 1 << max(0, ceil_log2(M) - ceil_log2(L))
     return BlockLayout(images_per_block, block_count)
 
 
@@ -107,7 +114,7 @@ def pack(image_set: ImageSet) -> BitTensor:
     so no intermediate is wider than that type.
     """
     layout = plan_layout(image_set.M, image_set.L)
-    lplanes = _ceil_log2(image_set.L)
+    lplanes = layout.lplanes
     side = 1 << image_set.n
     values = np.asarray(image_set.images).astype(
         np.min_scalar_type((1 << image_set.L) - 1), copy=False

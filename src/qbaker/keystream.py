@@ -79,7 +79,7 @@ def key_table(seqs: ChaoticSequences, layout: BlockLayout, n: int) -> np.ndarray
         raise ValueError("pixel sequences disagree with the grid size")
     if len(seqs.zs) != per_block or len(seqs.ts) != blocks:
         raise ValueError("image/block sequences disagree with the layout")
-    lplanes = (per_block - 1).bit_length()
+    lplanes = layout.lplanes
 
     idx = np.arange(side)
     mirror_side = (side - idx + 1) % side

@@ -68,8 +68,8 @@ def to_permutation(c: Circuit) -> np.ndarray:
     and uint32 above that.
     """
     n = c.n
-    if n > 12:
-        raise ValueError("table materialization capped at n=12")
+    if n > circuit.MAX_N:
+        raise ValueError(f"table materialization capped at n={circuit.MAX_N}")
     out = np.arange(1 << (2 * n), dtype=_state_dtype(n))
     for g in c.gates:
         cmask = cval = 0

@@ -48,11 +48,8 @@ def test_criterion_2_gate_counts():
         per_case[case] = got
 
     for case, want in (("i", 124), ("iii", 167), ("iv", 152)):
-        depth = simplified_depth(
-            ProtocolParams("P1", 8, CASES[case]["M"]), CASES[case]["partition"]
-        )
-        assert depth == want
-    assert simplified_depth(ProtocolParams("P2", 8, 200), PLANE_PARTITION) == 87
+        assert simplified_depth(CASES[case]["partition"]) == want
+    assert simplified_depth(PLANE_PARTITION) == 87
 
     # case (ii): the closed-form model evaluates to 51 (published: 45); the
     # synthesized circuit length is the arbiter and must agree with the model,

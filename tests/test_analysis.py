@@ -38,17 +38,14 @@ class TestQubitWidth:
 
 class TestSimplifiedDepth:
     def test_p2_is_87(self):
-        p = ProtocolParams("P2", 8, 200)
-        assert simplified_depth(p, PLANE_PARTITION) == 87
+        assert simplified_depth(PLANE_PARTITION) == 87
 
     @pytest.mark.parametrize("case,want", [("i", 124), ("iii", 167), ("iv", 152)])
     def test_p1_cases(self, case, want):
-        p = ProtocolParams("P1", 8, CASES[case]["M"])
-        assert simplified_depth(p, CASES[case]["partition"]) == want
+        assert simplified_depth(CASES[case]["partition"]) == want
 
     def test_case_ii_diverges_from_published(self):
-        p = ProtocolParams("P1", 8, 64)
-        assert simplified_depth(p, CASES["ii"]["partition"]) == 51 + 76
+        assert simplified_depth(CASES["ii"]["partition"]) == 51 + 76
 
 
 PAPER_INDEX_GATES = {"i": 48, "ii": 45, "iii": 91, "iv": 76}

@@ -96,7 +96,6 @@ class TestAdmissible:
     def test_enumeration_guard(self):
         with pytest.raises(ValueError):
             baker.enumerate_admissible(9)
-        baker.enumerate_admissible(3, max_n=9)  # guard is configurable
 
     def test_enumeration_guard_stops_at_n6(self):
         # 2.1e11 partitions at n=6: the default guard refuses before listing

@@ -123,7 +123,7 @@ class TestIteratedTables:
 
 
 def _identity_schedule(n, layout):
-    lplanes = (layout.images_per_block - 1).bit_length()
+    lplanes = layout.lplanes
     side = 1 << n
     per = layout.images_per_block
     blocks = layout.block_count

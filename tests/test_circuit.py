@@ -8,9 +8,9 @@ from qbaker.circuit import (
     ControlCondition,
     Gate,
     Wire,
+    build_piece,
     circuit_from_text,
     gate_count,
-    synth_f1,
     synthesize,
 )
 
@@ -94,15 +94,18 @@ class TestGateCount:
 
 
 class TestSynthF1:
+    """The first subfunction is the head piece ``(n, q1)``: M_{q1} over the
+    whole square, lowered by swap cycles and padded to the model."""
+
     def test_pinned_gate_list(self):
-        gates = synth_f1(2, 1)
-        assert [str(g) for g in gates] == ["SWAP x0 y0", "SWAP x1 y0", "SWAP y1 y0"]
+        gates = build_piece((2, 1))
+        assert [str(g) for g in gates] == ["SWAP y0 y1", "SWAP y1 x1", "SWAP x1 x0"]
 
     def test_five_gates_for_n3_q2(self):
-        assert len(synth_f1(3, 2)) == 5
+        assert len(build_piece((3, 2))) == 5
 
     def test_identity_when_single_strip(self):
-        assert synth_f1(4, 4) == []
+        assert build_piece((4, 4)) == ()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_action_equals_ms(self, n):
@@ -114,6 +117,13 @@ class TestSynthF1:
                 for y in range(2**n):
                     mx, my = baker.apply_ms(q, n, (x, y))
                     assert perm[(x << n) | y] == (mx << n) | my
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_action_equals_ms_wide(self, n):
+        for q in range(n + 1):
+            p = BakerPartition(n, (q,) * 2 ** (n - q))
+            ok, witness = sim.equivalence(synthesize(p), p)
+            assert ok, (q, witness)
 
 
 class TestReduceToDistinct:
@@ -228,6 +238,15 @@ class TestTextFormat:
     def test_header_field_required(self, header):
         with pytest.raises(ValueError, match="header lacks"):
             circuit_from_text(header + "\nSWAP x0 y0\n")
+
+    @pytest.mark.parametrize("n", [0, -1, 13, 100000000])
+    def test_header_n_bounded(self, n, monkeypatch):
+        # refused before the partition is parsed: no 2^n-wide sum is built
+        def parse(*args):
+            raise AssertionError("partition parsed")
+        monkeypatch.setattr(BakerPartition, "parse", parse)
+        with pytest.raises(ValueError, match="outside"):
+            circuit_from_text(f"# n={n} partition={n}\n")
 
     def test_bad_gate_rejected(self):
         with pytest.raises(ValueError):

@@ -96,6 +96,12 @@ class TestSynthVerify:
         assert main(["verify", "--circuit", str(circ)]) == 1
         assert "error: bad wire ''" in capsys.readouterr().err
 
+    def test_verify_huge_n_exits_one(self, tmp_path, capsys):
+        circ = tmp_path / "c.txt"
+        circ.write_text("# n=100000000 partition=100000000\n")
+        assert main(["verify", "--circuit", str(circ)]) == 1
+        assert "error: circuit header n=100000000 outside [1, 12]" in capsys.readouterr().err
+
     def test_count(self, capsys):
         assert main(["count", "--n", "3", "--partition", "2,1,1"]) == 0
         assert "= 11 gates" in capsys.readouterr().out
@@ -115,11 +121,12 @@ class TestEnumerate:
         assert main(["enumerate", "--n", "6"]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_max_n_overrides_guard(self, capsys):
-        assert main(["enumerate", "--n", "3", "--max-n", "2"]) == 1
-        capsys.readouterr()
-        assert main(["enumerate", "--n", "3", "--max-n", "3"]) == 0
-        assert len(capsys.readouterr().out.strip().splitlines()) == 26
+    def test_max_n_is_usage_error(self, capsys):
+        # the guard is fixed: there is no option to lift it
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--n", "6", "--max-n", "6"])
+        assert exc.value.code == 2
+        assert "--max-n" in capsys.readouterr().err
 
 
 class TestTable1:

@@ -27,6 +27,12 @@ class TestPlanLayout:
         layout = plan_layout(1, 8)
         assert layout.padded_total == 8
 
+    @pytest.mark.parametrize("L,want", [(2, 1), (3, 2), (8, 3), (9, 4), (16, 4)])
+    def test_lplanes(self, L, want):
+        layout = plan_layout(40, L)
+        assert layout.lplanes == want
+        assert layout.images_per_block == 1 << want
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             plan_layout(0, 8)

@@ -118,10 +118,17 @@ def fresh_pieces(monkeypatch):
     monkeypatch.setattr(sim, "_PIECES", {})
 
 
+def _patch_pieces(monkeypatch, change, head=False):
+    """Apply ``change`` to every run piece the builder returns, or to every
+    head piece ``(n, q1)`` instead when ``head`` is set."""
+    build = circuit.build_piece
+    monkeypatch.setattr(
+        circuit, "build_piece",
+        lambda key: change(build(key)) if (len(key) == 2) == head else build(key))
+
+
 def _corrupt_window_pieces(monkeypatch):
-    build = circuit._window_piece
-    monkeypatch.setattr(circuit, "_window_piece",
-                        lambda *key: _flip_first_control(build(*key)))
+    _patch_pieces(monkeypatch, _flip_first_control)
 
 
 class TestSweep:
@@ -139,10 +146,16 @@ class TestSweep:
         assert fails == []
 
     def test_dropped_gate_raises(self, fresh_pieces, monkeypatch):
-        build = circuit._window_piece
-        monkeypatch.setattr(circuit, "_window_piece", lambda *key: build(*key)[:-1])
+        _patch_pieces(monkeypatch, lambda piece: piece[:-1])
         with pytest.raises(AssertionError, match="gate count"):
             list(sim.equivalence_sweep(3, [BakerPartition(3, (2, 1, 1))]))
+
+    def test_dropped_head_gate_raises(self, fresh_pieces, monkeypatch):
+        # head (3, 0) emits its 3 model gates; head (5, 3) emits 8 of 12
+        _patch_pieces(monkeypatch, lambda piece: piece[:-1], head=True)
+        for n, q in ((3, (0,) * 8), (5, (3,) * 4)):
+            with pytest.raises(AssertionError, match="gate count"):
+                list(sim.equivalence_sweep(n, [BakerPartition(n, q)]))
 
     def test_corrupted_piece_yields_confirmed_witness(self, fresh_pieces, monkeypatch):
         _corrupt_window_pieces(monkeypatch)

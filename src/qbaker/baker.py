@@ -23,8 +23,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-Point = tuple[int, int]
-
 # Enumeration guard: 458,330 admissible partitions at n=5, 2.1e11 at n=6.
 MAX_ENUM_N = 5
 
@@ -179,40 +177,3 @@ def rank_tables(n: int, ranks: Iterable[int]) -> np.ndarray:
     """``partition_tables`` of the partitions with these ranks."""
     return partition_tables(n, (_unrank(n, int(i)) for i in ranks))
 
-
-def apply(p: BakerPartition, pt: Point) -> Point:
-    """Forward baker map of a single point."""
-    x, y = pt
-    size = 1 << p.n
-    if not (0 <= x < size and 0 <= y < size):
-        raise ValueError(f"point {pt} outside the {size} square")
-    prefix = 0
-    for e in p.q:
-        width = 1 << e
-        if x < prefix + width:
-            stretch = 1 << (p.n - e)
-            return (stretch * (x - prefix) + y % stretch, prefix + y // stretch)
-        prefix += width
-    raise AssertionError("unreachable: widths cover the square")
-
-
-def apply_ms(s: int, n: int, pt: Point) -> Point:
-    """The standalone map M_s; equals the baker map on any strip whose
-    width 2^s divides the strip's left edge."""
-    if not 0 <= s <= n:
-        raise ValueError(f"s must lie in [0, {n}]")
-    x, y = pt
-    size = 1 << n
-    if not (0 <= x < size and 0 <= y < size):
-        raise ValueError(f"point {pt} outside the {size} square")
-    low = 1 << (n - s)
-    return ((low * x) % size + y % low, y // low + x - x % (1 << s))
-
-
-def iterate(p: BakerPartition, r: int, pt: Point) -> Point:
-    """r-fold forward application (r >= 0)."""
-    if r < 0:
-        raise ValueError("iteration count must be >= 0")
-    for _ in range(r):
-        pt = apply(p, pt)
-    return pt

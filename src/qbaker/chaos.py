@@ -54,15 +54,6 @@ def scm_step(state: ScmState, params: ScmParams) -> ScmState:
     )  # type: ignore[return-value]
 
 
-def trajectory(state: ScmState, params: ScmParams, steps: int) -> list[ScmState]:
-    """States after 1..steps iterations (the start state is not included)."""
-    out = []
-    for _ in range(steps):
-        state = scm_step(state, params)
-        out.append(state)
-    return out
-
-
 def rank(values) -> list[int]:
     """rank[i] = number of entries strictly below values[i]; input distinct."""
     arr = np.asarray(values, dtype=float)

@@ -34,7 +34,8 @@ from typing import NamedTuple
 
 from .baker import BakerPartition, is_admissible
 
-# Largest square whose circuits can be simulated (4^12 states per table).
+# Largest square whose circuits are synthesized, parsed or simulated (4^12
+# states per table).
 MAX_N = 12
 
 
@@ -394,6 +395,8 @@ def build_piece(key: tuple) -> tuple[Gate, ...]:
 
 def synthesize(p: BakerPartition) -> Circuit:
     """Full circuit for an admissible partition, sliced per subfunction."""
+    if p.n > MAX_N:
+        raise ValueError(f"synthesis capped at n={MAX_N}, got n={p.n}")
     counts, _ = gate_count(p)
     stream = [g for key in piece_keys(p) for g in build_piece(key)]
     blocks: list[tuple[Gate, ...]] = []

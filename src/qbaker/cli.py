@@ -8,6 +8,7 @@ chaos-trace.  Exit codes: 0 success, 1 runtime/I-O failure, 2 usage error
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -30,10 +31,10 @@ def _cmd_decrypt(args) -> int:
     ct = cipher.read_ciphertext(args.infile)
     key = cipher.read_key(args.key)
     image_set = cipher.decrypt(ct, key)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for i in range(image_set.M):
-        images.write_pgm(out_dir / f"image_{i:04d}.pgm", image_set.images[i])
+    out_dir = args.out_dir
+    os.makedirs(out_dir, exist_ok=True)
+    for i, image in enumerate(image_set.images):
+        images.write_pgm(os.path.join(out_dir, f"image_{i:04d}.pgm"), image)
     print(f"decrypted {image_set.M} images -> {out_dir}")
     return 0
 

@@ -4,12 +4,24 @@ M images of size 2^n x 2^n with L-bit pixels are grouped into blocks of
 2^ceil(log2 L) images (short blocks padded with all-zero blanks), and every
 pixel is split into bit planes.  The result is a five-axis bit cube indexed
 (block, image-in-block, row, column, plane).
+
+Images are read and written as binary 8-bit PGM (P5).  The reader accepts
+a header of ``P5``, width, height and maxval separated by whitespace or
+``#`` comments that run to the end of a line, then one whitespace byte.  It
+raises ``ValueError`` naming the file unless maxval is 255, the image is
+square with a power-of-two side of at least 1, and exactly width x height
+pixel bytes follow the header.  A manifest lists one image path per line,
+relative to the manifest's directory (an absolute path stands as it is);
+blank lines and ``#`` lines are skipped, and every image must share one
+size.  ``write_pgm`` creates its file or truncates an existing one, so no
+bytes of an older, longer file remain.
 """
 
 from __future__ import annotations
 
+import os
+import re
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -146,52 +158,89 @@ def unpack(tensor: BitTensor, layout: BlockLayout, M: int, L: int = 8) -> ImageS
 # ---------------------------------------------------------------------------
 # PGM + manifest I/O (binary P5, 8-bit, square power-of-two sides)
 
+# Whitespace or '#' comments running to the end of the line, between header
+# fields; exactly one whitespace byte ends the header.
+_PGM_SEP = rb"(?:\s|#[^\n]*\n)+"
+_PGM_HEADER = re.compile(
+    rb"P5" + _PGM_SEP + rb"(\d+)" + _PGM_SEP + rb"(\d+)" + _PGM_SEP + rb"(\d+)\s"
+)
+_READ_CHUNK = 1 << 16
 
-def read_pgm(path: str | Path) -> np.ndarray:
-    data = Path(path).read_bytes()
-    if not data.startswith(b"P5"):
-        raise ValueError(f"{path}: not a binary PGM (P5) file")
-    fields: list[int] = []
-    pos = 2
-    while len(fields) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(int(data[start:pos]))
-    pos += 1  # single whitespace after maxval
-    width, height, maxval = fields
+
+def _read_bytes(path: str | os.PathLike) -> bytes:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, _READ_CHUNK):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
+
+
+def _pgm_pixels(path, data: bytes) -> tuple[int, memoryview]:
+    """Side and pixel bytes of a PGM file's contents, after every check."""
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        if not data.startswith(b"P5"):
+            raise ValueError(f"{path}: not a binary PGM (P5) file")
+        raise ValueError(f"{path}: malformed PGM header")
+    width, height, maxval = (int(field) for field in header.groups())
     if maxval != 255:
         raise ValueError(f"{path}: only 8-bit PGM supported (maxval {maxval})")
-    if width != height or width & (width - 1):
+    if width != height or width < 1 or width & (width - 1):
         raise ValueError(f"{path}: image must be square with power-of-two side")
-    pixels = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos)
-    return pixels.reshape(height, width).copy()
+    payload = len(data) - header.end()
+    if payload != width * height:
+        raise ValueError(
+            f"{path}: {payload} pixel bytes after the header, {width}x{height} needs "
+            f"{width * height}"
+        )
+    return width, memoryview(data)[header.end():]
 
 
-def write_pgm(path: str | Path, image: np.ndarray):
+def read_pgm(path: str | os.PathLike) -> np.ndarray:
+    """One image as a (side, side) uint8 array, after the module docstring's checks."""
+    side, pixels = _pgm_pixels(path, _read_bytes(path))
+    return np.frombuffer(bytearray(pixels), dtype=np.uint8).reshape(side, side)
+
+
+def write_pgm(path: str | os.PathLike, image: np.ndarray):
+    """Write an 8-bit P5 file, replacing and truncating any file at path."""
     arr = np.asarray(image)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("image must be square")
-    header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode()
-    Path(path).write_bytes(header + arr.astype(np.uint8).tobytes())
+    data = b"P5\n%d %d\n255\n" % (arr.shape[1], arr.shape[0]) + arr.astype(
+        np.uint8, copy=False
+    ).tobytes()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        written = os.write(fd, data)
+        while written < len(data):
+            written += os.write(fd, data[written:])
+    finally:
+        os.close(fd)
 
 
-def read_manifest(path: str | Path, L: int = 8) -> ImageSet:
-    """Load the images listed one path per line (relative to the manifest)."""
-    base = Path(path).parent
-    lines = [ln.strip() for ln in Path(path).read_text().splitlines()]
-    paths = [base / ln for ln in lines if ln and not ln.startswith("#")]
-    if not paths:
+def read_manifest(path: str | os.PathLike, L: int = 8) -> ImageSet:
+    """Load the images listed one path per line (relative to the manifest);
+    blank lines and lines starting with '#' are skipped."""
+    base = os.path.dirname(path)
+    lines = (ln.strip() for ln in _read_bytes(path).decode().splitlines())
+    names = [ln for ln in lines if ln and not ln.startswith("#")]
+    if not names:
         raise ValueError(f"{path}: manifest lists no images")
-    images = [read_pgm(p) for p in paths]
-    side = images[0].shape[0]
-    if any(img.shape[0] != side for img in images):
-        raise ValueError("all images must share one size")
-    n = side.bit_length() - 1
-    return ImageSet(n, L, np.stack(images))
+    side = None
+    payloads = []
+    for name in names:
+        file = os.path.join(base, name)
+        file_side, pixels = _pgm_pixels(file, _read_bytes(file))
+        if side is None:
+            side = file_side
+        elif file_side != side:
+            raise ValueError(
+                f"{file}: side {file_side}; all images must share one size ({side})"
+            )
+        payloads.append(pixels)
+    stack = np.frombuffer(bytearray().join(payloads), dtype=np.uint8)
+    return ImageSet(side.bit_length() - 1, L, stack.reshape(len(payloads), side, side))

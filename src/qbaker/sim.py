@@ -22,9 +22,7 @@ import numpy as np
 
 from . import baker, circuit
 from .baker import BakerPartition
-from .circuit import Circuit, Gate
-
-BasisState = tuple[int, int]
+from .circuit import Circuit
 
 # Piece key -> permutation of the packed states; see equivalence_sweep.
 # Emptied whenever it reaches _PIECES_MAX entries.
@@ -34,27 +32,6 @@ _PIECES_MAX = 1024
 
 def _bitpos(wire, n: int) -> int:
     return wire.index + (n if wire.reg == "x" else 0)
-
-
-def apply_gate(g: Gate, s: BasisState, n: int) -> BasisState:
-    """Swap the two target bits iff every control condition holds."""
-    x, y = s
-    packed = (x << n) | y
-    for wire, value in g.controls:
-        if (packed >> _bitpos(wire, n)) & 1 != value:
-            return s
-    p1 = _bitpos(g.targets[0], n)
-    p2 = _bitpos(g.targets[1], n)
-    if (packed >> p1) & 1 != (packed >> p2) & 1:
-        packed ^= (1 << p1) | (1 << p2)
-    return (packed >> n, packed & ((1 << n) - 1))
-
-
-def run(c: Circuit, s: BasisState) -> BasisState:
-    """Left-to-right application of every gate."""
-    for g in c.gates:
-        s = apply_gate(g, s, c.n)
-    return s
 
 
 def _state_dtype(n: int):

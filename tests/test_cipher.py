@@ -24,6 +24,8 @@ from qbaker.cipher import (
 from qbaker.cli import main
 from qbaker.images import ImageSet, pack, plan_layout
 
+import oracles
+
 KEY = MasterKey((49.0, 23.0, 58.0, 120.0, 237.0), 0x1234ABCD)
 
 
@@ -196,9 +198,9 @@ class TestScrambling:
             for _ in range(24):
                 t, m, x, y, l = (int(v) for v in rng.integers(0, [4, 8, 4, 4, 8]))
                 p1 = baker.unrank_admissible(sched.plane_n, int(sched.s1_part[x, y, t]))
-                m2, l2 = baker.iterate(p1, int(sched.s1_iter[x, y, t]), (m, l))
+                m2, l2 = oracles.iterate(p1, int(sched.s1_iter[x, y, t]), (m, l))
                 p2 = baker.unrank_admissible(sched.pixel_n, int(sched.s2_part[l2, m2, t]))
-                x2, y2 = baker.iterate(p2, int(sched.s2_iter[l2, m2, t]), (x, y))
+                x2, y2 = oracles.iterate(p2, int(sched.s2_iter[l2, m2, t]), (x, y))
                 out = scramble(_lit(empty, (t, m, x, y, l)), sched).bits
                 assert out[t, m2, x2, y2, l2] == 1 and out.sum() == 1
                 back = scramble(_lit(empty, (t, m2, x2, y2, l2)), sched, inverse=True).bits

@@ -14,6 +14,8 @@ from qbaker.circuit import (
     synthesize,
 )
 
+import oracles
+
 
 # The paper's strip-membership conditions, kept here as a formula oracle:
 # synthesis itself gates narrow strips on window tags instead.
@@ -115,7 +117,7 @@ class TestSynthF1:
             perm = sim.to_permutation(circ)
             for x in range(2**n):
                 for y in range(2**n):
-                    mx, my = baker.apply_ms(q, n, (x, y))
+                    mx, my = oracles.apply_ms(q, n, (x, y))
                     assert perm[(x << n) | y] == (mx << n) | my
 
     @pytest.mark.parametrize("n", [6, 7, 8])

@@ -43,6 +43,42 @@ class TestEncryptDecrypt:
             recovered = (out / f"image_{i:04d}.pgm").read_bytes()
             assert original == recovered
 
+    def test_manifest_paths_and_overwritten_outputs(self, workspace, monkeypatch, capsys):
+        # entries resolve against the manifest's directory, not the working one
+        rng = np.random.default_rng(7)
+        (workspace / "set" / "sub").mkdir(parents=True)
+        sources = [workspace / "set" / "a.pgm", workspace / "set" / "sub" / "b.pgm",
+                   workspace / "img1.pgm"]
+        for path in sources[:2]:
+            images.write_pgm(path, rng.integers(0, 256, size=(8, 8)).astype(np.uint8))
+        (workspace / "set" / "manifest.txt").write_text(
+            f"a.pgm\n\n# a comment\n  sub/b.pgm  \n   \n  # indented\n{sources[2]}\n"
+        )
+        out = workspace / "out"
+        out.mkdir()
+        for i in (0, 2):  # stale outputs longer than the new ones
+            (out / f"image_{i:04d}.pgm").write_bytes(b"stale" * 100)
+        monkeypatch.chdir(workspace / "set" / "sub")
+        rc = main(["encrypt", "--manifest", "../manifest.txt",
+                   "--key", str(workspace / "key.txt"), "--out", str(workspace / "ct.bin")])
+        assert rc == 0
+        rc = main(["decrypt", "--in", str(workspace / "ct.bin"),
+                   "--key", str(workspace / "key.txt"), "--out-dir", str(out)])
+        assert rc == 0
+        assert sorted(p.name for p in out.iterdir()) == [f"image_{i:04d}.pgm" for i in range(3)]
+        for i, source in enumerate(sources):
+            assert (out / f"image_{i:04d}.pgm").read_bytes() == source.read_bytes()
+
+    def test_bad_pgm_exits_one_naming_it(self, workspace, capsys):
+        bad = workspace / "img2.pgm"
+        bad.write_bytes(bad.read_bytes() + b"EXTRA")
+        rc = main([
+            "encrypt", "--manifest", str(workspace / "manifest.txt"),
+            "--key", str(workspace / "key.txt"), "--out", str(workspace / "ct.bin"),
+        ])
+        assert rc == 1
+        assert f"error: {bad}: 69 pixel bytes" in capsys.readouterr().err
+
     def test_images_past_n6_exit_one(self, tmp_path, capsys):
         for i in range(2):
             images.write_pgm(tmp_path / f"big{i}.pgm", np.zeros((128, 128), dtype=np.uint8))
@@ -101,6 +137,12 @@ class TestSynthVerify:
         circ.write_text("# n=100000000 partition=100000000\n")
         assert main(["verify", "--circuit", str(circ)]) == 1
         assert "error: circuit header n=100000000 outside [1, 12]" in capsys.readouterr().err
+
+    def test_synth_n_bounded(self, capsys):
+        assert main(["synth", "--n", "13", "--partition", "13"]) == 1
+        assert "error: synthesis capped at n=12, got n=13" in capsys.readouterr().err
+        assert main(["synth", "--n", "12", "--partition", "11,11"]) == 0
+        assert capsys.readouterr().out.startswith("# n=12 partition=11,11")
 
     def test_count(self, capsys):
         assert main(["count", "--n", "3", "--partition", "2,1,1"]) == 0

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from qbaker import images
 from qbaker.images import BitTensor, ImageSet, pack, plan_layout, unpack
 
+import oracles
+
 
 class TestPlanLayout:
     def test_paper_case_200(self):
@@ -152,3 +154,122 @@ class TestPgm:
         s = images.read_manifest(manifest)
         assert s.M == 3 and s.n == 2
         assert s.images.dtype == np.uint8  # no wider copy of the pixels
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"P5\n2 2\n255\n" + bytes(4) + b"EXTRA",
+            b"P5\n2 2\n255\n" + bytes(3),
+            b"P5\n0 0\n255\n",
+            b"P5\n2 2\n65535\n" + bytes(8),
+            b"P5 2 2 255",
+            b"P2\n2 2\n255\n" + bytes(4),
+        ],
+        ids=["trailing-bytes", "short-payload", "side-0", "maxval", "no-raster", "magic"],
+    )
+    def test_rejects_naming_the_file(self, tmp_path, data):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as exc:
+            images.read_pgm(path)
+        assert str(path) in str(exc.value)
+
+    def test_overwrite_truncates(self, tmp_path):
+        path = tmp_path / "old.pgm"
+        path.write_bytes(b"x" * 1000)
+        img = np.arange(4, dtype=np.uint8).reshape(2, 2)
+        images.write_pgm(path, img)
+        assert path.read_bytes() == b"P5\n2 2\n255\n" + bytes([0, 1, 2, 3])
+
+    def test_manifest_names_bad_file(self, tmp_path):
+        images.write_pgm(tmp_path / "a.pgm", np.zeros((2, 2), dtype=np.uint8))
+        images.write_pgm(tmp_path / "b.pgm", np.zeros((4, 4), dtype=np.uint8))
+        (tmp_path / "c.pgm").write_bytes(b"P5\n2 2\n255\n" + bytes(5))
+        for second, reason in (("b.pgm", "share one size"), ("c.pgm", "pixel bytes")):
+            (tmp_path / "list.txt").write_text(f"a.pgm\n{second}\n")
+            with pytest.raises(ValueError) as exc:
+                images.read_manifest(tmp_path / "list.txt")
+            assert str(tmp_path / second) in str(exc.value)
+            assert reason in str(exc.value)
+
+
+# -- read_pgm against arbitrary bytes and against the byte-loop oracle --------
+
+_WHITESPACE = [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"]
+_COMMENT = st.binary(max_size=12).map(lambda b: b"#" + b.replace(b"\n", b"") + b"\n")
+
+
+def _separator(first_whitespace: bool):
+    """Whitespace and comments; after a field it must open with whitespace,
+    because the oracle reads a '#' that touches a field as part of it."""
+    rest = st.lists(st.one_of(st.sampled_from(_WHITESPACE), _COMMENT), max_size=3)
+    head = st.sampled_from(_WHITESPACE) if first_whitespace else st.one_of(
+        st.just(b""), st.sampled_from(_WHITESPACE), _COMMENT
+    )
+    return st.tuples(head, rest).map(lambda t: t[0] + b"".join(t[1]))
+
+
+# Header-like byte soup: the tokens a PGM header is built from, in any order.
+_TOKENS = st.sampled_from(
+    [b"P5", b"P2", b"2", b"4", b"16", b"255", b"0", b"-2", b"+2", b"2_0", b"#", b"x"]
+    + _WHITESPACE
+)
+_PGM_LIKE = st.one_of(
+    st.binary(max_size=64),
+    st.tuples(st.lists(_TOKENS, max_size=12), st.binary(max_size=20)).map(
+        lambda t: b"P5" + b"".join(t[0]) + t[1]
+    ),
+    # a valid header and a payload of about the right length
+    st.sampled_from(
+        [(b"P5\n2 2\n255\n", 4), (b"P5 1 1 255 ", 1), (b"P5\t4\r4 #c\n255\n", 16)]
+    ).flatmap(lambda h: st.binary(min_size=h[1] - 1, max_size=h[1] + 1).map(h[0].__add__)),
+)
+
+
+@pytest.fixture(scope="module")
+def pgm_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "f.pgm"
+
+
+@settings(max_examples=400, deadline=None)
+@given(_PGM_LIKE)
+def test_read_pgm_any_bytes(pgm_file, data):
+    pgm_file.write_bytes(data)
+    try:
+        img = images.read_pgm(pgm_file)
+    except ValueError:
+        return
+    side = img.shape[0]
+    assert img.dtype == np.uint8 and img.shape == (side, side)
+    assert side >= 1 and not side & (side - 1)
+    assert img.tobytes() == data[len(data) - side * side :]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.data(),
+    st.integers(0, 9),
+    st.integers(0, 9),
+    st.sampled_from([255, 255, 255, 1, 256, 65535]),
+)
+def test_read_pgm_agrees_with_oracle(pgm_file, data, width, height, maxval):
+    after_magic = data.draw(_separator(first_whitespace=False))
+    header = b"P5" + after_magic + b"%d" % width
+    header += data.draw(_separator(first_whitespace=True)) + b"%d" % height
+    header += data.draw(_separator(first_whitespace=True)) + b"%d" % maxval
+    header += data.draw(st.sampled_from(_WHITESPACE))
+    pixels = data.draw(st.binary(min_size=width * height, max_size=width * height))
+    pgm_file.write_bytes(header + pixels)
+    if not after_magic:
+        # "P52 2 255": netpbm needs whitespace after the magic number.  The
+        # oracle reads past it; the reader refuses it.
+        with pytest.raises(ValueError):
+            images.read_pgm(pgm_file)
+        return
+    *fields, offset = oracles.pgm_header(header + pixels)
+    assert (*fields, offset) == (width, height, maxval, len(header))
+    if oracles.pgm_accepts(*fields, len(pixels)):
+        assert images.read_pgm(pgm_file).tobytes() == pixels
+    else:
+        with pytest.raises(ValueError):
+            images.read_pgm(pgm_file)

@@ -5,6 +5,8 @@ from qbaker import baker, circuit, sim
 from qbaker.baker import BakerPartition
 from qbaker.circuit import Circuit, ControlCondition, Gate, Wire, synthesize
 
+import oracles
+
 
 def _gate(t1, t2, *conds):
     return Gate((t1, t2), tuple(ControlCondition(w, v) for w, v in conds))
@@ -13,22 +15,22 @@ def _gate(t1, t2, *conds):
 class TestApplyGate:
     def test_plain_swap(self):
         g = _gate(Wire("x", 0), Wire("y", 0))
-        assert sim.apply_gate(g, (1, 0), 1) == (0, 1)
+        assert oracles.apply_gate(g, (1, 0), 1) == (0, 1)
 
     def test_failed_control_is_identity(self):
         g = _gate(Wire("x", 0), Wire("y", 0), (Wire("x", 1), 1))
-        assert sim.apply_gate(g, (0b01, 0b00), 2) == (0b01, 0b00)
+        assert oracles.apply_gate(g, (0b01, 0b00), 2) == (0b01, 0b00)
 
     def test_satisfied_control_swaps(self):
         g = _gate(Wire("x", 0), Wire("y", 0), (Wire("x", 1), 1))
-        assert sim.apply_gate(g, (0b11, 0b00), 2) == (0b10, 0b01)
+        assert oracles.apply_gate(g, (0b11, 0b00), 2) == (0b10, 0b01)
 
     def test_double_application_is_identity(self):
         g = _gate(Wire("x", 1), Wire("y", 0), (Wire("y", 1), 1))
         for x in range(4):
             for y in range(4):
-                once = sim.apply_gate(g, (x, y), 2)
-                assert sim.apply_gate(g, once, 2) == (x, y)
+                once = oracles.apply_gate(g, (x, y), 2)
+                assert oracles.apply_gate(g, once, 2) == (x, y)
 
 
 class TestRun:
@@ -37,11 +39,11 @@ class TestRun:
         circ = synthesize(p)
         for x in range(8):
             for y in range(8):
-                assert sim.run(circ, (x, y)) == baker.apply(p, (x, y))
+                assert oracles.run(circ, (x, y)) == oracles.apply(p, (x, y))
 
     def test_empty_circuit(self):
         circ = Circuit(2, BakerPartition(2, (2,)), ((),))
-        assert sim.run(circ, (3, 1)) == (3, 1)
+        assert oracles.run(circ, (3, 1)) == (3, 1)
 
     def test_reversed_circuit_inverts(self):
         p = BakerPartition(3, (2, 1, 1))
@@ -49,7 +51,7 @@ class TestRun:
         rev = Circuit(3, p, (tuple(reversed(circ.gates)),))
         for x in range(8):
             for y in range(8):
-                assert sim.run(rev, sim.run(circ, (x, y))) == (x, y)
+                assert oracles.run(rev, oracles.run(circ, (x, y))) == (x, y)
 
 
 class TestToPermutation:
@@ -59,7 +61,7 @@ class TestToPermutation:
         perm = sim.to_permutation(circ)
         for x in range(8):
             for y in range(8):
-                nx, ny = sim.run(circ, (x, y))
+                nx, ny = oracles.run(circ, (x, y))
                 assert perm[(x << 3) | y] == (nx << 3) | ny
 
     def test_identity_partition(self):
@@ -90,8 +92,8 @@ class TestEquivalence:
         ok, witness = sim.equivalence(mutated, p)
         assert not ok
         point, got, want = witness
-        assert sim.run(mutated, point) == got
-        assert baker.apply(p, point) == want
+        assert oracles.run(mutated, point) == got
+        assert oracles.apply(p, point) == want
 
     def test_any_single_deletion_detected(self):
         p = BakerPartition(3, (2, 1, 1))
@@ -162,8 +164,8 @@ class TestSweep:
         p = BakerPartition(3, (2, 1, 1))
         [(got_p, (point, circuit_image, baker_image))] = sim.equivalence_sweep(3, [p])
         assert got_p == p
-        assert sim.run(synthesize(p), point) == circuit_image
-        assert baker.apply(p, point) == baker_image
+        assert oracles.run(synthesize(p), point) == circuit_image
+        assert oracles.apply(p, point) == baker_image
         assert circuit_image != baker_image
 
     @pytest.mark.parametrize("corrupt", [False, True])
@@ -230,7 +232,7 @@ def _fired_transpositions(circ):
     n = circ.n
     states = [(x, y) for x in range(1 << n) for y in range(1 << n)]
     return sum(
-        sum(sim.apply_gate(g, s, n) != s for s in states) // 2 for g in circ.gates
+        sum(oracles.apply_gate(g, s, n) != s for s in states) // 2 for g in circ.gates
     )
 
 

@@ -39,8 +39,18 @@ REFERENCE = {
     "nonsimplified_p1": (3_223_552, 3_260_416, 7_208_960, 9_961_472),
     "nonsimplified_p2": (2_903_040, 5_806_080, 11_612_160, 23_224_320),
     "ratio": (0.9, 1.7, 1.6, 2.3),
-    "case_gates": (48, 45, 91, 76),
 }
+
+#: Table 1 rows in print order: (label, REFERENCE key).
+ROWS = (
+    ("# qubits P1", "widths_p1"),
+    ("# qubits P2", "widths_p2"),
+    ("simplified gates P1", "simplified_p1"),
+    ("simplified gates P2", "simplified_p2"),
+    ("non-simplified gates P1", "nonsimplified_p1"),
+    ("non-simplified gates P2", "nonsimplified_p2"),
+    ("ratio P2/P1", "ratio"),
+)
 
 
 @dataclass(frozen=True)
@@ -65,12 +75,9 @@ def qubit_width(p: ProtocolParams) -> int:
     return 2 * p.n + lM + lL + 1
 
 
-def simplified_depth(index_partition: BakerPartition,
-                     pixel_partition: BakerPartition = PIXEL_PARTITION) -> int:
+def simplified_depth(index_partition: BakerPartition) -> int:
     """One index-square circuit plus one pixel-square circuit."""
-    _, index_gates = gate_count(index_partition)
-    _, pixel_gates = gate_count(pixel_partition)
-    return index_gates + pixel_gates
+    return gate_count(index_partition)[1] + gate_count(PIXEL_PARTITION)[1]
 
 
 def nonsimplified_depth(p: ProtocolParams, n1: int, n2: int, n3: int) -> int:
@@ -90,6 +97,14 @@ def _trunc1(v: float) -> float:
     return math.floor(v * 10) / 10
 
 
+def _number(v: float, sep: str = " ") -> str:
+    """Every digit of a cell value: an integer with ``sep`` between digit
+    groups, anything else as its shortest round-trip repr."""
+    if isinstance(v, float) and not v.is_integer():
+        return repr(v)
+    return f"{int(v):,}".replace(",", sep)
+
+
 @dataclass(frozen=True)
 class Cell:
     value: float
@@ -100,53 +115,31 @@ class Cell:
         return self.value != self.reference
 
     def text(self) -> str:
-        if isinstance(self.value, float) and not self.value.is_integer():
-            base = f"{self.value:.1f}"
-        else:
-            base = f"{int(self.value):,}".replace(",", " ")
         if self.flagged:
-            ref = self.reference
-            ref_s = f"{ref:.1f}" if isinstance(ref, float) and not float(ref).is_integer() else f"{int(ref):,}".replace(",", " ")
-            return f"{base} [!= published {ref_s}]"
-        return base
+            return f"{_number(self.value)} [!= published {_number(self.reference)}]"
+        return _number(self.value)
 
 
 @dataclass(frozen=True)
 class Table1:
     cases: tuple[str, ...]
-    widths_p1: tuple[Cell, ...]
-    widths_p2: tuple[Cell, ...]
-    simplified_p1: tuple[Cell, ...]
-    simplified_p2: tuple[Cell, ...]
-    nonsimplified_p1: tuple[Cell, ...]
-    nonsimplified_p2: tuple[Cell, ...]
-    ratio: tuple[Cell, ...]
+    cells: dict[str, tuple[Cell, ...]]  # REFERENCE key -> one Cell per case
 
     def rows(self):
-        yield "# qubits P1", self.widths_p1
-        yield "# qubits P2", self.widths_p2
-        yield "simplified gates P1", self.simplified_p1
-        yield "simplified gates P2", self.simplified_p2
-        yield "non-simplified gates P1", self.nonsimplified_p1
-        yield "non-simplified gates P2", self.nonsimplified_p2
-        yield "ratio P2/P1", self.ratio
+        for label, key in ROWS:
+            yield label, self.cells[key]
 
     def render(self) -> str:
         heads = [f"M={CASES[c]['M']}" for c in self.cases]
-        cells = [[cell.text() for cell in row] for _, row in self.rows()]
-        names = [name for name, _ in self.rows()]
-        widths = [
-            max(len(heads[j]), *(len(cells[i][j]) for i in range(len(cells))))
-            for j in range(len(heads))
-        ]
-        name_w = max(len(nm) for nm in names)
+        texts = [("", heads)] + [(nm, [cell.text() for cell in row]) for nm, row in self.rows()]
+        widths = [max(len(row[j]) for _, row in texts) for j in range(len(heads))]
+        name_w = max(len(nm) for nm, _ in texts)
         lines = [
-            " " * name_w + "  " + "  ".join(h.rjust(w) for h, w in zip(heads, widths))
+            nm.ljust(name_w) + "  " + "  ".join(map(str.rjust, row, widths)) for nm, row in texts
         ]
-        for nm, row in zip(names, cells):
-            lines.append(nm.ljust(name_w) + "  " + "  ".join(c.rjust(w) for c, w in zip(row, widths)))
         flagged = [
-            f"  {nm} @ {heads[j]}: computed {row[j].value:g}, published {row[j].reference:g}"
+            f"  {nm} @ {heads[j]}: computed {_number(row[j].value)}, "
+            f"published {_number(row[j].reference)}"
             for nm, row in self.rows()
             for j in range(len(row))
             if row[j].flagged
@@ -160,52 +153,34 @@ class Table1:
     def to_csv(self) -> str:
         out = ["row," + ",".join(f"M={CASES[c]['M']}" for c in self.cases)]
         for nm, row in self.rows():
-            out.append(nm + "," + ",".join(f"{cell.value:g}" for cell in row))
+            out.append(nm + "," + ",".join(_number(cell.value, sep="") for cell in row))
         return "\n".join(out) + "\n"
 
 
 def table1() -> Table1:
     """Recompute every benchmark cell from the gate-count model."""
-    order = tuple(CASES)
     n = 8
-    L = 8
     _, pixel_gates = gate_count(PIXEL_PARTITION)
     _, plane_gates = gate_count(PLANE_PARTITION)
-
-    widths_p1 = []
-    widths_p2 = []
-    simp_p1 = []
-    simp_p2 = []
-    non_p1 = []
-    non_p2 = []
-    ratio = []
-    for j, case in enumerate(order):
-        M = CASES[case]["M"]
-        part = CASES[case]["partition"]
+    columns = []
+    for case in CASES.values():
+        part = case["partition"]
         _, case_gates = gate_count(part)
-        p1 = ProtocolParams("P1", n, M, L)
-        p2 = ProtocolParams("P2", n, M, L)
-        widths_p1.append(Cell(qubit_width(p1), REFERENCE["widths_p1"][j]))
-        widths_p2.append(Cell(qubit_width(p2), REFERENCE["widths_p2"][j]))
-        simp_p1.append(
-            Cell(simplified_depth(part), REFERENCE["simplified_p1"][j])
-        )
-        simp_p2.append(
-            Cell(simplified_depth(PLANE_PARTITION), REFERENCE["simplified_p2"][j])
-        )
+        p1 = ProtocolParams("P1", n, case["M"])
+        p2 = ProtocolParams("P2", n, case["M"])
         d1 = nonsimplified_depth(p1, pixel_gates, case_gates, plane_gates)
         d2 = nonsimplified_depth(p2, pixel_gates, case_gates, plane_gates)
-        non_p1.append(Cell(d1, REFERENCE["nonsimplified_p1"][j]))
-        non_p2.append(Cell(d2, REFERENCE["nonsimplified_p2"][j]))
-        ratio.append(Cell(_trunc1(d2 / d1), REFERENCE["ratio"][j]))
-
-    return Table1(
-        order,
-        tuple(widths_p1),
-        tuple(widths_p2),
-        tuple(simp_p1),
-        tuple(simp_p2),
-        tuple(non_p1),
-        tuple(non_p2),
-        tuple(ratio),
-    )
+        columns.append({
+            "widths_p1": qubit_width(p1),
+            "widths_p2": qubit_width(p2),
+            "simplified_p1": simplified_depth(part),
+            "simplified_p2": simplified_depth(PLANE_PARTITION),
+            "nonsimplified_p1": d1,
+            "nonsimplified_p2": d2,
+            "ratio": _trunc1(d2 / d1),
+        })
+    cells = {
+        key: tuple(Cell(col[key], ref) for col, ref in zip(columns, REFERENCE[key]))
+        for _, key in ROWS
+    }
+    return Table1(tuple(CASES), cells)

@@ -10,7 +10,8 @@ Admissible partitions are numbered by their lexicographic rank in q.  Since
 the admissible completions of a prefix depend only on its sum N, a DP over
 prefix sums counts them, and skipping whole subtrees by their counts unranks
 an index without listing the partitions before it (Kreher & Stinson,
-*Combinatorial Algorithms*, ch. 2).
+*Combinatorial Algorithms*, ch. 2).  Listing them is unranking every index
+in turn, so the ranking has one implementation.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ import numpy as np
 
 # Enumeration guard: 458,330 admissible partitions at n=5, 2.1e11 at n=6.
 MAX_ENUM_N = 5
+# Largest square side exponent: tables over (x << n) | y stay int32.
+MAX_N = 15
 
 
 @dataclass(frozen=True)
@@ -35,16 +38,15 @@ class BakerPartition:
     q: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        if not 1 <= self.n <= MAX_N:
+            raise ValueError(f"n must lie in [1, {MAX_N}], got {self.n}")
         if not self.q:
             raise ValueError("partition must be non-empty")
-        if any(e < 0 or e > self.n for e in self.q):
+        if min(self.q) < 0 or max(self.q) > self.n:
             raise ValueError(f"exponents must lie in [0, {self.n}]")
-        if sum(1 << e for e in self.q) != 1 << self.n:
-            raise ValueError(
-                f"widths 2^q must sum to 2^{self.n}, got {sum(1 << e for e in self.q)}"
-            )
+        total = sum(1 << e for e in self.q)
+        if total != 1 << self.n:
+            raise ValueError(f"widths 2^q must sum to 2^{self.n}, got {total}")
 
     @classmethod
     def parse(cls, n: int, text: str) -> "BakerPartition":
@@ -57,17 +59,6 @@ class BakerPartition:
 
     def __str__(self) -> str:
         return ",".join(str(e) for e in self.q)
-
-    @property
-    def k(self) -> int:
-        return len(self.q)
-
-    def prefix_sums(self) -> list[int]:
-        """N_0 = 0, N_1, ..., N_k = 2^n."""
-        sums = [0]
-        for e in self.q:
-            sums.append(sums[-1] + (1 << e))
-        return sums
 
 
 def is_admissible(p: BakerPartition) -> bool:
@@ -84,26 +75,7 @@ def enumerate_admissible(n: int) -> list[BakerPartition]:
     """All admissible partitions for a 2^n square, lexicographic in q."""
     if not 1 <= n <= MAX_ENUM_N:
         raise ValueError(f"n must lie in [1, {MAX_ENUM_N}]")
-    total = 1 << n
-    out: list[BakerPartition] = []
-
-    def extend(prefix_sum: int, acc: list[int]):
-        remaining = total - prefix_sum
-        for e in range(n + 1):
-            width = 1 << e
-            if width > remaining:
-                break
-            if acc and prefix_sum % width != 0:
-                continue
-            acc.append(e)
-            if width == remaining:
-                out.append(BakerPartition(n, tuple(acc)))
-            else:
-                extend(prefix_sum + width, acc)
-            acc.pop()
-
-    extend(0, [])
-    return out
+    return [unrank_admissible(n, i) for i in range(count_admissible(n))]
 
 
 @lru_cache(maxsize=None)
@@ -151,15 +123,15 @@ def unrank_admissible(n: int, index: int) -> BakerPartition:
 
 def partition_tables(n: int, partitions: Iterable[Sequence[int]]) -> np.ndarray:
     """Forward maps of these exponent lists, one int32 row per list, as
-    tables over indices (x << n) | y (so n <= 15).  Each list's widths 2^q
-    must sum to 2^n.
+    tables over indices (x << n) | y (so n <= ``MAX_N``).  Each list's
+    widths 2^q must sum to 2^n.
 
     One vectorized pass: every column x gets its strip's left edge N and
     shift s = n - q, and (x, y) goes to ((x - N) << s | y mod 2^s, N + y >> s).
     The y-dependent share of that index depends only on s, so it is looked up.
     """
-    if not 1 <= n <= 15:
-        raise ValueError("tables need 1 <= n <= 15")
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"tables need 1 <= n <= {MAX_N}")
     side = 1 << n
     q = np.array([e for qs in partitions for e in qs], dtype=np.int32)
     widths = 1 << q

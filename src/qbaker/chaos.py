@@ -29,8 +29,8 @@ class ScmParams:
     def __post_init__(self):
         if len(self.lambdas) != 5:
             raise ValueError("exactly five lambda parameters required")
-        if any(lam < 1 for lam in self.lambdas):
-            raise ValueError("chaotification requires every lambda >= 1")
+        if not all(1 <= lam < math.inf for lam in self.lambdas):
+            raise ValueError("chaotification requires every lambda finite and >= 1")
 
 
 def base_rhs(v: ScmState) -> ScmState:
@@ -97,10 +97,9 @@ def generate_sequences(
     seed: ScmState,
     params: ScmParams,
     lengths: tuple[int, int, int, int],
-    burn_in: int = BURN_IN,
-    max_steps: int = MAX_STEPS,
 ) -> ChaoticSequences:
-    """Iterate past the transient, then collect four distinct-value sequences.
+    """Iterate ``BURN_IN`` steps past the transient, then collect four
+    distinct-value sequences within ``MAX_STEPS`` further steps.
 
     Each post-burn-in step offers components 1..4 to the four collectors; a
     value equal (exact float comparison) to one already collected in the same
@@ -109,12 +108,12 @@ def generate_sequences(
     if any(ln < 1 for ln in lengths):
         raise ValueError("sequence lengths must be >= 1")
     state = seed
-    for _ in range(burn_in):
+    for _ in range(BURN_IN):
         state = scm_step(state, params)
 
     collected: list[list[float]] = [[], [], [], []]
     seen: list[set[float]] = [set(), set(), set(), set()]
-    for _ in range(max_steps):
+    for _ in range(MAX_STEPS):
         if all(len(collected[i]) >= lengths[i] for i in range(4)):
             break
         state = scm_step(state, params)
@@ -126,18 +125,9 @@ def generate_sequences(
                     collected[i].append(v)
     else:
         raise RuntimeError(
-            f"could not collect distinct sequences within {max_steps} steps; "
+            f"could not collect distinct sequences within {MAX_STEPS} steps; "
             "degenerate parameters?"
         )
 
-    xs, ys, zs, ts = (tuple(c) for c in collected)
-    return ChaoticSequences(
-        xs,
-        ys,
-        zs,
-        ts,
-        tuple(rank(xs)),
-        tuple(rank(ys)),
-        tuple(rank(zs)),
-        tuple(rank(ts)),
-    )
+    values = [tuple(c) for c in collected]
+    return ChaoticSequences(*values, *(tuple(rank(v)) for v in values))

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baker
-from .chaos import ChaoticSequences, ScmParams, generate_sequences
+from .chaos import ScmParams, generate_sequences
 from .images import BitTensor, BlockLayout, ImageSet, pack, plan_layout, unpack
 from .keystream import Seed, derive_seed, key_table, seed_from_header
 
@@ -40,7 +40,8 @@ MAGIC = b"QBMI1"
 # 2.1e11, count_admissible(7) is 4.4e22 > 2^64.
 MAX_SCHEDULE_N = 6
 
-Mode = str  # "simplified" | "non_simplified"
+Mode = str  # one of MODES
+MODES = ("simplified", "non_simplified")
 
 
 @dataclass(frozen=True)
@@ -50,11 +51,10 @@ class MasterKey:
     mode: Mode = "non_simplified"
 
     def __post_init__(self):
-        if len(self.lambdas) != 5 or any(lam < 1 for lam in self.lambdas):
-            raise ValueError("five lambda parameters >= 1 required")
+        self.params()  # the lambda rule
         if not 0 <= self.schedule_seed < (1 << 64):
             raise ValueError("schedule seed must fit in 64 bits")
-        if self.mode not in ("simplified", "non_simplified"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
 
     def params(self) -> ScmParams:
@@ -285,9 +285,9 @@ class Ciphertext:
     mode: Mode
 
 
-def _sequences_for(seed: Seed, key: MasterKey, n: int, layout: BlockLayout) -> ChaoticSequences:
+def _key_digits(seed: Seed, key: MasterKey, n: int, layout: BlockLayout) -> np.ndarray:
     lengths = (1 << n, 1 << n, layout.images_per_block, layout.block_count)
-    return generate_sequences(seed.state(), key.params(), lengths)
+    return key_table(generate_sequences(seed.state(), key.params(), lengths), layout, n)
 
 
 def encrypt(image_set: ImageSet, key: MasterKey) -> Ciphertext:
@@ -295,8 +295,7 @@ def encrypt(image_set: ImageSet, key: MasterKey) -> Ciphertext:
     sched = derive_schedule(key, image_set.n, layout)
     tensor = pack(image_set)
     seed = derive_seed(image_set, tensor)
-    seqs = _sequences_for(seed, key, image_set.n, layout)
-    keys = key_table(seqs, layout, image_set.n)
+    keys = _key_digits(seed, key, image_set.n, layout)
     diffused = diffuse(scramble(tensor, sched), keys)
     return Ciphertext(
         diffused, image_set.n, image_set.L, image_set.M,
@@ -313,8 +312,7 @@ def decrypt(ct: Ciphertext, key: MasterKey) -> ImageSet:
         raise ValueError("key mode disagrees with the ciphertext header")
     sched = derive_schedule(key, ct.n, layout)
     seed = seed_from_header(ct.x0, ct.alpha, ct.beta)
-    seqs = _sequences_for(seed, key, ct.n, layout)
-    keys = key_table(seqs, layout, ct.n)
+    keys = _key_digits(seed, key, ct.n, layout)
     undiffused = diffuse(ct.tensor, keys)
     return unpack(scramble(undiffused, sched, inverse=True), layout, ct.M, ct.L)
 
@@ -323,21 +321,30 @@ def decrypt(ct: Ciphertext, key: MasterKey) -> ImageSet:
 # File formats
 
 
+def _format_fields(fields: dict[str, object]) -> str:
+    """One ``name = value`` line per field."""
+    return "".join(f"{name} = {value}\n" for name, value in fields.items())
+
+
+def _parse_fields(lines: list[str]) -> dict[str, str]:
+    """Fields of ``name = value`` lines; blank and ``#`` lines are skipped."""
+    fields: dict[str, str] = {}
+    for ln in lines:
+        ln = ln.strip()
+        if ln and not ln.startswith("#"):
+            name, _, value = ln.partition("=")
+            fields[name.strip()] = value.strip()
+    return fields
+
+
 def write_key(path: str | Path, key: MasterKey):
-    lines = [f"lambda{i + 1} = {repr(lam)}" for i, lam in enumerate(key.lambdas)]
-    lines.append(f"schedule_seed = {key.schedule_seed}")
-    lines.append(f"mode = {key.mode}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    fields = {f"lambda{i + 1}": lam for i, lam in enumerate(key.lambdas)}
+    fields.update(schedule_seed=key.schedule_seed, mode=key.mode)
+    Path(path).write_text(_format_fields(fields))
 
 
 def read_key(path: str | Path) -> MasterKey:
-    fields: dict[str, str] = {}
-    for ln in Path(path).read_text().splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        name, _, value = ln.partition("=")
-        fields[name.strip()] = value.strip()
+    fields = _parse_fields(Path(path).read_text().splitlines())
     try:
         lambdas = tuple(float(fields[f"lambda{i + 1}"]) for i in range(5))
         return MasterKey(lambdas, int(fields["schedule_seed"]), fields.get("mode", "non_simplified"))
@@ -347,48 +354,41 @@ def read_key(path: str | Path) -> MasterKey:
 
 def write_ciphertext(path: str | Path, ct: Ciphertext):
     """Header lines, a separator, then bits packed in (t, m, l, y, x) order."""
-    header = [
-        MAGIC.decode(),
-        f"n = {ct.n}",
-        f"L = {ct.L}",
-        f"M = {ct.M}",
-        f"blocks = {ct.tensor.block_count}",
-        f"x0 = {repr(ct.x0)}",
-        f"alpha = {ct.alpha}",
-        f"beta = {ct.beta}",
-        f"mode = {ct.mode}",
-        "---",
-    ]
+    header = _format_fields({
+        "n": ct.n, "L": ct.L, "M": ct.M, "blocks": ct.tensor.block_count,
+        "x0": ct.x0, "alpha": ct.alpha, "beta": ct.beta, "mode": ct.mode,
+    })
     payload_bits = ct.tensor.bits.transpose(0, 1, 4, 3, 2).reshape(-1)
     payload = np.packbits(payload_bits)
-    Path(path).write_bytes("\n".join(header).encode() + b"\n" + payload.tobytes())
+    Path(path).write_bytes(f"{MAGIC.decode()}\n{header}---\n".encode() + payload.tobytes())
 
 
 def read_ciphertext(path: str | Path) -> Ciphertext:
     """Parse a ciphertext file; any missing, malformed or inconsistent header
-    field, aggregates no plaintext can produce, and a payload of the wrong
+    field (n outside [1, MAX_SCHEDULE_N] is refused before anything is sized
+    from it), aggregates no plaintext can produce, and a payload of the wrong
     length raise ValueError."""
     blob = Path(path).read_bytes()
     sep = blob.find(b"---\n")
     if not blob.startswith(MAGIC) or sep < 0:
         raise ValueError(f"{path}: not a ciphertext file")
-    fields: dict[str, str] = {}
     try:
-        for ln in blob[:sep].decode().splitlines()[1:]:
-            if ln.strip():
-                name, _, value = ln.partition("=")
-                fields[name.strip()] = value.strip()
+        fields = _parse_fields(blob[:sep].decode().splitlines()[1:])
         n, L, M, blocks, alpha, beta = (
             int(fields[name]) for name in ("n", "L", "M", "blocks", "alpha", "beta")
         )
+        if not 1 <= n <= MAX_SCHEDULE_N:
+            raise ValueError(f"n={n} outside [1, {MAX_SCHEDULE_N}]")
         x0, mode = float(fields["x0"]), fields["mode"]
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}")
         layout = plan_layout(M, L)
     except KeyError as exc:
         raise ValueError(f"{path}: missing ciphertext field {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: bad ciphertext header: {exc}") from None
-    if n < 0 or blocks != layout.block_count:
-        raise ValueError(f"{path}: bad ciphertext header: n={n}, blocks={blocks} for M={M}, L={L}")
+    if blocks != layout.block_count:
+        raise ValueError(f"{path}: bad ciphertext header: blocks={blocks} for M={M}, L={L}")
     side = 1 << n
     per_block = layout.images_per_block
     # alpha and beta floor the mean and mean square of per-pixel bit counts,

@@ -61,10 +61,6 @@ class Gate(NamedTuple):
     targets: tuple[Wire, Wire]
     controls: tuple[ControlCondition, ...] = ()
 
-    @property
-    def kind(self) -> str:
-        return "ControlledSwap" if self.controls else "Swap"
-
     def validate(self):
         a, b = self.targets
         if a == b:
@@ -159,11 +155,10 @@ def _count_first(s: int, q: int) -> int:
 
 
 def _count_later(q1: int, qi: int) -> int:
-    """Gates for converting M_{q1} staging to strip width 2^qi."""
-    if qi <= q1 / 2:
-        return q1 + qi
+    """Gates for converting M_{q1} staging to strip width 2^qi.  A strip no
+    wider than the first costs what M_qi costs on a 2^q1 square."""
     if qi <= q1:
-        return (q1 - qi) * (3 * qi - q1 + 2)
+        return _count_first(q1, qi)
     return (qi - q1) * (2 * q1 + 1)
 
 
@@ -341,7 +336,7 @@ def _pad(stream: list[Gate], deficit: int, n: int) -> list[Gate]:
     """
     while deficit > 0:
         gate = stream.pop()
-        if deficit == 2 or deficit % 2 == 0:
+        if deficit % 2 == 0:
             scratch = _free_wires(n, gate, 1)[0]
             stream.extend(_sandwich(gate, scratch, gate.controls))
             deficit -= 2

@@ -17,6 +17,16 @@ from pathlib import Path
 from . import baker, chaos, cipher, images
 
 
+def _emit(text: str, out: str | None, summary: str) -> int:
+    """Write ``text`` to the file ``out`` and say so, or to stdout."""
+    if out:
+        Path(out).write_text(text)
+        print(f"{summary} -> {out}")
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
 def _cmd_encrypt(args) -> int:
     image_set = images.read_manifest(args.manifest, L=args.bit_depth)
     key = cipher.read_key(args.key)
@@ -44,13 +54,7 @@ def _cmd_synth(args) -> int:
 
     p = baker.BakerPartition.parse(args.n, args.partition)
     circ = circuit.synthesize(p)
-    text = circ.to_text()
-    if args.out:
-        Path(args.out).write_text(text)
-        print(f"{len(circ.gates)} gates -> {args.out}")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _emit(circ.to_text(), args.out, f"{len(circ.gates)} gates")
 
 
 def _cmd_verify(args) -> int:
@@ -106,13 +110,7 @@ def _cmd_chaos_trace(args) -> int:
     for step in range(1, args.steps + 1):
         state = chaos.scm_step(state, params)
         rows.append(f"{step}," + ",".join(repr(v) for v in state))
-    text = "\n".join(rows) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-        print(f"{args.steps} steps -> {args.out}")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _emit("\n".join(rows) + "\n", args.out, f"{args.steps} steps")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -75,9 +75,6 @@ class BlockLayout:
     def padded_total(self) -> int:
         return self.images_per_block * self.block_count
 
-    def blank_count(self, M: int) -> int:
-        return self.padded_total - M
-
 
 @dataclass(frozen=True)
 class BitTensor:
@@ -99,12 +96,6 @@ class BitTensor:
     @property
     def block_count(self) -> int:
         return int(self.bits.shape[0])
-
-    def address_bits(self) -> int:
-        """Index width: 2n + ceil(log2 L) + ceil(log2 of padded image count)."""
-        total = self.bits.size
-        assert total == 1 << (total.bit_length() - 1), "sizes are powers of two"
-        return total.bit_length() - 1
 
 
 def plan_layout(M: int, L: int) -> BlockLayout:

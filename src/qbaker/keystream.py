@@ -70,6 +70,17 @@ def seed_from_header(x0: float, alpha: int, beta: int) -> Seed:
     return Seed(x0, z0, y0, t0, w0, alpha, beta)
 
 
+def _mirrored(seq) -> np.ndarray:
+    """seq[(len - i + 1) mod len] at every i."""
+    size = len(seq)
+    return np.asarray(seq)[(size - np.arange(size) + 1) % size]
+
+
+def _chebyshev(k, x) -> np.ndarray:
+    """T_k(x) = cos(k * arccos x), elementwise."""
+    return np.cos(np.asarray(k) * np.arccos(x))
+
+
 def key_table(seqs: ChaoticSequences, layout: BlockLayout, n: int) -> np.ndarray:
     """All key digits as an array indexed [b, m, i, j]."""
     side = 1 << n
@@ -79,24 +90,10 @@ def key_table(seqs: ChaoticSequences, layout: BlockLayout, n: int) -> np.ndarray
         raise ValueError("pixel sequences disagree with the grid size")
     if len(seqs.zs) != per_block or len(seqs.ts) != blocks:
         raise ValueError("image/block sequences disagree with the layout")
-    lplanes = layout.lplanes
-
-    idx = np.arange(side)
-    mirror_side = (side - idx + 1) % side
-    t_y = np.cos(np.asarray(seqs.ns) * np.arccos(np.asarray(seqs.ys)[mirror_side]))
-    t_x = np.cos(np.asarray(seqs.ks) * np.arccos(np.asarray(seqs.xs)[mirror_side]))
-
-    bi = np.arange(blocks)
-    mi = np.arange(per_block)
-    t_t = np.cos(
-        np.asarray(seqs.rs)[mi[None, :]]
-        * np.arccos(np.asarray(seqs.ts)[(blocks - bi + 1) % blocks][:, None])
-    )  # (b, m)
-    t_z = np.cos(
-        np.asarray(seqs.ss)[bi[:, None]]
-        * np.arccos(np.asarray(seqs.zs)[(per_block - mi + 1) % per_block][None, :])
-    )  # (b, m)
-
+    t_y = _chebyshev(seqs.ns, _mirrored(seqs.ys))
+    t_x = _chebyshev(seqs.ks, _mirrored(seqs.xs))
+    t_t = _chebyshev(np.asarray(seqs.rs)[None, :], _mirrored(seqs.ts)[:, None])  # (b, m)
+    t_z = _chebyshev(np.asarray(seqs.ss)[:, None], _mirrored(seqs.zs)[None, :])  # (b, m)
     prod = (
         t_t[:, :, None, None]
         * t_z[:, :, None, None]
@@ -104,4 +101,4 @@ def key_table(seqs: ChaoticSequences, layout: BlockLayout, n: int) -> np.ndarray
         * t_x[None, None, None, :]
     )
     scaled = np.floor(np.abs(prod) * KEY_SCALE)
-    return (scaled.astype(np.int64) % (1 << lplanes)).astype(np.uint8)
+    return (scaled.astype(np.int64) % (1 << layout.lplanes)).astype(np.uint8)

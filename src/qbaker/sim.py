@@ -28,6 +28,8 @@ from .circuit import Circuit
 # Emptied whenever it reaches _PIECES_MAX entries.
 _PIECES: dict[tuple, np.ndarray] = {}
 _PIECES_MAX = 1024
+# Partitions whose baker rows equivalence_sweep builds in one call.
+_CHUNK = 64
 
 
 def _bitpos(wire, n: int) -> int:
@@ -111,7 +113,7 @@ def _composed(p: BakerPartition) -> np.ndarray:
     return perm
 
 
-def equivalence_sweep(n: int, partitions, chunk: int = 64):
+def equivalence_sweep(n: int, partitions):
     """Check synthesized-circuit vs baker-map equality for many partitions.
 
     Yields (partition, (point, circuit_image, baker_image)) for every
@@ -123,12 +125,12 @@ def equivalence_sweep(n: int, partitions, chunk: int = 64):
     Piece tables are memoized across calls, keyed by ``circuit.piece_keys``;
     no gate tuples are kept.  All n <= 5 together have 930 distinct pieces,
     1.8 MB as uint16 tables; the memo is emptied when it reaches 1024 pieces.
-    Baker rows are built ``chunk`` partitions at a time.
+    Baker rows are built ``_CHUNK`` partitions at a time.
     """
     batch: list[BakerPartition] = []
     for p in partitions:
         batch.append(p)
-        if len(batch) == chunk:
+        if len(batch) == _CHUNK:
             yield from _sweep_batch(n, batch)
             batch = []
     yield from _sweep_batch(n, batch)

@@ -46,6 +46,31 @@ def apply_ms(s: int, n: int, pt: Point) -> Point:
     return ((low * x) % size + y % low, y // low + x - x % (1 << s))
 
 
+def admissible_partitions(n: int) -> list[tuple[int, ...]]:
+    """Every admissible exponent list for a 2^n square, lexicographic in q,
+    by a depth-first walk that appends each allowed next exponent."""
+    total = 1 << n
+    out: list[tuple[int, ...]] = []
+
+    def extend(prefix_sum: int, acc: list[int]):
+        remaining = total - prefix_sum
+        for e in range(n + 1):
+            width = 1 << e
+            if width > remaining:
+                break
+            if acc and prefix_sum % width != 0:
+                continue
+            acc.append(e)
+            if width == remaining:
+                out.append(tuple(acc))
+            else:
+                extend(prefix_sum + width, acc)
+            acc.pop()
+
+    extend(0, [])
+    return out
+
+
 def iterate(p: BakerPartition, r: int, pt: Point) -> Point:
     """r-fold forward application (r >= 0)."""
     if r < 0:

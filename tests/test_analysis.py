@@ -79,21 +79,21 @@ class TestTable1:
     def test_case_ii_flags(self):
         t = table1()
         j = t.cases.index("ii")
-        assert t.simplified_p1[j].flagged
-        assert t.simplified_p1[j].value == 127
-        assert t.simplified_p1[j].reference == 121
-        assert t.nonsimplified_p1[j].flagged
-        assert t.ratio[j].flagged
+        assert t.cells["simplified_p1"][j].flagged
+        assert t.cells["simplified_p1"][j].value == 127
+        assert t.cells["simplified_p1"][j].reference == 121
+        assert t.cells["nonsimplified_p1"][j].flagged
+        assert t.cells["ratio"][j].flagged
         # widths and the P2 column stay exact even in case ii
-        assert not t.widths_p1[j].flagged
-        assert not t.nonsimplified_p2[j].flagged
+        assert not t.cells["widths_p1"][j].flagged
+        assert not t.cells["nonsimplified_p2"][j].flagged
 
     def test_ratio_row_truncation(self):
         t = table1()
         for j, case in enumerate(t.cases):
             if case == "ii":
                 continue
-            assert t.ratio[j].value == t.ratio[j].reference
+            assert t.cells["ratio"][j].value == t.cells["ratio"][j].reference
 
     def test_simplified_depth_equals_synthesized_length(self):
         # cross-module consistency: the model totals equal real circuit sizes
@@ -108,8 +108,22 @@ class TestTable1:
         assert "flagged cells" in text
         assert "published" in text
 
+    def test_flag_report_keeps_every_digit(self):
+        report = table1().render().split("flagged cells")[1]
+        assert "non-simplified gates P1 @ M=64: computed 3 653 632, published 3 260 416" in report
+        assert "ratio P2/P1 @ M=64: computed 1.5, published 1.7" in report
+
     def test_csv_shape(self):
         csv = table1().to_csv()
         lines = csv.strip().splitlines()
         assert len(lines) == 8
         assert lines[0].startswith("row,M=30")
+
+    def test_csv_cells_parse_back_exactly(self):
+        t = table1()
+        lines = t.to_csv().strip().splitlines()[1:]
+        for line, (name, row) in zip(lines, t.rows(), strict=True):
+            label, *texts = line.split(",")
+            assert label == name
+            assert [float(x) for x in texts] == [cell.value for cell in row]
+        assert "3223552" in lines[4]

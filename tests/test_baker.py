@@ -60,13 +60,18 @@ class TestPartition:
         with pytest.raises(ValueError):
             BakerPartition(2, (3,))
 
+    def test_n_bounded_by_table_limit(self):
+        assert baker.MAX_N == 15
+        BakerPartition(15, (15,))
+        with pytest.raises(ValueError, match="n must lie in"):
+            BakerPartition(16, (16,))
+        with pytest.raises(ValueError):
+            baker.partition_tables(16, [(16,)])
+
     def test_parse_and_str(self):
         p = BakerPartition.parse(3, "2,1,1")
         assert p.q == (2, 1, 1)
         assert str(p) == "2,1,1"
-
-    def test_prefix_sums(self):
-        assert BakerPartition(3, (2, 1, 1)).prefix_sums() == [0, 4, 6, 8]
 
 
 class TestAdmissible:
@@ -108,11 +113,11 @@ class TestAdmissible:
 class TestRanking:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_unrank_matches_enumeration_everywhere(self, n):
-        listed = baker.enumerate_admissible(n)
-        assert baker.count_admissible(n) == len(listed)
-        assert [baker.unrank_admissible(n, i).q for i in range(len(listed))] == [
-            p.q for p in listed
-        ]
+        # enumerate_admissible unranks every index, so this checks _ranking
+        # against an independent depth-first lister
+        want = oracles.admissible_partitions(n)
+        assert baker.count_admissible(n) == len(want)
+        assert [p.q for p in baker.enumerate_admissible(n)] == want
 
     def test_counts_beyond_enumeration(self):
         assert baker.count_admissible(5) == 458_330

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qbaker import chaos
 from qbaker.chaos import ScmParams, chebyshev, generate_sequences, rank, scm_step
 
 import oracles
@@ -190,10 +191,9 @@ class TestGenerateSequences:
         with pytest.raises(ValueError):
             generate_sequences(APPENDIX_INIT, ScmParams(APPENDIX_LAMBDAS), (0, 1, 1, 1))
 
-    def test_degenerate_parameters_diagnosed(self):
+    def test_degenerate_parameters_diagnosed(self, monkeypatch):
         # an exact fixed point at zero never yields distinct values
+        monkeypatch.setattr(chaos, "MAX_STEPS", 2000)
         params = ScmParams((1.0, 1.0, 1.0, 1.0, 1.0))
-        with pytest.raises(RuntimeError):
-            generate_sequences(
-                (0.0, 0.0, 0.0, 0.0, 0.0), params, (4, 4, 2, 2), max_steps=2000
-            )
+        with pytest.raises(RuntimeError, match="2000 steps"):
+            generate_sequences((0.0, 0.0, 0.0, 0.0, 0.0), params, (4, 4, 2, 2))

@@ -1,12 +1,16 @@
 import hashlib
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbaker import baker
 from qbaker.cipher import (
     MAX_SCHEDULE_N,
+    MODES,
     Ciphertext,
     KeySchedule,
     MasterKey,
@@ -46,6 +50,14 @@ class TestMasterKey:
         path = tmp_path / "key.txt"
         write_key(path, KEY)
         assert read_key(path) == KEY
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_lambda_refused_when_read(self, tmp_path, bad):
+        path = tmp_path / "key.txt"
+        write_key(path, KEY)
+        path.write_text(path.read_text().replace("lambda1 = 49.0", f"lambda1 = {bad}"))
+        with pytest.raises(ValueError, match="lambda"):
+            read_key(path)
 
 
 class TestSchedule:
@@ -444,6 +456,7 @@ class TestCiphertextFile:
         (b"n = ", b"n = -3"),
         (b"blocks = ", b"blocks = 2"),
         (b"L = ", b"L = 1"),
+        (b"mode = ", b"mode = sloppy"),
     ])
     def test_unparsable_or_inconsistent_field(self, written, capsys, line, bad):
         path, key = written
@@ -463,3 +476,126 @@ class TestCiphertextFile:
         path, key = written
         self._replace_line(path, line, bad)
         self._rejected(path, key, capsys)
+
+    @pytest.mark.parametrize("n", ["0", "7", "100000", "400000000", "10000000000"])
+    def test_header_n_refused_at_once(self, written, capsys, n):
+        path, key = written
+        self._replace_line(path, b"n = ", b"n = " + n.encode())
+        start = time.process_time()
+        with pytest.raises(ValueError, match=f"n={n} outside"):
+            read_ciphertext(path)
+        assert time.process_time() - start < 1.0
+        self._rejected(path, key, capsys)
+
+
+# -- fuzzed key and ciphertext files -------------------------------------------
+
+KEY_FIELDS = [f"lambda{i}" for i in range(1, 6)] + ["schedule_seed", "mode"]
+_FIELD_VALUES = st.one_of(
+    st.text(max_size=12),
+    st.integers(-(10**25), 10**25).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "1_0", "0x10", "simplified", ""]),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "f"
+
+
+def _key_text(fields: dict[str, str]) -> str:
+    return "".join(f"{name} = {value}\n" for name, value in fields.items())
+
+
+def _check_key(fuzz_file):
+    """read_key gives a key that writes and reads back unchanged, or ValueError."""
+    try:
+        key = read_key(fuzz_file)
+    except ValueError:
+        return
+    assert all(1 <= lam < float("inf") for lam in key.lambdas) and key.mode in MODES
+    write_key(fuzz_file, key)
+    assert read_key(fuzz_file) == key
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.binary(max_size=160))
+def test_read_key_any_bytes(fuzz_file, data):
+    fuzz_file.write_bytes(data)
+    _check_key(fuzz_file)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(KEY_FIELDS), st.one_of(st.none(), _FIELD_VALUES))
+def test_read_key_one_field_replaced(fuzz_file, field, value):
+    values = (*KEY.lambdas, KEY.schedule_seed, KEY.mode)
+    fields = {name: str(v) for name, v in zip(KEY_FIELDS, values)}
+    if value is None:
+        del fields[field]
+    else:
+        fields[field] = value
+    fuzz_file.write_text(_key_text(fields))
+    _check_key(fuzz_file)
+
+
+@pytest.fixture(scope="module")
+def small_ciphertext(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ct") / "ct.bin"
+    write_ciphertext(path, encrypt(_arithmetic_images(3, 1), KEY))
+    return path.read_bytes()
+
+
+def _check_ciphertext(fuzz_file):
+    """read_ciphertext gives a ciphertext whose header agrees with its cube
+    and that writes and reads back unchanged, or ValueError."""
+    try:
+        ct = read_ciphertext(fuzz_file)
+    except ValueError:
+        return
+    assert 1 <= ct.n <= MAX_SCHEDULE_N and ct.mode in MODES
+    layout = plan_layout(ct.M, ct.L)
+    assert ct.tensor.n == ct.n and ct.tensor.block_count == layout.block_count
+    assert ct.tensor.lplanes == layout.lplanes
+    write_ciphertext(fuzz_file, ct)
+    again = read_ciphertext(fuzz_file)
+    assert (again.n, again.L, again.M, again.x0, again.alpha, again.beta, again.mode) == (
+        ct.n, ct.L, ct.M, ct.x0, ct.alpha, ct.beta, ct.mode)
+    assert np.array_equal(again.tensor.bits, ct.tensor.bits)
+
+
+_CT_TOKENS = st.sampled_from(
+    [b"n", b"L", b"M", b"blocks", b"x0", b"alpha", b"beta", b"mode", b" = ", b"=",
+     b"1", b"3", b"8", b"0.5", b"-1", b"nan", b"simplified", b"#", b"\n", b" ", b"\xff"]
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=160),
+    st.tuples(st.lists(_CT_TOKENS, max_size=24), st.binary(max_size=40)).map(
+        lambda t: b"QBMI1\n" + b"".join(t[0]) + b"\n---\n" + t[1]
+    ),
+))
+def test_read_ciphertext_any_bytes(fuzz_file, data):
+    fuzz_file.write_bytes(data)
+    _check_ciphertext(fuzz_file)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(["n", "L", "M", "blocks", "x0", "alpha", "beta"]),
+    st.one_of(
+        st.integers(),
+        st.integers(-(10**40), 10**40),
+        st.sampled_from([0, 1, 7, 400_000_000, 10**10, 10**4000]),
+    ),
+)
+def test_read_ciphertext_one_field_replaced(fuzz_file, small_ciphertext, field, value):
+    head, sep, payload = small_ciphertext.partition(b"---\n")
+    lines = [f"{field} = {value}".encode() if ln.startswith(field.encode() + b" =") else ln
+             for ln in head.split(b"\n")]
+    fuzz_file.write_bytes(b"\n".join(lines) + sep + payload)
+    start = time.process_time()
+    _check_ciphertext(fuzz_file)
+    assert time.process_time() - start < 1.0

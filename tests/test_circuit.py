@@ -43,13 +43,13 @@ def controls_for(r, p):
     """
     if r < 2:
         raise ValueError("subfunction 1 carries no controls")
-    if r > p.k:
-        raise ValueError(f"r={r} exceeds k={p.k}")
+    if r > len(p.q):
+        raise ValueError(f"r={r} exceeds k={len(p.q)}")
     q1 = p.q[0]
     qr = p.q[r - 1]
     ones = reduce_to_distinct(p.q[: r - 1])
     conds = [ControlCondition(_home_wire(j, q1, p.n), 1) for j in ones]
-    if r < p.k:
+    if r < len(p.q):
         one_set = set(ones)
         for j in range(p.n - 1, qr - 1, -1):
             if j not in one_set:
@@ -140,7 +140,7 @@ class TestReduceToDistinct:
 
     def test_admissible_prefixes_bound_next_exponent(self):
         for p in baker.enumerate_admissible(4):
-            for r in range(2, p.k + 1):
+            for r in range(2, len(p.q) + 1):
                 exps = reduce_to_distinct(p.q[: r - 1])
                 assert p.q[r - 1] <= min(exps)
 
@@ -306,8 +306,3 @@ class TestGateValidation:
         )
         with pytest.raises(ValueError):
             g.validate()
-
-    def test_kind(self):
-        assert Gate((Wire("x", 0), Wire("y", 0))).kind == "Swap"
-        g = Gate((Wire("x", 0), Wire("y", 0)), (ControlCondition(Wire("y", 1), 1),))
-        assert g.kind == "ControlledSwap"

@@ -148,6 +148,15 @@ class TestSynthVerify:
         assert main(["count", "--n", "3", "--partition", "2,1,1"]) == 0
         assert "= 11 gates" in capsys.readouterr().out
 
+    def test_count_n_bounded(self, capsys):
+        # the partition is refused before any 2^n is formed
+        for n in ("16", "100000"):
+            assert main(["count", "--n", n, "--partition", n]) == 1
+            assert f"error: n must lie in [1, 15], got {n}" in capsys.readouterr().err
+        assert main(["count", "--n", "13", "--partition", "13"]) == 0
+        assert "= 0 gates" in capsys.readouterr().out
+        assert main(["count", "--n", "15", "--partition", "14,14"]) == 0
+
     def test_inadmissible_partition_fails(self, capsys):
         assert main(["count", "--n", "2", "--partition", "0,1,0"]) == 1
 

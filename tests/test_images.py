@@ -14,16 +14,16 @@ class TestPlanLayout:
         layout = plan_layout(200, 8)
         assert layout.block_count == 32
         assert layout.images_per_block == 8
-        assert layout.blank_count(200) == 56
+        assert layout.padded_total - 200 == 56
 
     def test_exact_fit(self):
         layout = plan_layout(8, 8)
-        assert (layout.block_count, layout.blank_count(8)) == (1, 0)
+        assert (layout.block_count, layout.padded_total - 8) == (1, 0)
 
     def test_paper_case_30(self):
         layout = plan_layout(30, 8)
         assert layout.block_count == 4
-        assert layout.blank_count(30) == 2
+        assert layout.padded_total - 30 == 2
 
     def test_single_image(self):
         layout = plan_layout(1, 8)
@@ -73,7 +73,7 @@ class TestPack:
     def test_address_bits_match_width_claim(self):
         # 2n + ceil(log2 L) + ceil(log2 M)
         tensor = pack(ImageSet(2, 8, np.zeros((30, 4, 4), dtype=int)))
-        assert tensor.address_bits() == 2 * 2 + 3 + 5
+        assert tensor.bits.size == 1 << (2 * 2 + 3 + 5)
 
     def test_intensity_range_checked(self):
         with pytest.raises(ValueError):

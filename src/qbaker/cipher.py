@@ -337,12 +337,6 @@ def _parse_fields(lines: list[str]) -> dict[str, str]:
     return fields
 
 
-def write_key(path: str | Path, key: MasterKey):
-    fields = {f"lambda{i + 1}": lam for i, lam in enumerate(key.lambdas)}
-    fields.update(schedule_seed=key.schedule_seed, mode=key.mode)
-    Path(path).write_text(_format_fields(fields))
-
-
 def read_key(path: str | Path) -> MasterKey:
     fields = _parse_fields(Path(path).read_text().splitlines())
     try:

@@ -23,8 +23,9 @@ window tags (high y wires) rather than on every pattern bit; a documented
 consequence is that consecutive same-width strips are handled by shared
 gates.  The stream is cut into pieces, the M_{q_1} pass and one per
 top-level run (``piece_keys``).  ``build_piece`` lowers each piece and pads
-it with net-identity swaps up to its share of the closed-form model
-(``piece_budget``); the stream is sliced per subfunction by ``gate_count``.
+it with copies of its last, self-inverse gate up to its share of the
+closed-form model (``piece_budget``); the stream is sliced per subfunction by
+``gate_count``.
 """
 
 from __future__ import annotations
@@ -186,7 +187,7 @@ def piece_budget(key: tuple) -> int:
 # Control bookkeeping
 
 
-def _window_tag(n: int, start: int, lo: int, hi: int,
+def _window_tag(start: int, lo: int, hi: int,
                 base: tuple[ControlCondition, ...]) -> tuple[ControlCondition, ...]:
     """Pin y[lo..hi] to the bits of ``start`` on top of inherited conditions."""
     extra = tuple(
@@ -286,9 +287,9 @@ def _run_gates(n: int, s: int, head: int, run: tuple[int, ...], start: int,
     map one size down, tagged with the window's y pattern.
     """
     if run[0] > head:
-        tag = _window_tag(n, start, run[0], s - 1, controls)
+        tag = _window_tag(start, run[0], s - 1, controls)
         return _cycle_gates(_delta_move(n, s, head, run[0]), tag)
-    return _stream(n, head, run, start, _window_tag(n, start, head, s - 1, controls))
+    return _stream(n, head, run, start, _window_tag(start, head, s - 1, controls))
 
 
 def _stream(n: int, s: int, qs: tuple[int, ...], start: int,
@@ -302,57 +303,32 @@ def _stream(n: int, s: int, qs: tuple[int, ...], start: int,
     return out
 
 
-def _free_wires(n: int, gate: Gate, needed: int) -> list[Wire]:
-    """Deterministically pick wires not touched by the gate's targets/controls."""
+def _free_wire(n: int, gate: Gate) -> Wire:
+    """The first wire, x before y, that the gate neither swaps nor reads."""
     used = set(gate.targets) | {c.wire for c in gate.controls}
-    picked: list[Wire] = []
     for reg in ("x", "y"):
         for idx in range(n):
-            w = Wire(reg, idx)
-            if w not in used:
-                picked.append(w)
-                if len(picked) == needed:
-                    return picked
-    raise AssertionError("not enough free wires for padding")
-
-
-def _sandwich(gate: Gate, scratch: Wire,
-              controls: tuple[ControlCondition, ...]) -> list[Gate]:
-    """Three swaps with the same net effect as ``gate`` (scratch restored)."""
-    a, b = gate.targets
-    return [
-        Gate((a, scratch), controls),
-        Gate((scratch, b), controls),
-        Gate((a, scratch), controls),
-    ]
+            if Wire(reg, idx) not in used:
+                return Wire(reg, idx)
+    raise AssertionError("no free wire for padding")
 
 
 def _pad(stream: list[Gate], deficit: int, n: int) -> list[Gate]:
     """Grow ``stream`` by ``deficit`` gates without changing its action.
 
-    The last gate is rewritten as an equivalent longer sequence: a swap
-    triple through a scratch wire (+2), a pair split on a free wire's value
-    (+1), or a split whose second branch is a triple (+3).
+    Every gate is a controlled swap, an involution, so repeating the last
+    gate an even number of times adds the identity.  An odd deficit first
+    splits the last gate in two on the value of a wire it neither swaps nor
+    reads: the copies gated on 0 and on 1 act as the gate did.
     """
-    while deficit > 0:
+    if deficit % 2:
         gate = stream.pop()
-        if deficit % 2 == 0:
-            scratch = _free_wires(n, gate, 1)[0]
-            stream.extend(_sandwich(gate, scratch, gate.controls))
-            deficit -= 2
-        elif deficit == 1:
-            branch = _free_wires(n, gate, 1)[0]
-            for val in (0, 1):
-                cond = gate.controls + (ControlCondition(branch, val),)
-                stream.append(Gate(gate.targets, cond))
-            deficit -= 1
-        else:  # odd deficit >= 3: split, one branch direct, one a triple
-            branch, scratch = _free_wires(n, gate, 2)
-            lo = gate.controls + (ControlCondition(branch, 0),)
-            hi = gate.controls + (ControlCondition(branch, 1),)
-            stream.append(Gate(gate.targets, lo))
-            stream.extend(_sandwich(gate, scratch, hi))
-            deficit -= 3
+        branch = _free_wire(n, gate)
+        stream += [Gate(gate.targets, gate.controls + (ControlCondition(branch, v),))
+                   for v in (0, 1)]
+        deficit -= 1
+    if deficit:
+        stream += [stream[-1]] * deficit  # an empty piece raises IndexError
     return stream
 
 

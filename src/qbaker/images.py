@@ -190,12 +190,6 @@ def _pgm_pixels(path, data: bytes) -> tuple[int, memoryview]:
     return width, memoryview(data)[header.end():]
 
 
-def read_pgm(path: str | os.PathLike) -> np.ndarray:
-    """One image as a (side, side) uint8 array, after the module docstring's checks."""
-    side, pixels = _pgm_pixels(path, _read_bytes(path))
-    return np.frombuffer(bytearray(pixels), dtype=np.uint8).reshape(side, side)
-
-
 def write_pgm(path: str | os.PathLike, image: np.ndarray):
     """Write an 8-bit P5 file, replacing and truncating any file at path."""
     arr = np.asarray(image)

@@ -8,15 +8,19 @@ s = (x << n) | y; x wire i is bit n+i, y wire i is bit i.
 all 4^n packed states at once.  ``equivalence_sweep`` does not simulate
 whole circuits.  Every synthesized circuit is a concatenation of pieces
 (``circuit.piece_keys``), so the sweep simulates each distinct piece once,
-memoizes its permutation table by key (the memo holds tables, never gates),
-and composes a partition's circuit from one gather per piece.  Each piece's
-gate count is checked against ``circuit.piece_budget`` once, when the piece
-is built; the budgets of a partition's pieces sum to its closed-form count.
-Circuit tables are compared pointwise against the baker map rows of
-``baker.partition_tables``.
+memoizes its permutation table by key in a least-recently-used cache of
+1024 tables (never gates; 930 tables, 1.8 MB, cover n <= 5, and 1024 n = 8
+tables take 128 MB), and composes a partition's circuit from one gather per
+piece.  Each piece's gate count is checked against ``circuit.piece_budget``
+once, when the piece is built; the budgets of a partition's pieces sum to
+its closed-form count.  Circuit tables are compared pointwise against the
+baker map rows of ``baker.partition_tables``.
 """
 
 from __future__ import annotations
+
+import functools
+import itertools
 
 import numpy as np
 
@@ -24,10 +28,6 @@ from . import baker, circuit
 from .baker import BakerPartition
 from .circuit import Circuit
 
-# Piece key -> permutation of the packed states; see equivalence_sweep.
-# Emptied whenever it reaches _PIECES_MAX entries.
-_PIECES: dict[tuple, np.ndarray] = {}
-_PIECES_MAX = 1024
 # Partitions whose baker rows equivalence_sweep builds in one call.
 _CHUNK = 64
 
@@ -86,21 +86,18 @@ def equivalence(c: Circuit, p: BakerPartition):
     return witness is None, witness
 
 
+@functools.lru_cache(maxsize=1024)
 def _piece_permutation(key: tuple) -> np.ndarray:
-    """Memoized table of one stream piece; its gate count is checked
-    against ``circuit.piece_budget`` when the piece is built."""
-    table = _PIECES.get(key)
-    if table is None:
-        n = key[0]
-        gates = circuit.build_piece(key)
-        budget = circuit.piece_budget(key)
-        if len(gates) != budget:
-            raise AssertionError(f"gate count {len(gates)} != model {budget} for piece {key}")
-        # A one-block circuit; the simulation never reads its partition.
-        table = to_permutation(Circuit(n, BakerPartition(n, (n,)), (gates,)))
-        if len(_PIECES) >= _PIECES_MAX:
-            _PIECES.clear()
-        _PIECES[key] = table
+    """Memoized, read-only table of one stream piece; its gate count is
+    checked against ``circuit.piece_budget`` when the piece is built."""
+    n = key[0]
+    gates = circuit.build_piece(key)
+    budget = circuit.piece_budget(key)
+    if len(gates) != budget:
+        raise AssertionError(f"gate count {len(gates)} != model {budget} for piece {key}")
+    # A one-block circuit; the simulation never reads its partition.
+    table = to_permutation(Circuit(n, BakerPartition(n, (n,)), (gates,)))
+    table.flags.writeable = False  # every caller shares this array
     return table
 
 
@@ -122,23 +119,15 @@ def equivalence_sweep(n: int, partitions):
     checked at all 4^n states, and the gate count of every piece of its
     circuit is asserted against the piece's share of the closed-form model.
 
-    Piece tables are memoized across calls, keyed by ``circuit.piece_keys``;
-    no gate tuples are kept.  All n <= 5 together have 930 distinct pieces,
-    1.8 MB as uint16 tables; the memo is emptied when it reaches 1024 pieces.
-    Baker rows are built ``_CHUNK`` partitions at a time.
+    Piece tables are memoized across calls by ``circuit.piece_keys`` key in
+    a least-recently-used cache of 1024 tables.  All n <= 5 need 930 pieces,
+    1.8 MB as uint16 tables; at n = 8 a table is 128 KB, so a full memo holds
+    128 MB.  Baker rows are built ``_CHUNK`` partitions at a time.
     """
-    batch: list[BakerPartition] = []
-    for p in partitions:
-        batch.append(p)
-        if len(batch) == _CHUNK:
-            yield from _sweep_batch(n, batch)
-            batch = []
-    yield from _sweep_batch(n, batch)
-
-
-def _sweep_batch(n: int, batch: list[BakerPartition]):
-    refs = baker.partition_tables(n, [p.q for p in batch]).astype(_state_dtype(n))
-    for p, ref in zip(batch, refs):
-        witness = _witness(_composed(p), ref, n)
-        if witness is not None:
-            yield p, witness
+    partitions = iter(partitions)
+    while batch := list(itertools.islice(partitions, _CHUNK)):
+        refs = baker.partition_tables(n, [p.q for p in batch]).astype(_state_dtype(n))
+        for p, ref in zip(batch, refs):
+            witness = _witness(_composed(p), ref, n)
+            if witness is not None:
+                yield p, witness

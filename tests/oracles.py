@@ -2,13 +2,21 @@
 
 Each evaluates one point, one gate or one header field at a time, in plain
 Python, so it is slow and easy to check by eye.  The program itself works on
-whole tables and compiled patterns.
+whole tables and compiled patterns.  The file helpers at the end, which
+only tests call, read one PGM and write a key file.
 """
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
+import numpy as np
+
+from qbaker import cipher, images
 from qbaker.baker import BakerPartition
 from qbaker.chaos import ScmParams, ScmState, scm_step
+from qbaker.cipher import MasterKey
 from qbaker.circuit import Circuit, Gate
 
 Point = tuple[int, int]
@@ -154,3 +162,19 @@ def pgm_accepts(width: int, height: int, maxval: int, payload: int) -> bool:
     """The reader's checks on parsed header fields and the pixel byte count."""
     side_ok = width == height and width >= 1 and not width & (width - 1)
     return maxval == 255 and side_ok and payload == width * height
+
+
+# -- test-only file helpers -------------------------------------------------------
+
+
+def read_pgm(path: str | os.PathLike) -> np.ndarray:
+    """One image as a (side, side) uint8 array, after ``read_manifest``'s checks."""
+    side, pixels = images._pgm_pixels(path, images._read_bytes(path))
+    return np.frombuffer(bytearray(pixels), dtype=np.uint8).reshape(side, side)
+
+
+def write_key(path: str | Path, key: MasterKey):
+    """The key file that ``cipher.read_key`` parses back to ``key``."""
+    fields = {f"lambda{i + 1}": lam for i, lam in enumerate(key.lambdas)}
+    fields.update(schedule_seed=key.schedule_seed, mode=key.mode)
+    Path(path).write_text(cipher._format_fields(fields))

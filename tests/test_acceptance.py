@@ -93,7 +93,7 @@ def test_criterion_4_circuit_formula_equivalence():
     elapsed = time.time() - start
     _report(4, f"{checked} admissible partitions (n<=5) simulate to the strip map "
                f"at model gate counts in {elapsed:.0f}s ({checked / elapsed:.0f} "
-               f"partitions/s, {len(sim._PIECES)} memoized pieces)")
+               f"partitions/s, {sim._piece_permutation.cache_info().currsize} memoized pieces)")
 
 
 def _roundtrip(images: np.ndarray, n: int, M: int) -> float:

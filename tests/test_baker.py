@@ -259,7 +259,7 @@ class TestInverseAndIterate:
             oracles.iterate(BakerPartition(2, (1, 1)), -1, (0, 0))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.integers(0, 25), st.integers(0, 63))
 def test_apply_is_injective_on_sampled_pairs(pidx, point):
     parts = baker.enumerate_admissible(3)

@@ -116,7 +116,7 @@ class TestRank:
         with pytest.raises(ValueError):
             rank((0.1, 0.1, 0.2))
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(st.lists(st.floats(-1, 1, allow_nan=False), min_size=1, max_size=40, unique=True))
     def test_matches_counting_definition(self, values):
         got = rank(values)

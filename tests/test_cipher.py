@@ -23,12 +23,12 @@ from qbaker.cipher import (
     read_key,
     scramble,
     write_ciphertext,
-    write_key,
 )
 from qbaker.cli import main
 from qbaker.images import ImageSet, pack, plan_layout
 
 import oracles
+from oracles import write_key
 
 KEY = MasterKey((49.0, 23.0, 58.0, 120.0, 237.0), 0x1234ABCD)
 
@@ -519,14 +519,14 @@ def _check_key(fuzz_file):
     assert read_key(fuzz_file) == key
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.binary(max_size=160))
 def test_read_key_any_bytes(fuzz_file, data):
     fuzz_file.write_bytes(data)
     _check_key(fuzz_file)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.sampled_from(KEY_FIELDS), st.one_of(st.none(), _FIELD_VALUES))
 def test_read_key_one_field_replaced(fuzz_file, field, value):
     values = (*KEY.lambdas, KEY.schedule_seed, KEY.mode)
@@ -570,7 +570,7 @@ _CT_TOKENS = st.sampled_from(
 )
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.one_of(
     st.binary(max_size=160),
     st.tuples(st.lists(_CT_TOKENS, max_size=24), st.binary(max_size=40)).map(
@@ -582,7 +582,7 @@ def test_read_ciphertext_any_bytes(fuzz_file, data):
     _check_ciphertext(fuzz_file)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(
     st.sampled_from(["n", "L", "M", "blocks", "x0", "alpha", "beta"]),
     st.one_of(

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbaker import baker, sim
+from qbaker import baker, circuit, sim
 from qbaker.baker import BakerPartition
 from qbaker.circuit import (
     ControlCondition,
@@ -126,6 +126,18 @@ class TestSynthF1:
             p = BakerPartition(n, (q,) * 2 ** (n - q))
             ok, witness = sim.equivalence(synthesize(p), p)
             assert ok, (q, witness)
+
+
+class TestPadding:
+    def test_piece_over_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(circuit, "piece_budget", lambda key: 4)
+        with pytest.raises(AssertionError, match="more gates than the count model"):
+            build_piece((3, 2))  # emits 5 gates
+
+    @pytest.mark.parametrize("deficit", [1, 2])
+    def test_empty_piece_cannot_be_padded(self, deficit):
+        with pytest.raises(IndexError):
+            circuit._pad([], deficit, 3)
 
 
 class TestReduceToDistinct:
@@ -282,7 +294,7 @@ _gate_line = st.one_of(_swap_line, _cswap_line, _cswap_line,
                        st.lists(st.sampled_from(_TOKENS), max_size=6))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_header, st.lists(_gate_line, max_size=4))
 def test_parser_accepts_valid_or_raises_value_error(header, lines):
     text = "\n".join([header, *(" ".join(toks) for toks in lines)])

@@ -5,11 +5,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qbaker
 from qbaker import images
-from qbaker.cipher import MasterKey, write_key
+from qbaker.cipher import MasterKey
 from qbaker.cli import main
+
+from oracles import write_key
 
 
 @pytest.fixture
@@ -206,6 +210,74 @@ class TestChaosTrace:
 
     def test_bad_init_rejected(self, capsys):
         assert main(["chaos-trace", "--init", "0.1,0.2"]) == 1
+
+
+# -- every input file, fuzzed: the CLI exits 0 or 1, never with a traceback ----
+
+# Each input file and the commands that read it.
+FUZZ_COMMANDS = {
+    "key.txt": ("encrypt", "decrypt"),
+    "ct.bin": ("decrypt",),
+    "circ.txt": ("verify",),
+    "manifest.txt": ("encrypt",),
+    "img1.pgm": ("encrypt",),
+}
+
+
+def _argv(root: Path, command: str) -> list[str]:
+    key = ["--key", str(root / "key.txt")]
+    return {
+        "encrypt": ["encrypt", "--manifest", str(root / "manifest.txt"), *key,
+                    "--out", str(root / "out.bin")],
+        "decrypt": ["decrypt", "--in", str(root / "ct.bin"), *key,
+                    "--out-dir", str(root / "out")],
+        "verify": ["verify", "--circuit", str(root / "circ.txt")],
+    }[command]
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """A workspace where every command succeeds, and its input files' bytes."""
+    root = tmp_path_factory.mktemp("cli_fuzz")
+    rng = np.random.default_rng(3)
+    for i in range(3):
+        images.write_pgm(root / f"img{i}.pgm",
+                         rng.integers(0, 256, size=(8, 8)).astype(np.uint8))
+    (root / "manifest.txt").write_text("img0.pgm\nimg1.pgm\nimg2.pgm\n")
+    write_key(root / "key.txt", MasterKey((49.0, 23.0, 58.0, 120.0, 237.0), 77))
+    assert main(["synth", "--n", "3", "--partition", "2,1,1",
+                 "--out", str(root / "circ.txt")]) == 0
+    assert main(["encrypt", "--manifest", str(root / "manifest.txt"),
+                 "--key", str(root / "key.txt"), "--out", str(root / "ct.bin")]) == 0
+    for command in ("encrypt", "decrypt", "verify"):
+        assert main(_argv(root, command)) == 0
+    return root, {name: (root / name).read_bytes() for name in FUZZ_COMMANDS}
+
+
+def _edited(data: bytes, edits: list[tuple[int, int]]) -> bytes:
+    """``data`` after each (position, value) edit: a byte value replaces the
+    byte at the position (or is appended past the end); 256 deletes it."""
+    buf = bytearray(data)
+    for pos, value in edits:
+        pos = min(pos, len(buf))
+        buf[pos : pos + 1] = b"" if value == 256 else bytes([value])
+    return bytes(buf)
+
+
+@settings(max_examples=100)
+@given(name=st.sampled_from(sorted(FUZZ_COMMANDS)), data=st.data())
+def test_any_input_file_exits_zero_or_one(valid_files, name, data):
+    root, originals = valid_files
+    edits = st.lists(st.tuples(st.integers(0, len(originals[name])), st.integers(0, 256)),
+                     min_size=1, max_size=4)
+    content = data.draw(st.one_of(st.binary(max_size=200),
+                                  edits.map(lambda e: _edited(originals[name], e))))
+    (root / name).write_bytes(content)
+    try:
+        for command in FUZZ_COMMANDS[name]:
+            assert main(_argv(root, command)) in (0, 1)
+    finally:
+        (root / name).write_bytes(originals[name])
 
 
 def test_cli_import_leaves_circuit_side_out():

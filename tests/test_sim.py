@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -115,9 +117,12 @@ def _flip_first_control(piece):
 
 
 @pytest.fixture
-def fresh_pieces(monkeypatch):
-    """An empty piece memo for this test, so patched builders take effect."""
-    monkeypatch.setattr(sim, "_PIECES", {})
+def fresh_pieces():
+    """An empty piece memo for this test, so patched builders take effect;
+    emptied again afterwards, so no table of a corrupted piece outlives it."""
+    sim._piece_permutation.cache_clear()
+    yield
+    sim._piece_permutation.cache_clear()
 
 
 def _patch_pieces(monkeypatch, change, head=False):
@@ -194,7 +199,8 @@ class TestSweep:
                             lambda key: built.setdefault(key, build(key)))
         for n in (1, 2, 3, 5):
             assert list(sim.equivalence_sweep(n, [p for p in parts if p.n == n])) == []
-        assert set(built) == set(sim._PIECES)
+        info = sim._piece_permutation.cache_info()
+        assert info.misses == info.currsize == len(built)
         for p in parts:
             stream = sum((built[key] for key in circuit.piece_keys(p)), ())
             assert stream == synthesize(p).gates
@@ -226,6 +232,26 @@ class TestWidePieces:
                 ok, witness = sim.equivalence(circ, p)
                 assert ok, (p, witness)
                 assert len(circ.gates) == circuit.gate_count(p)[1]
+
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_sweep_samples_every_head(n, fresh_pieces):
+    """Two partitions per head q1, drawn uniformly inside q1's rank interval.
+    Uniform draws over all ranks almost never reach a wide head: at n = 8,
+    q1 >= 5 is a 2.2e-6 share of the partitions.  The fixture empties the
+    memo afterwards, since an n = 8 table is 128 KB."""
+    rng = random.Random(n)
+    count, steps = baker._ranking(n)
+    starts, heads = steps[0]
+    assert heads == tuple(range(n + 1))
+    parts = []
+    for q1, lo, hi in zip(heads, starts, (*starts[1:], count)):
+        for _ in range(2):
+            p = baker.unrank_admissible(n, rng.randrange(lo, hi))
+            assert p.q[0] == q1
+            parts.append(p)
+    assert list(sim.equivalence_sweep(n, parts)) == []
 
 
 def _fired_transpositions(circ):

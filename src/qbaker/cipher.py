@@ -133,72 +133,59 @@ def derive_schedule(key: MasterKey, n: int, layout: BlockLayout) -> KeySchedule:
     return KeySchedule(lplanes, n, *arrays)
 
 
-def _rows_per_take(cells: int) -> int:
-    """Rows per gather, so that numpy's intp copy of the indices stays
-    near 2 MB instead of scaling with the number of positions."""
-    return max(1, (1 << 18) // cells)
+def iterated_tables(n: int, ranks: np.ndarray, iters: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(tables, row): one table over (x << n) | y per distinct (rank, iterations)
+    pair, and the row of each position's pair, in the shape of ``ranks``.
 
-
-def iterated_tables(n: int, ranks: np.ndarray, iters: np.ndarray) -> np.ndarray:
-    """Row j: table over (x << n) | y of partition ranks[j] applied iters[j] times.
-
-    Each distinct rank is unranked once.  Rows are sorted by iteration
-    count, so the rows still composing at step s form a prefix, and hold
-    indices into the flat buffer of all one-step tables, so ``np.take``
-    advances the live rows a bounded block at a time.
+    Each distinct rank is unranked once; a pair is keyed by its distinct-rank
+    index, never by the rank, so no key can overflow.  Pairs sort by count,
+    so the rows still composing at step s are a suffix, which ``np.take``
+    advances through the flat one-step tables a bounded block at a time.
+    Rows with count 0 never compose and stay the identity.
     """
-    order = np.argsort(-iters, kind="stable")
-    counts = iters[order]
-    distinct, which = np.unique(ranks[order], return_inverse=True)
-    step = baker.rank_tables(n, distinct.tolist())[which]
+    distinct, which = np.unique(ranks, return_inverse=True)
+    pairs, row = np.unique(iters.ravel() * len(distinct) + which.ravel(), return_inverse=True)
+    counts, first = np.divmod(pairs, len(distinct))
+    step = baker.rank_tables(n, distinct.tolist())[first]
     cells = step.shape[1]
     dtype = np.int32 if step.size < 1 << 31 else np.int64
     step = step.astype(dtype, copy=False)
     offsets = np.arange(0, step.size, cells, dtype=dtype).reshape(-1, 1)
     step += offsets
-    done = step.copy()
-    idle = counts == 0
-    done[idle] = offsets[idle] + np.arange(cells, dtype=dtype)
+    done = offsets + np.arange(cells, dtype=dtype)
     flat = step.reshape(-1)
-    chunk = _rows_per_take(cells)
-    for s in range(2, int(counts[0]) + 1):
-        live = np.searchsorted(-counts, -s, side="right")
-        for lo in range(0, live, chunk):
-            rows = done[lo : min(live, lo + chunk)]
+    chunk = max(1, (1 << 18) // cells)  # numpy's intp copy of a take's indices stays near 2 MB
+    for s in range(1, int(counts[-1]) + 1):
+        for lo in range(np.searchsorted(counts, s), len(done), chunk):
+            rows = done[lo : lo + chunk]
             np.take(flat, rows, out=rows)
     done -= offsets
-    out = np.empty_like(done)
-    out[order] = done
-    return out
+    return done, row.reshape(ranks.shape)
 
 
 class _StageTables:
     """One stage's iterated tables, handed out a block at a time.
 
-    When the stage's distinct (rank, iterations) keys need no more table
-    cells than ``budget`` (one block's map), their tables are built once for
-    all blocks; otherwise each block's tables are built from its own keys,
-    so memory scales with one block and not with the block count.
+    When the tables of every key the stage could draw (count_admissible(n)
+    ranks times ``MAX_ITERATIONS`` counts) fit in ``budget`` cells, one
+    block's map, the drawn keys' tables are built once for all blocks;
+    otherwise each block's are built from its own keys, so memory scales
+    with one block and not with the block count.
     """
 
     def __init__(self, n: int, ranks: np.ndarray, iters: np.ndarray, budget: int):
-        self.n = n
-        self.keys = ranks * (MAX_ITERATIONS + 1) + iters
-        self.distinct, row = np.unique(self.keys, return_inverse=True)
+        self.n, self.ranks, self.iters = n, ranks, iters
         self.whole = None
-        if len(self.distinct) << (2 * n) <= budget:
-            self.whole = self._tables(self.distinct), row.reshape(self.keys.shape)
+        if baker.count_admissible(n) * MAX_ITERATIONS << (2 * n) <= budget:
+            self.whole = iterated_tables(n, ranks, iters)
 
-    def _tables(self, keys: np.ndarray) -> np.ndarray:
-        return iterated_tables(self.n, keys // (MAX_ITERATIONS + 1), keys % (MAX_ITERATIONS + 1))
-
-    def block(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """Tables, and the row of each of block t's positions in them."""
+    def block(self, t: int) -> np.ndarray:
+        """The table at each of block t's positions, in position order."""
         if self.whole is not None:
             tables, row = self.whole
-            return tables, row[..., t]
-        distinct, row = np.unique(self.keys[..., t], return_inverse=True)
-        return self._tables(distinct), row.reshape(self.keys.shape[:2])
+            return tables[row[..., t]]
+        tables, row = iterated_tables(self.n, self.ranks[..., t], self.iters[..., t])
+        return tables[row]
 
 
 def _cell_map(stage1: _StageTables, stage2: _StageTables, t: int) -> np.ndarray:
@@ -210,14 +197,11 @@ def _cell_map(stage1: _StageTables, stage2: _StageTables, t: int) -> np.ndarray:
     """
     n, lplanes = stage2.n, stage1.n
     side, per_block = 1 << n, 1 << lplanes
-    t1, row1 = stage1.block(t)
-    t2, row2 = stage2.block(t)
     # (x, y, m, l) -> (m, x, y, l), holding (m' << lplanes) | l'
-    ml = t1[row1].reshape(side, side, per_block, per_block).transpose(2, 0, 1, 3)
-    at = row2.T.reshape(-1)[ml]  # stage-2 row at (l', m')
-    xy = np.arange(side * side).reshape(1, side, side, 1)
-    xy2 = t2.reshape(-1)[(at << (2 * n)) | xy]
+    ml = stage1.block(t).reshape(side, side, per_block, per_block).transpose(2, 0, 1, 3)
     m2, l2 = ml >> lplanes, ml & (per_block - 1)
+    xy = np.arange(side * side).reshape(1, side, side, 1)
+    xy2 = stage2.block(t).reshape(-1)[(((l2 << lplanes) | m2) << (2 * n)) | xy]
     return ((m2 << (2 * n + lplanes)) | (xy2 << lplanes) | l2).reshape(-1)
 
 
@@ -234,7 +218,7 @@ def scramble(tensor: BitTensor, sched: KeySchedule, inverse: bool = False) -> Bi
     budget = bits.shape[1]
     stage1 = _StageTables(sched.plane_n, sched.s1_part, sched.s1_iter, budget)
     stage2 = _StageTables(sched.pixel_n, sched.s2_part, sched.s2_iter, budget)
-    if len(stage1.distinct) == len(stage2.distinct) == 1:
+    if all(np.ptp(a) == 0 for a in (sched.s1_part, sched.s1_iter, sched.s2_part, sched.s2_iter)):
         index = _cell_map(stage1, stage2, 0)
         if not inverse:
             src = np.empty_like(index)

@@ -246,8 +246,8 @@ class TestInverseAndIterate:
         n = 2
         ranks = np.repeat(np.arange(baker.count_admissible(n)), 4)
         iters = np.tile([0, 1, 5, 16], baker.count_admissible(n))
-        tables = cipher.iterated_tables(n, ranks, iters)
-        for row, i, r in zip(tables, ranks, iters):
+        tables, at = cipher.iterated_tables(n, ranks, iters)
+        for row, i, r in zip(tables[at], ranks, iters):
             p = baker.unrank_admissible(n, int(i))
             for x in range(4):
                 for y in range(4):

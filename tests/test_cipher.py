@@ -14,6 +14,7 @@ from qbaker.cipher import (
     Ciphertext,
     KeySchedule,
     MasterKey,
+    _StageTables,
     decrypt,
     derive_schedule,
     diffuse,
@@ -127,13 +128,44 @@ class TestIteratedTables:
         rng = np.random.default_rng(3)
         ranks = rng.integers(0, baker.count_admissible(5), 40)
         iters = rng.integers(1, 17, 40)
-        tables = iterated_tables(5, ranks, iters)
-        for row, i, r in zip(tables, ranks, iters):
+        tables, at = iterated_tables(5, ranks, iters)
+        for row, i, r in zip(tables[at], ranks, iters):
             step = baker.rank_tables(5, [int(i)])[0]
             want = np.arange(1024)
             for _ in range(int(r)):
                 want = step[want]
             assert np.array_equal(row, want)
+
+    def test_one_table_per_distinct_pair(self):
+        # a 2-D grid of positions: repeated (rank, iterations) pairs share a
+        # row, and count 0 is the identity whatever the rank
+        ranks = np.array([[7, 7, 3, 7], [3, 7, 7, 0]])
+        iters = np.array([[2, 2, 2, 5], [2, 0, 0, 0]])
+        tables, at = iterated_tables(3, ranks, iters)
+        assert at.shape == ranks.shape
+        assert len(tables) == len(set(zip(ranks.ravel().tolist(), iters.ravel().tolist()))) == 5
+        assert at[0, 0] == at[0, 1] and at[0, 2] == at[1, 0] and at[1, 1] == at[1, 2]
+        assert len({at[0, 0], at[0, 2], at[0, 3], at[1, 1], at[1, 3]}) == 5
+        for cell in ((1, 1), (1, 2), (1, 3)):
+            assert np.array_equal(tables[at[cell]], np.arange(64))
+        step = baker.rank_tables(3, [7])[0]
+        assert np.array_equal(tables[at[0, 0]], step[step])
+
+
+class TestStageTables:
+    @pytest.mark.parametrize("n, M", [(2, 20), (3, 40), (5, 200)])
+    def test_shared_and_per_block_tables_agree(self, n, M):
+        sched = derive_schedule(KEY, n, plan_layout(M, 8))
+        stages = (
+            (sched.plane_n, sched.s1_part, sched.s1_iter),
+            (sched.pixel_n, sched.s2_part, sched.s2_iter),
+        )
+        for stage_n, ranks, iters in stages:
+            per_block = _StageTables(stage_n, ranks, iters, budget=0)
+            shared = _StageTables(stage_n, ranks, iters, budget=1 << 40)
+            assert per_block.whole is None and shared.whole is not None
+            for t in range(ranks.shape[-1]):
+                assert np.array_equal(per_block.block(t), shared.block(t))
 
 
 def _identity_schedule(n, layout):
@@ -218,6 +250,33 @@ class TestScrambling:
                 back = scramble(_lit(empty, (t, m2, x2, y2, l2)), sched, inverse=True).bits
                 assert back[t, m, x, y, l] == 1 and back.sum() == 1
 
+    def test_stage2_ranks_near_int64_max(self):
+        # n=7 ranks in [2^62, 2^63): no table key built from them may leave
+        # int64; the schedule is built by hand, since the 64-bit draw stops
+        # at n=6
+        rng = np.random.default_rng(11)
+        n, layout = 7, plan_layout(2, 2)  # one block of 2 images, 2 planes
+        side = 1 << n
+        sched = KeySchedule(
+            layout.lplanes, n,
+            rng.integers(0, baker.count_admissible(1), (side, side, 1)),
+            rng.integers(1, 17, (side, side, 1)),
+            rng.integers(1 << 62, 1 << 63, (2, 2, 1)),
+            rng.integers(1, 17, (2, 2, 1)),
+        )
+        images = rng.integers(0, 4, (2, side, side))
+        tensor = pack(ImageSet(n, 2, images))
+        out = scramble(tensor, sched)
+        assert not np.array_equal(out.bits, tensor.bits)
+        assert np.array_equal(scramble(out, sched, inverse=True).bits, tensor.bits)
+        t, m, x, y, l = 0, 1, 93, 17, 0
+        p1 = baker.unrank_admissible(1, int(sched.s1_part[x, y, t]))
+        m2, l2 = oracles.iterate(p1, int(sched.s1_iter[x, y, t]), (m, l))
+        p2 = baker.unrank_admissible(n, int(sched.s2_part[l2, m2, t]))
+        x2, y2 = oracles.iterate(p2, int(sched.s2_iter[l2, m2, t]), (x, y))
+        lit = scramble(_lit(tensor, (t, m, x, y, l)), sched).bits
+        assert lit[t, m2, x2, y2, l2] == 1 and lit.sum() == 1
+
     def test_stage_inverses(self):
         rng = np.random.default_rng(6)
         tensor = pack(random_images(rng, M=20))
@@ -245,7 +304,8 @@ class TestScrambling:
         sched = _with_identity_stage2(derive_schedule(KEY, 2, plan_layout(20, 8)))
         x, y, t = 1, 1, 2
         rank, iters = sched.s1_part[x, y, t], sched.s1_iter[x, y, t]
-        table = iterated_tables(sched.plane_n, np.array([rank] * 16), np.arange(1, 17))
+        tables, at = iterated_tables(sched.plane_n, np.array([rank] * 16), np.arange(1, 17))
+        table = tables[at]
         # an iteration count whose table differs from the scheduled one
         other = next(r for r in range(1, 17) if not np.array_equal(table[r - 1], table[iters - 1]))
         tweaked_iter = sched.s1_iter.copy()

@@ -264,7 +264,7 @@ def _edited(data: bytes, edits: list[tuple[int, int]]) -> bytes:
     return bytes(buf)
 
 
-@settings(max_examples=100)
+@settings(max_examples=100, report_multiple_bugs=False)
 @given(name=st.sampled_from(sorted(FUZZ_COMMANDS)), data=st.data())
 def test_any_input_file_exits_zero_or_one(valid_files, name, data):
     root, originals = valid_files

@@ -3,12 +3,14 @@
 Stage 1 permutes the (image, plane) matrix independently at every pixel and
 block; stage 2 permutes pixel positions independently per plane, image, and
 block.  ``scramble`` composes both stages into one cell map per block, where
-each cell's bit lands after stage 1 and then stage 2, and applies it with
-one scatter (encrypt) or one gather (decrypt) per block; when every
-position shares one key (simplified mode), all blocks share one map and the
-whole cube moves in one gather in either direction.  Baker parameters and
-iteration counts come from a keyed schedule (SHA-256 over the schedule seed
-and position, so both sides agree without sharing plaintext).  A draw takes
+each cell's bit lands after stage 1 and then stage 2, and moves each
+block's bits through it by one scatter (encrypt) or one gather (decrypt);
+when every position shares one key (simplified mode), all blocks share one
+map, and a chunk of blocks moves by one gather in either direction.  The
+cube stays packed as words; only the block or chunk being moved is expanded
+to one byte per bit.  Baker parameters and iteration counts come from a
+keyed schedule (SHA-256 over the schedule seed and position, so both sides
+agree without sharing plaintext).  A draw takes
 the digest's first 64 bits modulo the number of admissible partitions as a
 lexicographic rank, and only the drawn ranks are unranked into baker
 tables.  There are 2.1e11 admissible partitions at n=6 but 4.4e22 at n=7,
@@ -31,7 +33,8 @@ import numpy as np
 
 from . import baker
 from .chaos import ScmParams, generate_sequences
-from .images import BitTensor, BlockLayout, ImageSet, pack, plan_layout, unpack
+from .images import (BitTensor, BlockLayout, ImageSet, block_chunks, from_bits, pack,
+                     plan_layout, to_bits, unpack, word_dtype)
 from .keystream import Seed, derive_seed, key_table, seed_from_header
 
 MAX_ITERATIONS = 16
@@ -212,28 +215,35 @@ def scramble(tensor: BitTensor, sched: KeySchedule, inverse: bool = False) -> Bi
     then stage 2); the inverse gathers through dest.  Maps are built and
     applied one block at a time.  When each stage has one key for every
     position (simplified mode), all blocks share one map: it is built once
-    and applied to every block in one gather.
+    and applied to a chunk of blocks per gather.
     """
-    bits = tensor.bits.reshape(tensor.block_count, -1)
-    budget = bits.shape[1]
-    stage1 = _StageTables(sched.plane_n, sched.s1_part, sched.s1_iter, budget)
-    stage2 = _StageTables(sched.pixel_n, sched.s2_part, sched.s2_iter, budget)
+    words, lplanes = tensor.words, tensor.lplanes
+    cells = words[0].size << lplanes
+    stage1 = _StageTables(sched.plane_n, sched.s1_part, sched.s1_iter, cells)
+    stage2 = _StageTables(sched.pixel_n, sched.s2_part, sched.s2_iter, cells)
+    out = np.empty_like(words)
     if all(np.ptp(a) == 0 for a in (sched.s1_part, sched.s1_iter, sched.s2_part, sched.s2_iter)):
         index = _cell_map(stage1, stage2, 0)
         if not inverse:
             src = np.empty_like(index)
             src[index] = np.arange(index.size, dtype=index.dtype)
             index = src
-        out = np.take(bits, index, axis=1)
+        for chunk in block_chunks(len(words), cells):
+            bits = to_bits(words[chunk], lplanes)
+            moved = np.take(bits.reshape(len(bits), -1), index, axis=1)
+            out[chunk] = from_bits(moved.reshape(bits.shape), lplanes)
     else:
-        out = np.empty_like(bits)
-        for t in range(len(bits)):
+        for t in range(len(words)):
             dest = _cell_map(stage1, stage2, t)
+            bits = to_bits(words[t], lplanes)
+            flat = bits.reshape(-1)
             if inverse:
-                out[t] = bits[t][dest]
+                moved = flat[dest]
             else:
-                out[t][dest] = bits[t]
-    return BitTensor(tensor.n, tensor.lplanes, out.reshape(tensor.bits.shape))
+                moved = np.empty_like(flat)
+                moved[dest] = flat
+            out[t] = from_bits(moved.reshape(bits.shape), lplanes)
+    return BitTensor(tensor.n, lplanes, out)
 
 
 def diffuse(tensor: BitTensor, keys: np.ndarray) -> BitTensor:
@@ -241,17 +251,18 @@ def diffuse(tensor: BitTensor, keys: np.ndarray) -> BitTensor:
 
     Key digits carry ceil(log2 L) bits while the cube has 2^ceil(log2 L)
     planes, so digit bits are reused cyclically across planes; the operation
-    stays an involution.
+    stays an involution.  Each digit's plane mask is looked up as one word.
     """
     blocks, per_block, side, _ = keys.shape
     if (blocks, per_block) != (tensor.block_count, 1 << tensor.lplanes):
         raise ValueError("key table disagrees with the tensor layout")
-    shifts = (np.arange(1 << tensor.lplanes) % max(1, tensor.lplanes)).astype(np.uint8)
-    # keys: (t, m, x, y) -> plane mask (t, m, x, y, l), XORed in place: one
-    # uint8 buffer the size of the cube
-    mask = np.asarray(keys, dtype=np.uint8)[..., None] >> shifts
-    mask &= 1
-    mask ^= tensor.bits
+    width = max(1, tensor.lplanes)
+    lut = np.array(
+        [sum(((d >> (l % width)) & 1) << l for l in range(per_block)) for d in range(per_block)],
+        dtype=tensor.words.dtype,
+    )
+    mask = lut[keys]  # indexing reads uint8 keys in place; np.take copies them to intp
+    mask ^= tensor.words
     return BitTensor(tensor.n, tensor.lplanes, mask)
 
 
@@ -277,10 +288,9 @@ def _key_digits(seed: Seed, key: MasterKey, n: int, layout: BlockLayout) -> np.n
 def encrypt(image_set: ImageSet, key: MasterKey) -> Ciphertext:
     layout = plan_layout(image_set.M, image_set.L)
     sched = derive_schedule(key, image_set.n, layout)
-    tensor = pack(image_set)
-    seed = derive_seed(image_set, tensor)
+    seed = derive_seed(image_set)
     keys = _key_digits(seed, key, image_set.n, layout)
-    diffused = diffuse(scramble(tensor, sched), keys)
+    diffused = diffuse(scramble(pack(image_set), sched), keys)
     return Ciphertext(
         diffused, image_set.n, image_set.L, image_set.M,
         seed.x0, seed.alpha, seed.beta, key.mode,
@@ -336,16 +346,19 @@ def write_ciphertext(path: str | Path, ct: Ciphertext):
         "n": ct.n, "L": ct.L, "M": ct.M, "blocks": ct.tensor.block_count,
         "x0": ct.x0, "alpha": ct.alpha, "beta": ct.beta, "mode": ct.mode,
     })
-    payload_bits = ct.tensor.bits.transpose(0, 1, 4, 3, 2).reshape(-1)
-    payload = np.packbits(payload_bits)
-    Path(path).write_bytes(f"{MAGIC.decode()}\n{header}---\n".encode() + payload.tobytes())
+    tensor = ct.tensor
+    with open(path, "wb") as f:
+        f.write(f"{MAGIC.decode()}\n{header}---\n".encode())
+        for chunk in block_chunks(tensor.block_count, tensor.cells // tensor.block_count):
+            bits = to_bits(tensor.words[chunk], tensor.lplanes)
+            f.write(np.packbits(bits.transpose(0, 1, 4, 3, 2).reshape(-1)))
 
 
 def read_ciphertext(path: str | Path) -> Ciphertext:
     """Parse a ciphertext file; any missing, malformed or inconsistent header
-    field (n outside [1, MAX_SCHEDULE_N] is refused before anything is sized
-    from it), aggregates no plaintext can produce, and a payload of the wrong
-    length raise ValueError."""
+    field (n outside [1, MAX_SCHEDULE_N] and L outside [2, 2^MAX_SCHEDULE_N]
+    are refused before anything is sized from them), aggregates no plaintext
+    can produce, and a payload of the wrong length raise ValueError."""
     blob = Path(path).read_bytes()
     sep = blob.find(b"---\n")
     if not blob.startswith(MAGIC) or sep < 0:
@@ -357,6 +370,8 @@ def read_ciphertext(path: str | Path) -> Ciphertext:
         )
         if not 1 <= n <= MAX_SCHEDULE_N:
             raise ValueError(f"n={n} outside [1, {MAX_SCHEDULE_N}]")
+        if not 2 <= L <= 1 << MAX_SCHEDULE_N:
+            raise ValueError(f"L={L} outside [2, {1 << MAX_SCHEDULE_N}]")
         x0, mode = float(fields["x0"]), fields["mode"]
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
@@ -377,13 +392,18 @@ def read_ciphertext(path: str | Path) -> Ciphertext:
             f"{path}: impossible header aggregates x0={x0!r}, alpha={alpha}, beta={beta} "
             f"(per-pixel bit counts lie in [0, {c}])"
         )
-    total = blocks * per_block * side * side * per_block
-    payload = blob[sep + 4 :]
-    if len(payload) != (total + 7) // 8:
+    # a block holds 2^(2n + 2 lplanes) >= 16 bits (n >= 1, L >= 2): whole bytes
+    block_bits = per_block * side * side * per_block
+    payload = memoryview(blob)[sep + 4 :]
+    if len(payload) != blocks * block_bits // 8:
         raise ValueError(
-            f"{path}: payload has {len(payload)} bytes, the header implies {(total + 7) // 8}"
+            f"{path}: payload has {len(payload)} bytes, the header implies "
+            f"{blocks * block_bits // 8}"
         )
-    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=total)
-    tensor_bits = bits.reshape(blocks, per_block, per_block, side, side).transpose(0, 1, 4, 3, 2)
-    tensor = BitTensor(n, layout.lplanes, np.ascontiguousarray(tensor_bits))
-    return Ciphertext(tensor, n, L, M, x0, alpha, beta, mode)
+    words = np.empty((blocks, per_block, side, side), dtype=word_dtype(layout.lplanes))
+    for chunk in block_chunks(blocks, block_bits):
+        raw = payload[chunk.start * block_bits // 8 : chunk.stop * block_bits // 8]
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
+        bits = bits.reshape(-1, per_block, per_block, side, side).transpose(0, 1, 4, 3, 2)
+        words[chunk] = from_bits(bits, layout.lplanes)
+    return Ciphertext(BitTensor(n, layout.lplanes, words), n, L, M, x0, alpha, beta, mode)

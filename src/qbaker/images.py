@@ -2,8 +2,13 @@
 
 M images of size 2^n x 2^n with L-bit pixels are grouped into blocks of
 2^ceil(log2 L) images (short blocks padded with all-zero blanks), and every
-pixel is split into bit planes.  The result is a five-axis bit cube indexed
-(block, image-in-block, row, column, plane).
+pixel has 2^ceil(log2 L) bit planes.  The cells of the cube are indexed
+(block, image-in-block, row, column, plane), and the cube is stored packed:
+one word per (block, image-in-block, row, column), the narrowest
+little-endian unsigned type with 2^ceil(log2 L) bits, whose bit l is plane
+l.  ``to_bits`` and ``from_bits`` convert between words and one byte per
+bit; callers convert a bounded chunk of blocks at a time (``block_chunks``),
+so no bit-per-byte copy of the whole cube is ever made.
 
 Images are read and written as binary 8-bit PGM (P5).  The reader accepts
 a header of ``P5``, width, height and maxval separated by whitespace or
@@ -76,26 +81,63 @@ class BlockLayout:
         return self.images_per_block * self.block_count
 
 
+def word_dtype(lplanes: int) -> np.dtype:
+    """The narrowest little-endian unsigned type with 2^lplanes bits."""
+    return np.dtype(f"<u{max(1, (1 << lplanes) // 8)}")
+
+
 @dataclass(frozen=True)
 class BitTensor:
-    """The packed bit cube; bits[t, m, x, y, l] in {0, 1}."""
+    """The bit cube, packed: bit l of words[t, m, x, y] is cell (t, m, x, y, l)."""
 
     n: int
     lplanes: int  # ceil(log2 L): plane index width and per-block image count
-    bits: np.ndarray  # (block_count, 2^lplanes, side, side, 2^lplanes) uint8
+    words: np.ndarray  # (block_count, 2^lplanes, side, side) word_dtype(lplanes)
 
     def __post_init__(self):
         side = 1 << self.n
-        per_block = 1 << self.lplanes
-        arr = self.bits
-        if arr.ndim != 5 or arr.shape[1:] != (per_block, side, side, per_block):
+        arr = self.words
+        if arr.ndim != 4 or arr.shape[1:] != (1 << self.lplanes, side, side):
             raise ValueError("bit tensor shape disagrees with n and plane count")
-        if arr.dtype != np.uint8:
-            raise ValueError("bit tensor must be uint8")
+        if arr.dtype != word_dtype(self.lplanes):
+            raise ValueError(f"bit tensor words must be {word_dtype(self.lplanes)}")
 
     @property
     def block_count(self) -> int:
-        return int(self.bits.shape[0])
+        return int(self.words.shape[0])
+
+    @property
+    def cells(self) -> int:
+        """Cells of the cube: bits the ciphertext payload carries."""
+        return self.words.size << self.lplanes
+
+
+# Cells converted per chunk: bounds the transient bit-per-byte and float
+# arrays of a chunked pass to a few hundred kB.
+_CHUNK_CELLS = 1 << 16
+
+
+def block_chunks(blocks: int, cells_per_block: int) -> list[slice]:
+    """Slices of consecutive blocks covering range(blocks), each holding at
+    most _CHUNK_CELLS cells (at least one block)."""
+    step = max(1, _CHUNK_CELLS // cells_per_block)
+    return [slice(lo, min(lo + step, blocks)) for lo in range(0, blocks, step)]
+
+
+def to_bits(words: np.ndarray, lplanes: int) -> np.ndarray:
+    """The (..., 2^lplanes) uint8 bits of each word; [..., l] is plane l."""
+    flat = np.unpackbits(words.view(np.uint8).reshape(-1), bitorder="little")
+    return flat.reshape(*words.shape, -1)[..., : 1 << lplanes]
+
+
+def from_bits(bits: np.ndarray, lplanes: int) -> np.ndarray:
+    """Words from (..., 2^lplanes) bits; the inverse of ``to_bits``."""
+    dtype = word_dtype(lplanes)
+    spare = 8 * dtype.itemsize - bits.shape[-1]  # high bits of a byte word, lplanes < 3
+    if spare:
+        bits = np.pad(bits, [(0, 0)] * (bits.ndim - 1) + [(0, spare)])
+    flat = np.packbits(bits.reshape(-1), bitorder="little")
+    return flat.view(dtype).reshape(bits.shape[:-1])
 
 
 def plan_layout(M: int, L: int) -> BlockLayout:
@@ -112,21 +154,15 @@ def plan_layout(M: int, L: int) -> BlockLayout:
 def pack(image_set: ImageSet) -> BitTensor:
     """Pack images into the bit cube; blank padding images are all zero.
 
-    Planes are written one at a time from the images in the narrowest
-    unsigned type that holds L bits (copied only when they are stored wider),
-    so no intermediate is wider than that type.
+    An L-bit pixel fits in a word of 2^ceil(log2 L) bits as it is, so each
+    image becomes its words by one cast.
     """
     layout = plan_layout(image_set.M, image_set.L)
-    lplanes = layout.lplanes
     side = 1 << image_set.n
-    values = np.asarray(image_set.images).astype(
-        np.min_scalar_type((1 << image_set.L) - 1), copy=False
-    )
-    bits = np.zeros((layout.padded_total, side, side, 1 << lplanes), dtype=np.uint8)
-    for plane in range(image_set.L):  # planes L and up stay zero
-        bits[: image_set.M, ..., plane] = (values >> plane) & 1
-    shape = (layout.block_count, layout.images_per_block, side, side, 1 << lplanes)
-    return BitTensor(image_set.n, lplanes, bits.reshape(shape))
+    words = np.zeros((layout.padded_total, side, side), dtype=word_dtype(layout.lplanes))
+    words[: image_set.M] = image_set.images
+    shape = (layout.block_count, layout.images_per_block, side, side)
+    return BitTensor(image_set.n, layout.lplanes, words.reshape(shape))
 
 
 def unpack(tensor: BitTensor, layout: BlockLayout, M: int, L: int = 8) -> ImageSet:
@@ -139,10 +175,9 @@ def unpack(tensor: BitTensor, layout: BlockLayout, M: int, L: int = 8) -> ImageS
     if not 1 <= M <= layout.padded_total:
         raise ValueError(f"M={M} outside [1, {layout.padded_total}]")
     side = 1 << tensor.n
-    cube = tensor.bits.reshape(layout.padded_total, side, side, -1)[:M]
-    values = np.zeros((M, side, side), dtype=np.min_scalar_type((1 << L) - 1))
-    for plane in range(min(L, cube.shape[-1])):
-        values |= cube[..., plane].astype(values.dtype) << plane
+    words = tensor.words.reshape(layout.padded_total, side, side)[:M]
+    values = words.astype(np.min_scalar_type((1 << L) - 1))  # a cast keeps the low bits
+    values &= (1 << L) - 1
     return ImageSet(tensor.n, L, values)
 
 
@@ -191,10 +226,17 @@ def _pgm_pixels(path, data: bytes) -> tuple[int, memoryview]:
 
 
 def write_pgm(path: str | os.PathLike, image: np.ndarray):
-    """Write an 8-bit P5 file, replacing and truncating any file at path."""
+    """Write an 8-bit P5 file, replacing and truncating any file at path.
+
+    Raises ValueError naming the file when a value lies outside [0, 255].
+    """
     arr = np.asarray(image)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("image must be square")
+    if arr.dtype != np.uint8 and (arr.min() < 0 or arr.max() > 255):
+        raise ValueError(
+            f"{path}: pixel values span [{arr.min()}, {arr.max()}]; an 8-bit PGM holds [0, 255]"
+        )
     data = b"P5\n%d %d\n255\n" % (arr.shape[1], arr.shape[0]) + arr.astype(
         np.uint8, copy=False
     ).tobytes()

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chaos import ChaoticSequences, chebyshev
-from .images import BitTensor, BlockLayout, ImageSet
+from .images import BlockLayout, ImageSet, block_chunks
 
 KEY_SCALE = 10**10
 
@@ -46,18 +46,24 @@ def intensity_seed(image_set: ImageSet) -> float:
     return total / denom
 
 
-def alpha_beta(tensor: BitTensor) -> tuple[int, int]:
-    """Floor of the mean and mean square of per-pixel set-bit counts."""
-    per_pixel = tensor.bits.sum(axis=(0, 1, 4), dtype=np.int64)  # (side, side)
+def alpha_beta(image_set: ImageSet) -> tuple[int, int]:
+    """Floor of the mean and mean square of per-pixel set-bit counts.
+
+    A pixel's count is the number of lit bit planes at that position over
+    every image of the cube.  Blank padding images light none, so the counts
+    are taken over the images alone.
+    """
+    lit = np.bitwise_count(np.asarray(image_set.images))
+    per_pixel = lit.sum(axis=0, dtype=np.int64)  # (side, side)
     pixels = per_pixel.size
     alpha = int(per_pixel.sum()) // pixels
     beta = int((per_pixel**2).sum()) // pixels
     return alpha, beta
 
 
-def derive_seed(image_set: ImageSet, tensor: BitTensor) -> Seed:
+def derive_seed(image_set: ImageSet) -> Seed:
     x0 = intensity_seed(image_set)
-    alpha, beta = alpha_beta(tensor)
+    alpha, beta = alpha_beta(image_set)
     return seed_from_header(x0, alpha, beta)
 
 
@@ -82,7 +88,12 @@ def _chebyshev(k, x) -> np.ndarray:
 
 
 def key_table(seqs: ChaoticSequences, layout: BlockLayout, n: int) -> np.ndarray:
-    """All key digits as an array indexed [b, m, i, j]."""
+    """All key digits as a uint8 array indexed [b, m, i, j].
+
+    Digits are computed a chunk of blocks at a time, so the float64 products
+    never span the whole cube; each product multiplies in one order,
+    t_t * t_z * t_y * t_x, so every digit floors the same in any chunking.
+    """
     side = 1 << n
     blocks = layout.block_count
     per_block = layout.images_per_block
@@ -94,11 +105,14 @@ def key_table(seqs: ChaoticSequences, layout: BlockLayout, n: int) -> np.ndarray
     t_x = _chebyshev(seqs.ks, _mirrored(seqs.xs))
     t_t = _chebyshev(np.asarray(seqs.rs)[None, :], _mirrored(seqs.ts)[:, None])  # (b, m)
     t_z = _chebyshev(np.asarray(seqs.ss)[:, None], _mirrored(seqs.zs)[None, :])  # (b, m)
-    prod = (
-        t_t[:, :, None, None]
-        * t_z[:, :, None, None]
-        * t_y[None, None, :, None]
-        * t_x[None, None, None, :]
-    )
-    scaled = np.floor(np.abs(prod) * KEY_SCALE)
-    return (scaled.astype(np.int64) % (1 << layout.lplanes)).astype(np.uint8)
+    digits = np.empty((blocks, per_block, side, side), dtype=np.uint8)
+    for chunk in block_chunks(blocks, per_block * side * side):
+        prod = (
+            t_t[chunk, :, None, None]
+            * t_z[chunk, :, None, None]
+            * t_y[None, None, :, None]
+            * t_x[None, None, None, :]
+        )
+        scaled = np.floor(np.abs(prod) * KEY_SCALE)
+        digits[chunk] = scaled.astype(np.int64) % (1 << layout.lplanes)
+    return digits

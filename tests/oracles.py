@@ -1,9 +1,9 @@
 """Pointwise reference implementations that the tests compare the program to.
 
-Each evaluates one point, one gate or one header field at a time, in plain
-Python, so it is slow and easy to check by eye.  The program itself works on
-whole tables and compiled patterns.  The file helpers at the end, which
-only tests call, read one PGM and write a key file.
+Each evaluates one point, one gate, one bit plane or one header field at a
+time, in plain Python, so it is slow and easy to check by eye.  The program
+itself works on whole tables, packed words and compiled patterns.  The file
+helpers at the end, which only tests call, read one PGM and write a key file.
 """
 
 from __future__ import annotations
@@ -127,6 +127,17 @@ def trajectory(state: ScmState, params: ScmParams, steps: int) -> list[ScmState]
         state = scm_step(state, params)
         out.append(state)
     return out
+
+
+# -- bit cube -------------------------------------------------------------------
+
+
+def cube_bits(tensor: images.BitTensor) -> np.ndarray:
+    """The (t, m, x, y, l) uint8 bit array of a tensor: bit l of each word,
+    one plane at a time by shift and mask."""
+    words = tensor.words.astype(np.uint64)
+    planes = [(words >> np.uint64(l)) & np.uint64(1) for l in range(1 << tensor.lplanes)]
+    return np.stack(planes, axis=-1).astype(np.uint8)
 
 
 # -- PGM header -----------------------------------------------------------------

@@ -19,6 +19,8 @@ from qbaker.cipher import MasterKey, decrypt, encrypt
 from qbaker.circuit import gate_count, synthesize
 from qbaker.images import ImageSet, pack, plan_layout, unpack
 
+from oracles import cube_bits
+
 KEY = MasterKey((49.0, 23.0, 58.0, 120.0, 237.0), 0xC0FFEE)
 
 
@@ -144,13 +146,13 @@ def test_criterion_6_avalanche_and_key_sensitivity():
         fx, fy, fi = rng.integers(0, 16), rng.integers(0, 16), rng.integers(0, 8)
         flipped[int(rng.integers(0, 8)), fx, fy] ^= 1 << fi
         ct_flip = encrypt(ImageSet(4, 8, flipped), KEY)
-        flip_rates.append(np.mean(ct.tensor.bits != ct_flip.tensor.bits))
+        flip_rates.append(np.mean(cube_bits(ct.tensor) != cube_bits(ct_flip.tensor)))
 
         nudged = MasterKey(
             (KEY.lambdas[0] + 1e-9, *KEY.lambdas[1:]), KEY.schedule_seed
         )
         ct_lam = encrypt(ImageSet(4, 8, imgs), nudged)
-        lam_rates.append(np.mean(ct.tensor.bits != ct_lam.tensor.bits))
+        lam_rates.append(np.mean(cube_bits(ct.tensor) != cube_bits(ct_lam.tensor)))
 
     flip_mean = float(np.mean(flip_rates))
     lam_mean = float(np.mean(lam_rates))
@@ -198,7 +200,7 @@ def test_criterion_8_blank_image_handling():
     assert layout.padded_total == 16  # six blank images
 
     tensor = pack(s)
-    assert tensor.bits[:, :, :, :, :].reshape(2, 8, -1)[1, 2:].sum() == 0  # blanks zero
+    assert cube_bits(tensor)[:, :, :, :, :].reshape(2, 8, -1)[1, 2:].sum() == 0  # blanks zero
 
     back = unpack(tensor, layout, 10)
     assert np.array_equal(back.images, imgs)

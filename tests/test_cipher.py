@@ -29,7 +29,7 @@ from qbaker.cli import main
 from qbaker.images import ImageSet, pack, plan_layout
 
 import oracles
-from oracles import write_key
+from oracles import cube_bits, write_key
 
 KEY = MasterKey((49.0, 23.0, 58.0, 120.0, 237.0), 0x1234ABCD)
 
@@ -196,9 +196,11 @@ def _with_identity_stage2(sched):
 
 
 def _lit(tensor, cell):
-    bits = np.zeros_like(tensor.bits)
-    bits[cell] = 1
-    return type(tensor)(tensor.n, tensor.lplanes, bits)
+    """A tensor shaped like ``tensor`` with the one cell (t, m, x, y, l) lit."""
+    *word, plane = cell
+    words = np.zeros_like(tensor.words)
+    words[tuple(word)] = 1 << plane
+    return type(tensor)(tensor.n, tensor.lplanes, words)
 
 
 MODES = ("simplified", "non_simplified")
@@ -221,7 +223,8 @@ class TestScrambling:
         )
         for sched in (same, varied):
             for inverse in (False, True):
-                assert np.array_equal(scramble(tensor, sched, inverse).bits, tensor.bits)
+                out = scramble(tensor, sched, inverse)
+                assert np.array_equal(cube_bits(out), cube_bits(tensor))
 
     def test_single_bit_follows_iterated_map(self):
         rng = np.random.default_rng(4)
@@ -245,9 +248,9 @@ class TestScrambling:
                 m2, l2 = oracles.iterate(p1, int(sched.s1_iter[x, y, t]), (m, l))
                 p2 = baker.unrank_admissible(sched.pixel_n, int(sched.s2_part[l2, m2, t]))
                 x2, y2 = oracles.iterate(p2, int(sched.s2_iter[l2, m2, t]), (x, y))
-                out = scramble(_lit(empty, (t, m, x, y, l)), sched).bits
+                out = cube_bits(scramble(_lit(empty, (t, m, x, y, l)), sched))
                 assert out[t, m2, x2, y2, l2] == 1 and out.sum() == 1
-                back = scramble(_lit(empty, (t, m2, x2, y2, l2)), sched, inverse=True).bits
+                back = cube_bits(scramble(_lit(empty, (t, m2, x2, y2, l2)), sched, inverse=True))
                 assert back[t, m, x, y, l] == 1 and back.sum() == 1
 
     def test_stage2_ranks_near_int64_max(self):
@@ -267,14 +270,14 @@ class TestScrambling:
         images = rng.integers(0, 4, (2, side, side))
         tensor = pack(ImageSet(n, 2, images))
         out = scramble(tensor, sched)
-        assert not np.array_equal(out.bits, tensor.bits)
-        assert np.array_equal(scramble(out, sched, inverse=True).bits, tensor.bits)
+        assert not np.array_equal(cube_bits(out), cube_bits(tensor))
+        assert np.array_equal(cube_bits(scramble(out, sched, inverse=True)), cube_bits(tensor))
         t, m, x, y, l = 0, 1, 93, 17, 0
         p1 = baker.unrank_admissible(1, int(sched.s1_part[x, y, t]))
         m2, l2 = oracles.iterate(p1, int(sched.s1_iter[x, y, t]), (m, l))
         p2 = baker.unrank_admissible(n, int(sched.s2_part[l2, m2, t]))
         x2, y2 = oracles.iterate(p2, int(sched.s2_iter[l2, m2, t]), (x, y))
-        lit = scramble(_lit(tensor, (t, m, x, y, l)), sched).bits
+        lit = cube_bits(scramble(_lit(tensor, (t, m, x, y, l)), sched))
         assert lit[t, m2, x2, y2, l2] == 1 and lit.sum() == 1
 
     def test_stage_inverses(self):
@@ -285,9 +288,10 @@ class TestScrambling:
         for mode in MODES:
             sched = derive_schedule(MasterKey(KEY.lambdas, KEY.schedule_seed, mode), 2, layout)
             out = scramble(tensor, sched)
-            assert not np.array_equal(out.bits, tensor.bits)
-            assert np.array_equal(scramble(out, sched, inverse=True).bits, tensor.bits)
-            assert np.array_equal(scramble(scramble(tensor, sched, True), sched).bits, tensor.bits)
+            assert not np.array_equal(cube_bits(out), cube_bits(tensor))
+            assert np.array_equal(cube_bits(scramble(out, sched, inverse=True)), cube_bits(tensor))
+            back = scramble(scramble(tensor, sched, True), sched)
+            assert np.array_equal(cube_bits(back), cube_bits(tensor))
 
     def test_multiset_preserved_per_plane(self):
         # with stage 2 the identity, stage 1 only reorders (m, l) at each pixel
@@ -295,8 +299,8 @@ class TestScrambling:
         tensor = pack(random_images(rng, M=20))
         sched = _with_identity_stage2(derive_schedule(KEY, 2, plan_layout(20, 8)))
         out = scramble(tensor, sched)
-        assert not np.array_equal(out.bits, tensor.bits)
-        assert np.array_equal(tensor.bits.sum(axis=(1, 4)), out.bits.sum(axis=(1, 4)))
+        assert not np.array_equal(cube_bits(out), cube_bits(tensor))
+        assert np.array_equal(cube_bits(tensor).sum(axis=(1, 4)), cube_bits(out).sum(axis=(1, 4)))
 
     def test_schedule_entry_localized(self):
         rng = np.random.default_rng(8)
@@ -314,8 +318,8 @@ class TestScrambling:
             sched.plane_n, sched.pixel_n,
             sched.s1_part, tweaked_iter, sched.s2_part, sched.s2_iter,
         )
-        a = scramble(tensor, sched).bits
-        b = scramble(tensor, tweaked).bits
+        a = cube_bits(scramble(tensor, sched))
+        b = cube_bits(scramble(tensor, tweaked))
         differs = (a != b).any(axis=(1, 4))  # collapse (m, l) per (t, x, y)
         assert differs[t, x, y]
         differs[t, x, y] = False
@@ -327,21 +331,21 @@ class TestDiffuse:
         rng = np.random.default_rng(9)
         tensor = pack(random_images(rng))
         keys = np.zeros((1, 8, 4, 4), dtype=np.uint8)
-        assert np.array_equal(diffuse(tensor, keys).bits, tensor.bits)
+        assert np.array_equal(cube_bits(diffuse(tensor, keys)), cube_bits(tensor))
 
     def test_involution(self):
         rng = np.random.default_rng(10)
         tensor = pack(random_images(rng))
         keys = rng.integers(0, 8, size=(1, 8, 4, 4)).astype(np.uint8)
         twice = diffuse(diffuse(tensor, keys), keys)
-        assert np.array_equal(twice.bits, tensor.bits)
+        assert np.array_equal(cube_bits(twice), cube_bits(tensor))
 
     def test_single_digit_flips_predicted_planes(self):
         tensor = pack(ImageSet(0, 8, np.zeros((1, 1, 1), dtype=int)))
         keys = np.zeros((1, 8, 1, 1), dtype=np.uint8)
         keys[0, 0, 0, 0] = 0b101  # digit bits cycle over the 8 planes
         out = diffuse(tensor, keys)
-        assert out.bits[0, 0, 0, 0].tolist() == [1, 0, 1, 1, 0, 1, 1, 0]
+        assert cube_bits(out)[0, 0, 0, 0].tolist() == [1, 0, 1, 1, 0, 1, 1, 0]
 
     def test_layout_mismatch(self):
         rng = np.random.default_rng(11)
@@ -359,8 +363,8 @@ class TestDiffuse:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert out.bits.sum() > 0
-        assert peak <= 2 * tensor.bits.nbytes
+        assert cube_bits(out).sum() > 0
+        assert peak <= 2 * tensor.words.nbytes
 
 
 class TestPipeline:
@@ -381,7 +385,7 @@ class TestPipeline:
         rng = np.random.default_rng(14)
         s = random_images(rng)
         assert np.array_equal(
-            encrypt(s, KEY).tensor.bits, encrypt(s, KEY).tensor.bits
+            cube_bits(encrypt(s, KEY).tensor), cube_bits(encrypt(s, KEY).tensor)
         )
 
     def test_mode_mismatch_rejected(self):
@@ -410,8 +414,40 @@ class TestPipeline:
         loaded = read_ciphertext(path)
         assert loaded.x0 == ct.x0
         assert loaded.alpha == ct.alpha and loaded.beta == ct.beta
-        assert np.array_equal(loaded.tensor.bits, ct.tensor.bits)
+        assert np.array_equal(cube_bits(loaded.tensor), cube_bits(ct.tensor))
         assert np.array_equal(decrypt(loaded, KEY).images, s.images)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("L", [2, 4, 16, 32])
+    def test_file_roundtrip_every_word_width(self, tmp_path, mode, L):
+        rng = np.random.default_rng(L)
+        s = ImageSet(1, L, rng.integers(0, 1 << L, size=(3, 2, 2), dtype=np.uint64))
+        key = MasterKey(KEY.lambdas, KEY.schedule_seed, mode)
+        ct = encrypt(s, key)
+        path = tmp_path / "ct.bin"
+        write_ciphertext(path, ct)
+        loaded = read_ciphertext(path)
+        assert np.array_equal(cube_bits(loaded.tensor), cube_bits(ct.tensor))
+        assert np.array_equal(decrypt(loaded, key).images, s.images)
+
+    def test_bulk_peak_memory(self, tmp_path):
+        # 4096 images of 16x16 in simplified mode, 1 MB of pixels: encrypt
+        # with the file write, and the file read with decrypt, each trace at
+        # most 20 MB
+        s = ImageSet(4, 8, np.random.default_rng(18).integers(0, 256, (4096, 16, 16), np.uint8))
+        key = MasterKey(KEY.lambdas, KEY.schedule_seed, "simplified")
+        path = tmp_path / "ct.bin"
+        tracemalloc.start()
+        try:
+            write_ciphertext(path, encrypt(s, key))
+            encrypt_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            back = decrypt(read_ciphertext(path), key)
+            decrypt_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.images, s.images)
+        assert encrypt_peak <= 20e6 and decrypt_peak <= 20e6, (encrypt_peak, decrypt_peak)
 
     def test_ciphertext_header_checked(self, tmp_path):
         path = tmp_path / "junk.bin"
@@ -422,7 +458,7 @@ class TestPipeline:
     def test_roundtrip_keyed_n6(self):
         s = ImageSet(6, 8, (np.arange(4 * 64 * 64).reshape(4, 64, 64) * 7 + 3) % 256)
         ct = encrypt(s, KEY)
-        assert not np.array_equal(ct.tensor.bits, pack(s).bits)
+        assert not np.array_equal(cube_bits(ct.tensor), cube_bits(pack(s)))
         assert np.array_equal(decrypt(ct, KEY).images, s.images)
 
     def test_n7_images_rejected(self):
@@ -537,6 +573,18 @@ class TestCiphertextFile:
         self._replace_line(path, line, bad)
         self._rejected(path, key, capsys)
 
+    def test_header_L_past_64_refused(self, tmp_path, capsys):
+        # L=65 needs 128 planes: a payload of the length that implies is
+        # still refused, before any word is sized from L
+        path, key = tmp_path / "ct.bin", tmp_path / "key.txt"
+        write_key(key, KEY)
+        header = "n = 1\nL = 65\nM = 1\nblocks = 1\nx0 = 0.5\nalpha = 0\nbeta = 0\n"
+        payload = bytes(128 * 4 * 128 // 8)
+        path.write_bytes(b"QBMI1\n" + header.encode() + b"mode = simplified\n---\n" + payload)
+        with pytest.raises(ValueError, match="L=65 outside"):
+            read_ciphertext(path)
+        self._rejected(path, key, capsys)
+
     @pytest.mark.parametrize("n", ["0", "7", "100000", "400000000", "10000000000"])
     def test_header_n_refused_at_once(self, written, capsys, n):
         path, key = written
@@ -621,7 +669,7 @@ def _check_ciphertext(fuzz_file):
     again = read_ciphertext(fuzz_file)
     assert (again.n, again.L, again.M, again.x0, again.alpha, again.beta, again.mode) == (
         ct.n, ct.L, ct.M, ct.x0, ct.alpha, ct.beta, ct.mode)
-    assert np.array_equal(again.tensor.bits, ct.tensor.bits)
+    assert np.array_equal(cube_bits(again.tensor), cube_bits(ct.tensor))
 
 
 _CT_TOKENS = st.sampled_from(

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qbaker
-from qbaker import images
+from qbaker import cipher, images
 from qbaker.cipher import MasterKey
+from qbaker.images import ImageSet
 from qbaker.cli import main
 
 from oracles import write_key
@@ -94,6 +95,18 @@ class TestEncryptDecrypt:
         ])
         assert rc == 1
         assert "64-bit" in capsys.readouterr().err
+
+    def test_decrypt_of_pixels_past_a_byte_exits_one(self, workspace, capsys):
+        # L=16 pixels above 255 do not fit an 8-bit PGM: refused, not wrapped
+        key = cipher.read_key(workspace / "key.txt")
+        wide = ImageSet(1, 16, np.full((2, 2, 2), 16000))
+        cipher.write_ciphertext(workspace / "ct.bin", cipher.encrypt(wide, key))
+        out = workspace / "out"
+        rc = main(["decrypt", "--in", str(workspace / "ct.bin"),
+                   "--key", str(workspace / "key.txt"), "--out-dir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"error: {out / 'image_0000.pgm'}" in err and "[0, 255]" in err
 
     def test_missing_manifest_exits_one(self, workspace, capsys):
         rc = main([

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qbaker import images
-from qbaker.images import BitTensor, ImageSet, pack, plan_layout, unpack
+from qbaker.images import BitTensor, ImageSet, from_bits, pack, plan_layout, to_bits, unpack
 
 import oracles
 
@@ -46,34 +46,34 @@ class TestPack:
     def test_single_pixel_binary_expansion(self):
         s = ImageSet(0, 8, np.array([[[5]]]))
         tensor = pack(s)
-        bits = tensor.bits[0, 0, 0, 0]
+        bits = oracles.cube_bits(tensor)[0, 0, 0, 0]
         assert bits.tolist() == [1, 0, 1, 0, 0, 0, 0, 0]
 
     def test_all_zero(self):
         s = ImageSet(1, 8, np.zeros((3, 2, 2), dtype=int))
-        assert pack(s).bits.sum() == 0
+        assert oracles.cube_bits(pack(s)).sum() == 0
 
     def test_against_per_pixel_expansion(self):
         rng = np.random.default_rng(3)
         imgs = rng.integers(0, 256, size=(3, 2, 2))
-        tensor = pack(ImageSet(1, 8, imgs))
+        bits = oracles.cube_bits(pack(ImageSet(1, 8, imgs)))
         layout = plan_layout(3, 8)
         for idx in range(3):
             t, m = divmod(idx, layout.images_per_block)
             for x in range(2):
                 for y in range(2):
                     for l in range(8):
-                        assert tensor.bits[t, m, x, y, l] == (imgs[idx, x, y] >> l) & 1
+                        assert bits[t, m, x, y, l] == (imgs[idx, x, y] >> l) & 1
 
     def test_padding_images_zero(self):
         imgs = np.full((3, 2, 2), 255, dtype=int)
         tensor = pack(ImageSet(1, 8, imgs))
-        assert tensor.bits[0, 3:].sum() == 0
+        assert oracles.cube_bits(tensor)[0, 3:].sum() == 0
 
     def test_address_bits_match_width_claim(self):
         # 2n + ceil(log2 L) + ceil(log2 M)
         tensor = pack(ImageSet(2, 8, np.zeros((30, 4, 4), dtype=int)))
-        assert tensor.bits.size == 1 << (2 * 2 + 3 + 5)
+        assert oracles.cube_bits(tensor).size == 1 << (2 * 2 + 3 + 5)
 
     def test_intensity_range_checked(self):
         with pytest.raises(ValueError):
@@ -92,8 +92,8 @@ class TestUnpack:
     def test_padding_content_ignored(self):
         s = ImageSet(1, 8, np.arange(12).reshape(3, 2, 2))
         tensor = pack(s)
-        dirty = tensor.bits.copy()
-        dirty[0, 3:] = 1  # scribble over the blank images
+        dirty = tensor.words.copy()
+        dirty[0, 3:] = 0xFF  # scribble over the blank images
         back = unpack(BitTensor(1, 3, dirty), plan_layout(3, 8), 3)
         assert np.array_equal(back.images, s.images)
 
@@ -115,13 +115,22 @@ class TestUnpack:
             unpack(tensor, plan_layout(100, 8), 2)
 
 
-@settings(max_examples=30)
-@given(st.integers(1, 9), st.integers(0, 10**6))
-def test_pack_unpack_identity(m, seed):
-    rng = np.random.default_rng(seed)
-    imgs = rng.integers(0, 256, size=(m, 2, 2))
-    s = ImageSet(1, 8, imgs)
-    back = unpack(pack(s), plan_layout(m, 8), m)
+@settings(max_examples=60)
+@given(st.integers(2, 32), st.integers(1, 40), st.integers(1, 3), st.integers(0, 10**6))
+@example(2, 3, 1, 0)  # two planes in a byte word
+@example(4, 5, 2, 0)  # four planes in a byte word
+@example(8, 9, 1, 0)  # eight planes: a byte word, full
+@example(16, 40, 3, 0)  # uint16 words
+@example(32, 33, 1, 0)  # uint32 words
+def test_pack_unpack_identity(L, M, n, seed):
+    side = 1 << n
+    imgs = np.random.default_rng(seed).integers(0, 1 << L, size=(M, side, side))
+    tensor = pack(ImageSet(n, L, imgs))
+    assert 8 * tensor.words.dtype.itemsize == max(8, 1 << tensor.lplanes)
+    bits = oracles.cube_bits(tensor)
+    assert np.array_equal(to_bits(tensor.words, tensor.lplanes), bits)
+    assert np.array_equal(from_bits(bits, tensor.lplanes), tensor.words)
+    back = unpack(tensor, plan_layout(M, L), M, L)
     assert np.array_equal(back.images, imgs)
 
 
@@ -173,6 +182,17 @@ class TestPgm:
         with pytest.raises(ValueError) as exc:
             oracles.read_pgm(path)
         assert str(path) in str(exc.value)
+
+    @pytest.mark.parametrize("value, dtype", [(16000, np.uint16), (256, np.int64), (-1, np.int64)])
+    def test_refuses_values_outside_a_byte(self, tmp_path, value, dtype):
+        path = tmp_path / "wide.pgm"
+        img = np.array([[0, 255], [value, 7]], dtype=dtype)
+        with pytest.raises(ValueError, match=r"\[0, 255\]") as exc:
+            images.write_pgm(path, img)
+        assert str(path) in str(exc.value)
+        img[1, 0] = 200  # in range: written as the bytes it holds
+        images.write_pgm(path, img)
+        assert path.read_bytes() == b"P5\n2 2\n255\n" + bytes([0, 255, 200, 7])
 
     def test_overwrite_truncates(self, tmp_path):
         path = tmp_path / "old.pgm"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbaker.chaos import ChaoticSequences, ScmParams, generate_sequences, rank
 from qbaker.images import BlockLayout, ImageSet, pack, plan_layout
@@ -13,6 +15,8 @@ from qbaker.keystream import (
     key_table,
     seed_from_header,
 )
+
+from oracles import cube_bits
 
 LAMBDAS = ScmParams((49.0, 23.0, 58.0, 120.0, 237.0))
 
@@ -68,36 +72,50 @@ class TestIntensitySeed:
 
 class TestAlphaBeta:
     def test_all_zero(self):
-        tensor = pack(ImageSet(1, 8, np.zeros((2, 2, 2), dtype=int)))
-        assert alpha_beta(tensor) == (0, 0)
+        assert alpha_beta(ImageSet(1, 8, np.zeros((2, 2, 2), dtype=int))) == (0, 0)
 
     def test_all_ones_tensor(self):
-        tensor = pack(ImageSet(1, 8, np.zeros((8, 2, 2), dtype=int)))
-        bits = np.ones_like(tensor.bits)
-        full = type(tensor)(tensor.n, tensor.lplanes, bits)
-        s = tensor.block_count * (1 << tensor.lplanes) ** 2
-        assert alpha_beta(full) == (s, s * s)
+        s = ImageSet(1, 8, np.full((8, 2, 2), 255))
+        tensor = pack(s)
+        assert cube_bits(tensor).all()
+        c = tensor.block_count * (1 << tensor.lplanes) ** 2
+        assert alpha_beta(s) == (c, c * c)
 
     def test_brute_force_small(self):
+        # counts of lit cells in the packed cube, blanks included
         rng = np.random.default_rng(9)
-        imgs = rng.integers(0, 256, size=(3, 2, 2))
-        tensor = pack(ImageSet(1, 8, imgs))
+        s = ImageSet(1, 8, rng.integers(0, 256, size=(3, 2, 2)))
+        tensor = pack(s)
+        bits = cube_bits(tensor)
         sums = np.zeros((2, 2), dtype=int)
         for t in range(tensor.block_count):
             for m in range(8):
                 for x in range(2):
                     for y in range(2):
                         for l in range(8):
-                            sums[x, y] += tensor.bits[t, m, x, y, l]
+                            sums[x, y] += bits[t, m, x, y, l]
         want_alpha = int(sums.sum()) // 4
         want_beta = int((sums**2).sum()) // 4
-        assert alpha_beta(tensor) == (want_alpha, want_beta)
+        assert alpha_beta(s) == (want_alpha, want_beta)
+
+    @settings(max_examples=40)
+    @given(st.integers(2, 16), st.integers(1, 12), st.integers(0, 2), st.integers(0, 10**6))
+    def test_counts_lit_planes_per_pixel(self, L, M, n, seed):
+        side = 1 << n
+        imgs = np.random.default_rng(seed).integers(0, 1 << L, size=(M, side, side))
+        sums = np.zeros((side, side), dtype=int)
+        for x in range(side):
+            for y in range(side):
+                for image in imgs:
+                    sums[x, y] += sum((int(image[x, y]) >> l) & 1 for l in range(L))
+        want = (int(sums.sum()) // sums.size, int((sums**2).sum()) // sums.size)
+        assert alpha_beta(ImageSet(n, L, imgs)) == want
 
 
 class TestDeriveSeed:
     def test_all_zero_plaintext(self):
         s = ImageSet(1, 8, np.zeros((2, 2, 2), dtype=int))
-        seed = derive_seed(s, pack(s))
+        seed = derive_seed(s)
         assert seed.x0 == 0.0 and seed.z0 == 0.0
         assert seed.alpha == 0 and seed.beta == 0
         assert seed.y0 == 1.0 and seed.t0 == 1.0  # T_0 is constant 1
@@ -113,8 +131,8 @@ class TestDeriveSeed:
         flipped = imgs.copy()
         flipped[0, 0, 0] ^= 1
         s2 = ImageSet(1, 8, flipped)
-        seed1 = derive_seed(s1, pack(s1))
-        seed2 = derive_seed(s2, pack(s2))
+        seed1 = derive_seed(s1)
+        seed2 = derive_seed(s2)
         assert seed1 != seed2
 
     def test_state_component_order(self):
@@ -124,7 +142,7 @@ class TestDeriveSeed:
     def test_header_roundtrip_matches_derivation(self):
         rng = np.random.default_rng(4)
         s = ImageSet(1, 8, rng.integers(0, 256, size=(2, 2, 2)))
-        seed = derive_seed(s, pack(s))
+        seed = derive_seed(s)
         assert seed == seed_from_header(seed.x0, seed.alpha, seed.beta)
 
 
@@ -191,10 +209,10 @@ class TestPlaintextSensitivity:
             flipped[0, 0, 0] ^= 1 << int(rng.integers(0, 8))
             s2 = ImageSet(4, 8, flipped)
             t1 = key_table(
-                _sequences(4, layout, derive_seed(s1, pack(s1)).state()), layout, 4
+                _sequences(4, layout, derive_seed(s1).state()), layout, 4
             )
             t2 = key_table(
-                _sequences(4, layout, derive_seed(s2, pack(s2)).state()), layout, 4
+                _sequences(4, layout, derive_seed(s2).state()), layout, 4
             )
             diffs.append(np.mean(t1 != t2))
         assert np.mean(diffs) >= 0.40

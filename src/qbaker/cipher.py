@@ -2,20 +2,19 @@
 
 Stage 1 permutes the (image, plane) matrix independently at every pixel and
 block; stage 2 permutes pixel positions independently per plane, image, and
-block.  ``scramble`` composes both stages into one cell map per block, where
-each cell's bit lands after stage 1 and then stage 2, and moves each
-block's bits through it by one scatter (encrypt) or one gather (decrypt);
-when every position shares one key (simplified mode), all blocks share one
-map, and a chunk of blocks moves by one gather in either direction.  The
-cube stays packed as words; only the block or chunk being moved is expanded
-to one byte per bit.  Baker parameters and iteration counts come from a
-keyed schedule (SHA-256 over the schedule seed and position, so both sides
-agree without sharing plaintext).  A draw takes
-the digest's first 64 bits modulo the number of admissible partitions as a
-lexicographic rank, and only the drawn ranks are unranked into baker
-tables.  There are 2.1e11 admissible partitions at n=6 but 4.4e22 at n=7,
-more than a 64-bit draw can reach, so both squares are limited to n <= 6:
-images of at most 64x64 pixels, L <= 64.
+block.  ``scramble`` composes both stages into one map of each cell to where
+its bit lands after stage 1 and then stage 2, and moves a chunk of blocks at
+a time by one gather: through the chunk's own map, or, when every position
+shares one key (simplified mode), through block 0's map, which all blocks
+share.  The cube stays packed as words; only the chunk being moved is
+expanded to one byte per bit.  Baker parameters and iteration counts come
+from a keyed schedule (SHA-256 over the schedule seed and position, so both
+sides agree without sharing plaintext).  A draw takes the digest's first 64
+bits modulo the number of admissible partitions as a lexicographic rank, and
+only the drawn ranks are unranked into baker tables.  There are 2.1e11
+admissible partitions at n=6 but 4.4e22 at n=7, more than a 64-bit draw can
+reach, so both squares are limited to n <= 6: images of at most 64x64
+pixels, L <= 64.
 Diffusion XORs key digits derived from the plaintext-seeded chaotic
 sequences into the bit cube; the aggregates x0/alpha/beta travel in the
 ciphertext header so the receiver can rebuild the keystream, while the
@@ -167,13 +166,13 @@ def iterated_tables(n: int, ranks: np.ndarray, iters: np.ndarray) -> tuple[np.nd
 
 
 class _StageTables:
-    """One stage's iterated tables, handed out a block at a time.
+    """One stage's iterated tables, handed out a chunk of blocks at a time.
 
     When the tables of every key the stage could draw (count_admissible(n)
     ranks times ``MAX_ITERATIONS`` counts) fit in ``budget`` cells, one
     block's map, the drawn keys' tables are built once for all blocks;
-    otherwise each block's are built from its own keys, so memory scales
-    with one block and not with the block count.
+    otherwise each chunk's are built from its own keys, so memory scales
+    with one chunk and not with the block count.
     """
 
     def __init__(self, n: int, ranks: np.ndarray, iters: np.ndarray, budget: int):
@@ -182,67 +181,65 @@ class _StageTables:
         if baker.count_admissible(n) * MAX_ITERATIONS << (2 * n) <= budget:
             self.whole = iterated_tables(n, ranks, iters)
 
-    def block(self, t: int) -> np.ndarray:
-        """The table at each of block t's positions, in position order."""
+    def tables(self, blocks: slice) -> tuple[np.ndarray, np.ndarray]:
+        """(tables, row) as ``iterated_tables`` returns them, for the
+        positions of ``blocks``: row[..., i] belongs to block blocks.start + i."""
         if self.whole is not None:
             tables, row = self.whole
-            return tables[row[..., t]]
-        tables, row = iterated_tables(self.n, self.ranks[..., t], self.iters[..., t])
-        return tables[row]
+            return tables, row[..., blocks]
+        return iterated_tables(self.n, self.ranks[..., blocks], self.iters[..., blocks])
 
 
-def _cell_map(stage1: _StageTables, stage2: _StageTables, t: int) -> np.ndarray:
-    """Where both stages send each cell of block t: an int32 array over the
-    block's flat (m, x, y, l) cells holding the flat (m', x', y', l') index.
+def _cell_map(stage1: _StageTables, stage2: _StageTables, blocks: slice) -> np.ndarray:
+    """Where both stages send each cell of ``blocks``: an int32 array over
+    the slice's flat (t, m, x, y, l) cells holding the flat (t, m', x', y', l')
+    index, with t counted from blocks.start.
 
     Stage 1 sends (m, l) to (m', l') by the table at (x, y, t); stage 2 then
     sends (x, y) to (x', y') by the table at (l', m', t).
     """
     n, lplanes = stage2.n, stage1.n
     side, per_block = 1 << n, 1 << lplanes
-    # (x, y, m, l) -> (m, x, y, l), holding (m' << lplanes) | l'
-    ml = stage1.block(t).reshape(side, side, per_block, per_block).transpose(2, 0, 1, 3)
+    tables1, row1 = stage1.tables(blocks)
+    tables2, row2 = stage2.tables(blocks)
+    # (x, y, t, m, l) -> (t, m, x, y, l), holding (m' << lplanes) | l'
+    ml = tables1[row1].reshape(side, side, -1, per_block, per_block).transpose(2, 3, 0, 1, 4)
     m2, l2 = ml >> lplanes, ml & (per_block - 1)
-    xy = np.arange(side * side).reshape(1, side, side, 1)
-    xy2 = stage2.block(t).reshape(-1)[(((l2 << lplanes) | m2) << (2 * n)) | xy]
-    return ((m2 << (2 * n + lplanes)) | (xy2 << lplanes) | l2).reshape(-1)
+    t = np.arange(len(ml), dtype=ml.dtype).reshape(-1, 1, 1, 1, 1)
+    xy = np.arange(side * side, dtype=ml.dtype).reshape(1, 1, side, side, 1)
+    # stage 2 tables in (t, l, m) order, flat over their (x << n) | y cells
+    at = tables2[row2.transpose(2, 0, 1)].reshape(-1)
+    xy2 = at[(((t << (2 * lplanes)) | (l2 << lplanes) | m2) << (2 * n)) | xy]
+    dest = (((t << lplanes) | m2) << (2 * n + lplanes)) | (xy2 << lplanes) | l2
+    return dest.reshape(-1)
 
 
 def scramble(tensor: BitTensor, sched: KeySchedule, inverse: bool = False) -> BitTensor:
     """Both baker stages as one permutation of each block's cells.
 
     The forward direction moves the bit at cell i to cell dest[i] (stage 1,
-    then stage 2); the inverse gathers through dest.  Maps are built and
-    applied one block at a time.  When each stage has one key for every
-    position (simplified mode), all blocks share one map: it is built once
-    and applied to a chunk of blocks per gather.
+    then stage 2), so it gathers through dest inverted; the inverse gathers
+    through dest.  Each chunk of blocks is moved by one gather through its
+    own map.  When each stage has one key for every position (simplified
+    mode), block 0's map is built once and gathers every block of a chunk.
     """
     words, lplanes = tensor.words, tensor.lplanes
     cells = words[0].size << lplanes
     stage1 = _StageTables(sched.plane_n, sched.s1_part, sched.s1_iter, cells)
     stage2 = _StageTables(sched.pixel_n, sched.s2_part, sched.s2_iter, cells)
+    shared = all(np.ptp(a) == 0 for a in (sched.s1_part, sched.s1_iter, sched.s2_part, sched.s2_iter))
     out = np.empty_like(words)
-    if all(np.ptp(a) == 0 for a in (sched.s1_part, sched.s1_iter, sched.s2_part, sched.s2_iter)):
-        index = _cell_map(stage1, stage2, 0)
-        if not inverse:
-            src = np.empty_like(index)
-            src[index] = np.arange(index.size, dtype=index.dtype)
-            index = src
-        for chunk in block_chunks(len(words), cells):
-            bits = to_bits(words[chunk], lplanes)
-            moved = np.take(bits.reshape(len(bits), -1), index, axis=1)
-            out[chunk] = from_bits(moved.reshape(bits.shape), lplanes)
-    else:
-        for t in range(len(words)):
-            dest = _cell_map(stage1, stage2, t)
-            bits = to_bits(words[t], lplanes)
-            flat = bits.reshape(-1)
-            if inverse:
-                moved = flat[dest]
-            else:
-                moved = np.empty_like(flat)
-                moved[dest] = flat
-            out[t] = from_bits(moved.reshape(bits.shape), lplanes)
+    index = None
+    for chunk in block_chunks(len(words), cells):
+        if index is None or not shared:
+            index = _cell_map(stage1, stage2, slice(0, 1) if shared else chunk)
+            if not inverse:
+                src = np.empty_like(index)
+                src[index] = np.arange(index.size, dtype=index.dtype)
+                index = src
+        bits = to_bits(words[chunk], lplanes)
+        moved = np.take(bits.reshape(-1, index.size), index, axis=1)
+        out[chunk] = from_bits(moved.reshape(bits.shape), lplanes)
     return BitTensor(tensor.n, lplanes, out)
 
 

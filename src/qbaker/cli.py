@@ -42,9 +42,12 @@ def _cmd_decrypt(args) -> int:
     key = cipher.read_key(args.key)
     image_set = cipher.decrypt(ct, key)
     out_dir = args.out_dir
+    paths = [os.path.join(out_dir, f"image_{i:04d}.pgm") for i in range(image_set.M)]
+    for path, image in zip(paths, image_set.images):
+        images.check_pgm(path, image)  # a refused image leaves no file behind
     os.makedirs(out_dir, exist_ok=True)
-    for i, image in enumerate(image_set.images):
-        images.write_pgm(os.path.join(out_dir, f"image_{i:04d}.pgm"), image)
+    for path, image in zip(paths, image_set.images):
+        images.write_pgm(path, image)
     print(f"decrypted {image_set.M} images -> {out_dir}")
     return 0
 

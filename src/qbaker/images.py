@@ -19,7 +19,8 @@ pixel bytes follow the header.  A manifest lists one image path per line,
 relative to the manifest's directory (an absolute path stands as it is);
 blank lines and ``#`` lines are skipped, and every image must share one
 size.  ``write_pgm`` creates its file or truncates an existing one, so no
-bytes of an older, longer file remain.
+bytes of an older, longer file remain; ``check_pgm`` is its range check,
+which a caller writing several files runs on all of them first.
 """
 
 from __future__ import annotations
@@ -225,11 +226,10 @@ def _pgm_pixels(path, data: bytes) -> tuple[int, memoryview]:
     return width, memoryview(data)[header.end():]
 
 
-def write_pgm(path: str | os.PathLike, image: np.ndarray):
-    """Write an 8-bit P5 file, replacing and truncating any file at path.
-
-    Raises ValueError naming the file when a value lies outside [0, 255].
-    """
+def check_pgm(path: str | os.PathLike, image: np.ndarray) -> np.ndarray:
+    """``image`` as an array, once an 8-bit P5 file at path can hold it:
+    square, or ValueError, and every value in [0, 255], or ValueError
+    naming the file."""
     arr = np.asarray(image)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("image must be square")
@@ -237,6 +237,13 @@ def write_pgm(path: str | os.PathLike, image: np.ndarray):
         raise ValueError(
             f"{path}: pixel values span [{arr.min()}, {arr.max()}]; an 8-bit PGM holds [0, 255]"
         )
+    return arr
+
+
+def write_pgm(path: str | os.PathLike, image: np.ndarray):
+    """Write an 8-bit P5 file, replacing and truncating any file at path,
+    once ``check_pgm`` accepts the image."""
+    arr = check_pgm(path, image)
     data = b"P5\n%d %d\n255\n" % (arr.shape[1], arr.shape[0]) + arr.astype(
         np.uint8, copy=False
     ).tobytes()

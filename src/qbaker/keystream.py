@@ -40,8 +40,14 @@ class Seed:
 
 
 def intensity_seed(image_set: ImageSet) -> float:
-    """Total intensity normalized into [0, 1]."""
-    total = int(np.asarray(image_set.images).sum(dtype=np.int64))
+    """Total intensity normalized into [0, 1]; the total is exact at every L."""
+    images = np.asarray(image_set.images)
+    if image_set.L <= 32:
+        total = int(images.sum(dtype=np.uint64))
+    else:  # a uint64 sum of 64-bit pixels can wrap: sum their 32-bit halves apart
+        wide = images.astype(np.uint64, copy=False)
+        low = int((wide & 0xFFFFFFFF).sum(dtype=np.uint64))
+        total = low + (int((wide >> 32).sum(dtype=np.uint64)) << 32)
     denom = image_set.M * (1 << (2 * image_set.n)) * ((1 << image_set.L) - 1)
     return total / denom
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbaker import baker
+from qbaker import baker, cipher
 from qbaker.cipher import (
     MAX_SCHEDULE_N,
     MODES,
@@ -26,7 +26,7 @@ from qbaker.cipher import (
     write_ciphertext,
 )
 from qbaker.cli import main
-from qbaker.images import ImageSet, pack, plan_layout
+from qbaker.images import ImageSet, block_chunks, pack, plan_layout
 
 import oracles
 from oracles import cube_bits, write_key
@@ -155,17 +155,24 @@ class TestIteratedTables:
 class TestStageTables:
     @pytest.mark.parametrize("n, M", [(2, 20), (3, 40), (5, 200)])
     def test_shared_and_per_block_tables_agree(self, n, M):
-        sched = derive_schedule(KEY, n, plan_layout(M, 8))
+        # chunk slices as scramble takes them: whole tables sliced per chunk
+        # and tables built from a chunk's keys give every position one table
+        layout = plan_layout(M, 8)
+        sched = derive_schedule(KEY, n, layout)
         stages = (
             (sched.plane_n, sched.s1_part, sched.s1_iter),
             (sched.pixel_n, sched.s2_part, sched.s2_iter),
         )
+        cells = layout.images_per_block ** 2 << (2 * n)
         for stage_n, ranks, iters in stages:
-            per_block = _StageTables(stage_n, ranks, iters, budget=0)
+            per_chunk = _StageTables(stage_n, ranks, iters, budget=0)
             shared = _StageTables(stage_n, ranks, iters, budget=1 << 40)
-            assert per_block.whole is None and shared.whole is not None
-            for t in range(ranks.shape[-1]):
-                assert np.array_equal(per_block.block(t), shared.block(t))
+            assert per_chunk.whole is None and shared.whole is not None
+            for chunk in [slice(1, 2), *block_chunks(layout.block_count, cells)]:
+                a_tables, a_row = per_chunk.tables(chunk)
+                b_tables, b_row = shared.tables(chunk)
+                assert a_row.shape == b_row.shape == ranks[..., chunk].shape
+                assert np.array_equal(a_tables[a_row], b_tables[b_row])
 
 
 def _identity_schedule(n, layout):
@@ -228,30 +235,53 @@ class TestScrambling:
 
     def test_single_bit_follows_iterated_map(self):
         rng = np.random.default_rng(4)
-        layout = plan_layout(20, 8)  # 4 blocks of 8 images, 4x4 pixels
-        empty = pack(ImageSet(2, 8, np.zeros((20, 4, 4), dtype=int)))
-        scheds = [
-            derive_schedule(MasterKey(KEY.lambdas, KEY.schedule_seed, mode), 2, layout)
-            for mode in MODES
-        ]
-        # a few keys per stage, mixed over positions: tables shared by blocks
-        keyed = scheds[1]
-        scheds.append(KeySchedule(
-            keyed.plane_n, keyed.pixel_n,
-            rng.choice([3, 17], keyed.s1_part.shape), rng.integers(1, 3, keyed.s1_iter.shape),
-            rng.choice([0, 2], keyed.s2_part.shape), rng.integers(1, 3, keyed.s2_iter.shape),
-        ))
-        for sched in scheds:
-            for _ in range(24):
-                t, m, x, y, l = (int(v) for v in rng.integers(0, [4, 8, 4, 4, 8]))
-                p1 = baker.unrank_admissible(sched.plane_n, int(sched.s1_part[x, y, t]))
-                m2, l2 = oracles.iterate(p1, int(sched.s1_iter[x, y, t]), (m, l))
-                p2 = baker.unrank_admissible(sched.pixel_n, int(sched.s2_part[l2, m2, t]))
-                x2, y2 = oracles.iterate(p2, int(sched.s2_iter[l2, m2, t]), (x, y))
-                out = cube_bits(scramble(_lit(empty, (t, m, x, y, l)), sched))
-                assert out[t, m2, x2, y2, l2] == 1 and out.sum() == 1
-                back = cube_bits(scramble(_lit(empty, (t, m2, x2, y2, l2)), sched, inverse=True))
-                assert back[t, m, x, y, l] == 1 and back.sum() == 1
+        # 4 blocks of 8 images, 4x4 pixels, in one chunk; and 256 blocks in
+        # four chunks of 64, lit in the last chunk
+        for M, blocks in ((20, range(4)), (1040, range(192, 256))):
+            layout = plan_layout(M, 8)
+            empty = pack(ImageSet(2, 8, np.zeros((M, 4, 4), dtype=int)))
+            scheds = [
+                derive_schedule(MasterKey(KEY.lambdas, KEY.schedule_seed, mode), 2, layout)
+                for mode in MODES
+            ]
+            # a few keys per stage, mixed over positions: tables shared by blocks
+            keyed = scheds[1]
+            scheds.append(KeySchedule(
+                keyed.plane_n, keyed.pixel_n,
+                rng.choice([3, 17], keyed.s1_part.shape), rng.integers(1, 3, keyed.s1_iter.shape),
+                rng.choice([0, 2], keyed.s2_part.shape), rng.integers(1, 3, keyed.s2_iter.shape),
+            ))
+            for sched in scheds:
+                for _ in range(24):
+                    m, x, y, l = (int(v) for v in rng.integers(0, [8, 4, 4, 8]))
+                    t = int(rng.choice(blocks))
+                    p1 = baker.unrank_admissible(sched.plane_n, int(sched.s1_part[x, y, t]))
+                    m2, l2 = oracles.iterate(p1, int(sched.s1_iter[x, y, t]), (m, l))
+                    p2 = baker.unrank_admissible(sched.pixel_n, int(sched.s2_part[l2, m2, t]))
+                    x2, y2 = oracles.iterate(p2, int(sched.s2_iter[l2, m2, t]), (x, y))
+                    out = cube_bits(scramble(_lit(empty, (t, m, x, y, l)), sched))
+                    assert out[t, m2, x2, y2, l2] == 1 and out.sum() == 1
+                    back = cube_bits(scramble(_lit(empty, (t, m2, x2, y2, l2)), sched, True))
+                    assert back[t, m, x, y, l] == 1 and back.sum() == 1
+
+    def test_one_cell_map_per_chunk_or_one_shared(self, monkeypatch):
+        # 256 blocks in four chunks: keyed mode builds each chunk's map,
+        # simplified mode builds block 0's map once for every block
+        calls = []
+
+        def counted(stage1, stage2, blocks):
+            calls.append(blocks)
+            return cell_map(stage1, stage2, blocks)
+
+        cell_map = cipher._cell_map
+        monkeypatch.setattr(cipher, "_cell_map", counted)
+        tensor = pack(random_images(np.random.default_rng(12), M=1040))
+        for mode, want in (("simplified", 1), ("non_simplified", 4)):
+            sched = derive_schedule(MasterKey(KEY.lambdas, 1, mode), 2, plan_layout(1040, 8))
+            for inverse in (False, True):
+                calls.clear()
+                scramble(tensor, sched, inverse)
+                assert len(calls) == want, (mode, calls)
 
     def test_stage2_ranks_near_int64_max(self):
         # n=7 ranks in [2^62, 2^63): no table key built from them may leave
@@ -418,7 +448,7 @@ class TestPipeline:
         assert np.array_equal(decrypt(loaded, KEY).images, s.images)
 
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("L", [2, 4, 16, 32])
+    @pytest.mark.parametrize("L", [2, 4, 16, 32, 64])
     def test_file_roundtrip_every_word_width(self, tmp_path, mode, L):
         rng = np.random.default_rng(L)
         s = ImageSet(1, L, rng.integers(0, 1 << L, size=(3, 2, 2), dtype=np.uint64))

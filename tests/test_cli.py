@@ -97,16 +97,19 @@ class TestEncryptDecrypt:
         assert "64-bit" in capsys.readouterr().err
 
     def test_decrypt_of_pixels_past_a_byte_exits_one(self, workspace, capsys):
-        # L=16 pixels above 255 do not fit an 8-bit PGM: refused, not wrapped
+        # L=16 pixels above 255 do not fit an 8-bit PGM: refused, not wrapped,
+        # and refused before the first image, which fits, is written
         key = cipher.read_key(workspace / "key.txt")
-        wide = ImageSet(1, 16, np.full((2, 2, 2), 16000))
+        wide = ImageSet(1, 16, np.stack([np.full((2, 2), 7), np.full((2, 2), 16000)]))
         cipher.write_ciphertext(workspace / "ct.bin", cipher.encrypt(wide, key))
         out = workspace / "out"
+        out.mkdir()
         rc = main(["decrypt", "--in", str(workspace / "ct.bin"),
                    "--key", str(workspace / "key.txt"), "--out-dir", str(out)])
         assert rc == 1
         err = capsys.readouterr().err
-        assert f"error: {out / 'image_0000.pgm'}" in err and "[0, 255]" in err
+        assert f"error: {out / 'image_0001.pgm'}" in err and "[0, 255]" in err
+        assert list(out.iterdir()) == []
 
     def test_missing_manifest_exits_one(self, workspace, capsys):
         rc = main([

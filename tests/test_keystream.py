@@ -69,6 +69,17 @@ class TestIntensitySeed:
         want = imgs.sum() / (2 * 4 * 255)
         assert intensity_seed(ImageSet(1, 8, imgs)) == want
 
+    def test_all_max_at_64_bits(self):
+        # twelve pixels of 2^64 - 1: a 64-bit sum wraps to x0 = -5.4e-20
+        imgs = np.full((3, 2, 2), (1 << 64) - 1, dtype=np.uint64)
+        assert intensity_seed(ImageSet(1, 64, imgs)) == 1.0
+
+    @pytest.mark.parametrize("L", [33, 48, 64])
+    def test_wide_pixels_summed_exactly(self, L):
+        imgs = np.random.default_rng(L).integers(0, 1 << L, (4, 4, 4), dtype=np.uint64)
+        want = sum(int(v) for v in imgs.ravel()) / (4 * 16 * ((1 << L) - 1))
+        assert intensity_seed(ImageSet(2, L, imgs)) == want
+
 
 class TestAlphaBeta:
     def test_all_zero(self):

@@ -57,9 +57,11 @@ def scm_step(state: ScmState, params: ScmParams) -> ScmState:
 def rank(values) -> list[int]:
     """rank[i] = number of entries strictly below values[i]; input distinct."""
     arr = np.asarray(values, dtype=float)
-    if len(np.unique(arr)) != arr.size:
-        raise ValueError("rank requires pairwise distinct values")
     order = np.argsort(arr, kind="stable")
+    ascending = arr[order]
+    # equal values sort next to each other (np.unique would import numpy.ma)
+    if (ascending[1:] == ascending[:-1]).any():
+        raise ValueError("rank requires pairwise distinct values")
     ranks = np.empty(arr.size, dtype=np.int64)
     ranks[order] = np.arange(arr.size)
     return ranks.tolist()

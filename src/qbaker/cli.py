@@ -107,6 +107,8 @@ def _cmd_chaos_trace(args) -> int:
     init = tuple(float(v) for v in args.init.split(","))
     if len(init) != 5:
         raise ValueError("--init needs five comma-separated components")
+    if args.steps < 1:
+        raise ValueError(f"--steps must be at least 1, got {args.steps}")
     params = chaos.ScmParams(lambdas)  # validates count and bounds
     rows = ["step,x1,x2,x3,x4,x5"]
     state = init

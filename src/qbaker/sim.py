@@ -10,11 +10,12 @@ whole circuits.  Every synthesized circuit is a concatenation of pieces
 (``circuit.piece_keys``), so the sweep simulates each distinct piece once,
 memoizes its permutation table by key in a least-recently-used cache of
 1024 tables (never gates; 930 tables, 1.8 MB, cover n <= 5, and 1024 n = 8
-tables take 128 MB), and composes a partition's circuit from one gather per
-piece.  Each piece's gate count is checked against ``circuit.piece_budget``
-once, when the piece is built; the budgets of a partition's pieces sum to
-its closed-form count.  Circuit tables are compared pointwise against the
-baker map rows of ``baker.partition_tables``.
+tables take 128 MB).  It visits partitions in key order and composes each
+one from the composed table of the key prefix it shares with the partition
+before it, one gather per later piece.  Each piece's gate count is checked
+against ``circuit.piece_budget`` once, when the piece is built; the budgets
+of a partition's pieces sum to its closed-form count.  Circuit tables are
+compared pointwise against the baker map rows of ``baker.partition_tables``.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from .circuit import Circuit
 
 # Partitions whose baker rows equivalence_sweep builds in one call.
 _CHUNK = 64
+# Partitions equivalence_sweep reads at once and visits in piece-key order.
+_WINDOW = 256
 
 
 def _bitpos(wire, n: int) -> int:
@@ -101,33 +104,52 @@ def _piece_permutation(key: tuple) -> np.ndarray:
     return table
 
 
-def _composed(p: BakerPartition) -> np.ndarray:
-    """Permutation table of ``synthesize(p)``, one gather per piece."""
-    keys = circuit.piece_keys(p)
-    perm = _piece_permutation(keys[0])
-    for key in keys[1:]:
-        perm = _piece_permutation(key)[perm]
-    return perm
-
-
 def equivalence_sweep(n: int, partitions):
     """Check synthesized-circuit vs baker-map equality for many partitions.
 
     Yields (partition, (point, circuit_image, baker_image)) for every
-    partition whose circuit differs from its baker map, with the witness
-    ``equivalence`` reports; silent when all match.  Every partition is
-    checked at all 4^n states, and the gate count of every piece of its
-    circuit is asserted against the piece's share of the closed-form model.
+    partition whose circuit differs from its baker map, in input order and
+    with the witness ``equivalence`` reports; silent when all match.  Every
+    partition is checked at all 4^n states, and the gate count of every
+    piece of its circuit is asserted against the piece's share of the
+    closed-form model.  A partition of another square than n raises
+    ``ValueError``.
 
-    Piece tables are memoized across calls by ``circuit.piece_keys`` key in
-    a least-recently-used cache of 1024 tables.  All n <= 5 need 930 pieces,
-    1.8 MB as uint16 tables; at n = 8 a table is 128 KB, so a full memo holds
-    128 MB.  Baker rows are built ``_CHUNK`` partitions at a time.
+    The input is read ``_WINDOW`` partitions at a time, and each window is
+    visited in ``circuit.piece_keys`` order.  A stack of (key, composed
+    table) pairs, kept for one call, holds the composed prefixes of the
+    partition visited last: the next partition pops back to the prefix the
+    two share and composes only its later pieces, one gather each.  Piece
+    tables are memoized across calls by key in a least-recently-used cache
+    of 1024 tables.  All n <= 5 need 930 pieces, 1.8 MB as uint16 tables; at
+    n = 8 a table is 128 KB, so a full memo holds 128 MB.  Baker rows are
+    built ``_CHUNK`` partitions at a time, in visit order.
     """
+    dtype = _state_dtype(n)
+    stack: list[tuple[tuple, np.ndarray]] = []
     partitions = iter(partitions)
-    while batch := list(itertools.islice(partitions, _CHUNK)):
-        refs = baker.partition_tables(n, [p.q for p in batch]).astype(_state_dtype(n))
-        for p, ref in zip(batch, refs):
-            witness = _witness(_composed(p), ref, n)
-            if witness is not None:
-                yield p, witness
+    while window := list(itertools.islice(partitions, _WINDOW)):
+        for p in window:
+            if p.n != n:
+                raise ValueError(f"partition {p} has n={p.n}, the sweep is over n={n}")
+        keys = [circuit.piece_keys(p) for p in window]
+        order = sorted(range(len(window)), key=keys.__getitem__)
+        found = {}
+        for lo in range(0, len(order), _CHUNK):
+            visit = order[lo:lo + _CHUNK]
+            refs = baker.partition_tables(n, [window[i].q for i in visit]).astype(dtype)
+            for i, ref in zip(visit, refs):
+                shared = 0
+                for (key, _), want in zip(stack, keys[i]):
+                    if key != want:
+                        break
+                    shared += 1
+                del stack[shared:]
+                for key in keys[i][shared:]:
+                    table = _piece_permutation(key)
+                    stack.append((key, table.take(stack[-1][1]) if stack else table))
+                witness = _witness(stack[-1][1], ref, n)
+                if witness is not None:
+                    found[i] = witness
+        for i in sorted(found):
+            yield window[i], found[i]

@@ -227,6 +227,13 @@ class TestChaosTrace:
     def test_bad_init_rejected(self, capsys):
         assert main(["chaos-trace", "--init", "0.1,0.2"]) == 1
 
+    @pytest.mark.parametrize("steps", ["-5", "0"])
+    def test_steps_below_one_rejected(self, steps, tmp_path, capsys):
+        out = tmp_path / "trace.csv"
+        assert main(["chaos-trace", "--steps", steps, "--out", str(out)]) == 1
+        assert "--steps" in capsys.readouterr().err
+        assert not out.exists()
+
 
 # -- every input file, fuzzed: the CLI exits 0 or 1, never with a traceback ----
 
@@ -305,6 +312,25 @@ def test_cli_import_leaves_circuit_side_out():
     for name in ("qbaker.circuit", "qbaker.sim", "qbaker.analysis"):
         assert f"'{name}'" not in out
     assert "'qbaker.cipher'" in out
+
+
+def test_encrypt_and_decrypt_leave_numpy_ma_out(workspace):
+    # importing numpy.ma cost 12-18 ms per call; chaos.rank once pulled it in
+    env = dict(os.environ, PYTHONPATH=str(Path(qbaker.__file__).resolve().parents[1]))
+    code = (
+        "import sys\n"
+        "from qbaker.cli import main\n"
+        "assert main(['encrypt', '--manifest', 'manifest.txt', '--key', 'key.txt',"
+        " '--out', 'ct.bin']) == 0\n"
+        "assert main(['decrypt', '--in', 'ct.bin', '--key', 'key.txt',"
+        " '--out-dir', 'out']) == 0\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=workspace,
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    assert out.splitlines()[-1] == "False"
+    assert (workspace / "out" / "image_0002.pgm").read_bytes() == (
+        workspace / "img2.pgm").read_bytes()
 
 
 def test_unknown_command_exits_two(capsys):

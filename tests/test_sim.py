@@ -176,7 +176,8 @@ class TestSweep:
     @pytest.mark.parametrize("corrupt", [False, True])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_verdicts_equal_equivalence(self, n, corrupt, fresh_pieces, monkeypatch):
-        monkeypatch.setattr(sim, "_CHUNK", 50)  # batches end mid-list
+        monkeypatch.setattr(sim, "_CHUNK", 50)  # batches end mid-window
+        monkeypatch.setattr(sim, "_WINDOW", 120)  # windows end mid-list
         if corrupt:
             _corrupt_window_pieces(monkeypatch)
         parts = baker.enumerate_admissible(n)
@@ -187,6 +188,45 @@ class TestSweep:
                 want[p] = witness
         assert dict(sim.equivalence_sweep(n, parts)) == want
         assert bool(want) == (corrupt and n > 1)
+
+    def test_one_gather_per_distinct_key_prefix(self, monkeypatch):
+        parts = baker.enumerate_admissible(3)
+        assert len(parts) <= sim._WINDOW
+        calls = []
+        lookup = sim._piece_permutation
+        monkeypatch.setattr(sim, "_piece_permutation",
+                            lambda key: calls.append(key) or lookup(key))
+        assert list(sim.equivalence_sweep(3, parts[::-1])) == []
+        keys = [circuit.piece_keys(p) for p in parts]
+        prefixes = {tuple(k[:j]) for k in keys for j in range(1, len(k) + 1)}
+        assert len(calls) == len(prefixes) < sum(map(len, keys))
+
+    def test_shuffled_corruption_reported_in_input_order(self, fresh_pieces, monkeypatch):
+        monkeypatch.setattr(sim, "_WINDOW", 100)
+        _corrupt_window_pieces(monkeypatch)
+        parts = baker.enumerate_admissible(4)
+        random.Random(4).shuffle(parts)
+        want = []
+        for p in parts:
+            ok, witness = sim.equivalence(synthesize(p), p)
+            if not ok:
+                want.append((p, witness))
+        assert 0 < len(want) < len(parts)
+        assert list(sim.equivalence_sweep(4, parts)) == want
+
+    def test_composed_prefixes_do_not_outlive_a_call(self, fresh_pieces, monkeypatch):
+        p = BakerPartition(3, (2, 1, 1))
+        assert list(sim.equivalence_sweep(3, [p])) == []
+        sim._piece_permutation.cache_clear()
+        _corrupt_window_pieces(monkeypatch)
+        [(got_p, witness)] = sim.equivalence_sweep(3, [p])
+        assert (got_p, witness) == (p, sim.equivalence(synthesize(p), p)[1])
+
+    @pytest.mark.parametrize("n, q", [(3, (2, 2, 2, 2)), (4, (2, 1, 1))])
+    def test_partition_of_another_square_rejected(self, n, q):
+        p = BakerPartition(7 - n, q)
+        with pytest.raises(ValueError, match=f"partition {p} has n={7 - n}"):
+            list(sim.equivalence_sweep(n, [BakerPartition(n, (n,)), p]))
 
     def test_composed_pieces_are_the_synthesized_stream(self, fresh_pieces, monkeypatch):
         rng = np.random.default_rng(5)

@@ -2,19 +2,26 @@
 
 Stage 1 permutes the (image, plane) matrix independently at every pixel and
 block; stage 2 permutes pixel positions independently per plane, image, and
-block.  ``scramble`` composes both stages into one map of each cell to where
-its bit lands after stage 1 and then stage 2, and moves a chunk of blocks at
-a time by one gather: through the chunk's own map, or, when every position
-shares one key (simplified mode), through block 0's map, which all blocks
-share.  The cube stays packed as words; only the chunk being moved is
-expanded to one byte per bit.  Baker parameters and iteration counts come
-from a keyed schedule (SHA-256 over the schedule seed and position, so both
-sides agree without sharing plaintext).  A draw takes the digest's first 64
-bits modulo the number of admissible partitions as a lexicographic rank, and
-only the drawn ranks are unranked into baker tables.  There are 2.1e11
-admissible partitions at n=6 but 4.4e22 at n=7, more than a 64-bit draw can
-reach, so both squares are limited to n <= 6: images of at most 64x64
-pixels, L <= 64.
+block.  Both stages compose into one map of each cell to where its bit lands
+after stage 1 and then stage 2.  ``encrypt`` and ``decrypt`` are one loop
+over chunks of blocks (``images.block_chunks``): encrypt packs a chunk's
+images into words, moves its bits through the chunk's map (``scramble``),
+XORs in the chunk's key digits (``diffuse``) and writes the words into the
+ciphertext; decrypt undoes the XOR, moves the bits back and unpacks them into
+the image array.  Only the chunk being moved is expanded to one byte per bit,
+so besides the images and the ciphertext words a call holds one chunk's
+arrays.  The stage tables are built once per call; when every position shares
+one key (simplified mode), block 0's map is built once and moves every block.
+
+Baker parameters and iteration counts come from a keyed schedule (SHA-256
+over the schedule seed and position, so both sides agree without sharing
+plaintext).  The positions are hashed a bounded chunk at a time, and
+simplified mode makes one draw per stage, held as a broadcast view over the
+positions.  A draw takes the digest's first 64 bits modulo the number of
+admissible partitions as a lexicographic rank, and only the drawn ranks are
+unranked into baker tables.  There are 2.1e11 admissible partitions at n=6
+but 4.4e22 at n=7, more than a 64-bit draw can reach, so both squares are
+limited to n <= 6: images of at most 64x64 pixels, L <= 64.
 Diffusion XORs key digits derived from the plaintext-seeded chaotic
 sequences into the bit cube; the aggregates x0/alpha/beta travel in the
 ciphertext header so the receiver can rebuild the keystream, while the
@@ -23,7 +30,9 @@ lambda tuning parameters stay secret.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,13 +43,16 @@ from . import baker
 from .chaos import ScmParams, generate_sequences
 from .images import (BitTensor, BlockLayout, ImageSet, block_chunks, from_bits, pack,
                      plan_layout, to_bits, unpack, word_dtype)
-from .keystream import Seed, derive_seed, key_table, seed_from_header
+from .keystream import Seed, derive_seed, key_factors, key_table, seed_from_header
 
 MAX_ITERATIONS = 16
 MAGIC = b"QBMI1"
 # Largest square side exponent a 64-bit draw covers: count_admissible(6) is
 # 2.1e11, count_admissible(7) is 4.4e22 > 2^64.
 MAX_SCHEDULE_N = 6
+# Positions hashed per pass of a keyed draw: bounds the digests held at once
+# to about 200 kB.
+_DRAW_CHUNK = 1 << 10
 
 Mode = str  # one of MODES
 MODES = ("simplified", "non_simplified")
@@ -82,25 +94,32 @@ class KeySchedule:
     s2_iter: np.ndarray
 
 
-def _draws(seed: int, label: bytes, positions: np.ndarray, n_choices: int):
-    """Partition ranks and iteration counts, one draw per row of ``positions``.
+def _draws(seed: int, label: bytes, shape: tuple[int, ...], n_choices: int):
+    """Partition ranks and iteration counts, one draw per position of an
+    array of ``shape``, as two int64 arrays of that shape.
 
     A draw hashes the seed, the label and the position's coordinates (64-bit
     and 32-bit big-endian words) with SHA-256; the first 64 digest bits
     modulo ``n_choices`` give the rank, the next 64 bits the iteration count.
+    Shape () makes one draw with no coordinates.
     """
     base = hashlib.sha256(struct.pack(">Q", seed) + label)
-    coords = positions.astype(">u4").tobytes()
-    width = 4 * positions.shape[1]
-    digests = []
-    for i in range(len(positions)):
-        h = base.copy()
-        h.update(coords[i * width : (i + 1) * width])
-        digests.append(h.digest())
-    words = np.frombuffer(b"".join(digests), dtype=">u8").reshape(-1, 4)
-    part = (words[:, 0] % np.uint64(n_choices)).astype(np.int64)
-    iters = (words[:, 1] % np.uint64(MAX_ITERATIONS)).astype(np.int64) + 1
-    return part, iters
+    size = math.prod(shape)
+    part = np.empty(size, dtype=np.int64)
+    iters = np.empty(size, dtype=np.int64)
+    width = 4 * len(shape)
+    for lo in range(0, size, _DRAW_CHUNK):
+        at = np.arange(lo, min(lo + _DRAW_CHUNK, size))
+        coords = np.array(np.unravel_index(at, shape) if shape else (), dtype=">u4").T.tobytes()
+        digests = []
+        for i in range(len(at)):
+            h = base.copy()
+            h.update(coords[i * width : (i + 1) * width])
+            digests.append(h.digest())
+        words = np.frombuffer(b"".join(digests), dtype=">u8").reshape(-1, 4)
+        part[lo : lo + len(at)] = words[:, 0] % np.uint64(n_choices)
+        iters[lo : lo + len(at)] = words[:, 1] % np.uint64(MAX_ITERATIONS) + np.uint64(1)
+    return part.reshape(shape), iters.reshape(shape)
 
 
 def _choices(n: int) -> int:
@@ -126,12 +145,9 @@ def derive_schedule(key: MasterKey, n: int, layout: BlockLayout) -> KeySchedule:
     simplified = key.mode == "simplified"
     arrays = []
     for label, shape, n_choices in stages:
-        if simplified:
-            positions = np.zeros((1, 0), dtype=np.uint32)  # one draw, no position
-        else:
-            positions = np.indices(shape).reshape(len(shape), -1).T
-        for drawn in _draws(key.schedule_seed, label, positions, n_choices):
-            arrays.append(np.full(shape, drawn[0]) if simplified else drawn.reshape(shape))
+        # simplified: one draw with no position, seen at every position
+        drawn = _draws(key.schedule_seed, label, () if simplified else shape, n_choices)
+        arrays += (np.broadcast_to(a, shape) for a in drawn)
     return KeySchedule(lplanes, n, *arrays)
 
 
@@ -168,17 +184,24 @@ def iterated_tables(n: int, ranks: np.ndarray, iters: np.ndarray) -> tuple[np.nd
 class _StageTables:
     """One stage's iterated tables, handed out a chunk of blocks at a time.
 
-    When the tables of every key the stage could draw (count_admissible(n)
-    ranks times ``MAX_ITERATIONS`` counts) fit in ``budget`` cells, one
-    block's map, the drawn keys' tables are built once for all blocks;
-    otherwise each chunk's are built from its own keys, so memory scales
-    with one chunk and not with the block count.
+    When every position has one key (``constant``), its tables are built
+    from one position: ``np.unique`` of a broadcast schedule would copy it to
+    full size.  When the tables of every key the stage could draw
+    (count_admissible(n) ranks times ``MAX_ITERATIONS`` counts) fit in
+    ``budget`` cells, one block's map, the drawn keys' tables are built once
+    for all blocks; otherwise each chunk's are built from its own keys, so
+    memory scales with one chunk and not with the block count.
     """
 
     def __init__(self, n: int, ranks: np.ndarray, iters: np.ndarray, budget: int):
         self.n, self.ranks, self.iters = n, ranks, iters
+        self.constant = np.ptp(ranks) == 0 and np.ptp(iters) == 0
         self.whole = None
-        if baker.count_admissible(n) * MAX_ITERATIONS << (2 * n) <= budget:
+        if self.constant:
+            one = (slice(0, 1),) * ranks.ndim
+            tables, _ = iterated_tables(n, ranks[one], iters[one])
+            self.whole = tables, np.broadcast_to(np.intp(0), ranks.shape)
+        elif baker.count_admissible(n) * MAX_ITERATIONS << (2 * n) <= budget:
             self.whole = iterated_tables(n, ranks, iters)
 
     def tables(self, blocks: slice) -> tuple[np.ndarray, np.ndarray]:
@@ -214,53 +237,79 @@ def _cell_map(stage1: _StageTables, stage2: _StageTables, blocks: slice) -> np.n
     return dest.reshape(-1)
 
 
-def scramble(tensor: BitTensor, sched: KeySchedule, inverse: bool = False) -> BitTensor:
-    """Both baker stages as one permutation of each block's cells.
+class _CellMaps:
+    """The cell maps of one schedule, handed out a chunk of blocks at a time
+    as (index, scatter): the map that ``scramble`` moves the chunk's bits
+    through, and how.
 
-    The forward direction moves the bit at cell i to cell dest[i] (stage 1,
-    then stage 2), so it gathers through dest inverted; the inverse gathers
-    through dest.  Each chunk of blocks is moved by one gather through its
-    own map.  When each stage has one key for every position (simplified
-    mode), block 0's map is built once and gathers every block of a chunk.
+    The forward direction sends the bit at cell i to cell dest[i] (stage 1,
+    then stage 2): each chunk scatters through its own map.  The inverse
+    gathers through dest.  The stage tables are built once.  When both
+    stages have one key for every position (simplified mode), block 0's map
+    moves every block: it is built once, and the forward direction inverts
+    it once and gathers through that.
     """
-    words, lplanes = tensor.words, tensor.lplanes
-    cells = words[0].size << lplanes
-    stage1 = _StageTables(sched.plane_n, sched.s1_part, sched.s1_iter, cells)
-    stage2 = _StageTables(sched.pixel_n, sched.s2_part, sched.s2_iter, cells)
-    shared = all(np.ptp(a) == 0 for a in (sched.s1_part, sched.s1_iter, sched.s2_part, sched.s2_iter))
-    out = np.empty_like(words)
-    index = None
-    for chunk in block_chunks(len(words), cells):
-        if index is None or not shared:
-            index = _cell_map(stage1, stage2, slice(0, 1) if shared else chunk)
+
+    def __init__(self, sched: KeySchedule, inverse: bool):
+        self.cells = 1 << (2 * (sched.plane_n + sched.pixel_n))  # per block
+        self.stage1 = _StageTables(sched.plane_n, sched.s1_part, sched.s1_iter, self.cells)
+        self.stage2 = _StageTables(sched.pixel_n, sched.s2_part, sched.s2_iter, self.cells)
+        self.scatter = not inverse
+        self.shared = None
+        if self.stage1.constant and self.stage2.constant:
+            index = _cell_map(self.stage1, self.stage2, slice(0, 1))
             if not inverse:
                 src = np.empty_like(index)
                 src[index] = np.arange(index.size, dtype=index.dtype)
                 index = src
-        bits = to_bits(words[chunk], lplanes)
-        moved = np.take(bits.reshape(-1, index.size), index, axis=1)
-        out[chunk] = from_bits(moved.reshape(bits.shape), lplanes)
-    return BitTensor(tensor.n, lplanes, out)
+            self.shared = index.astype(np.intp)  # np.take would copy it to intp for every chunk
+
+    def __call__(self, blocks: slice) -> tuple[np.ndarray, bool]:
+        if self.shared is not None:
+            return self.shared, False
+        return _cell_map(self.stage1, self.stage2, blocks), self.scatter
 
 
-def diffuse(tensor: BitTensor, keys: np.ndarray) -> BitTensor:
-    """XOR key digits into the cube; plane l takes key bit (l mod digit width).
+def scramble(words: np.ndarray, index: np.ndarray, scatter: bool) -> np.ndarray:
+    """The words of a chunk of blocks with their bits moved through a cell
+    map: the bit at cell i moves to cell index[i] (``scatter``) or comes from
+    cell index[i].  The map covers the chunk's flat (t, m, x, y, l) cells or
+    one block's, and then moves every block alike.
+    """
+    lplanes = words.shape[1].bit_length() - 1
+    bits = to_bits(words, lplanes).reshape(-1, index.size)
+    if scatter:
+        moved = np.empty_like(bits)
+        moved[:, index] = bits
+    else:
+        moved = np.take(bits, index, axis=1)
+    return from_bits(moved.reshape(*words.shape, -1), lplanes)
+
+
+@functools.cache
+def _plane_masks(lplanes: int) -> np.ndarray:
+    """The word that XORs digit d into every plane: plane l takes digit bit
+    (l mod digit width)."""
+    per_block, width = 1 << lplanes, max(1, lplanes)
+    return np.array(
+        [sum(((d >> (l % width)) & 1) << l for l in range(per_block)) for d in range(per_block)],
+        dtype=word_dtype(lplanes),
+    )
+
+
+def diffuse(words: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """The words of a chunk of blocks with key digits XORed in; plane l
+    takes key bit (l mod digit width).
 
     Key digits carry ceil(log2 L) bits while the cube has 2^ceil(log2 L)
     planes, so digit bits are reused cyclically across planes; the operation
     stays an involution.  Each digit's plane mask is looked up as one word.
     """
-    blocks, per_block, side, _ = keys.shape
-    if (blocks, per_block) != (tensor.block_count, 1 << tensor.lplanes):
-        raise ValueError("key table disagrees with the tensor layout")
-    width = max(1, tensor.lplanes)
-    lut = np.array(
-        [sum(((d >> (l % width)) & 1) << l for l in range(per_block)) for d in range(per_block)],
-        dtype=tensor.words.dtype,
-    )
-    mask = lut[keys]  # indexing reads uint8 keys in place; np.take copies them to intp
-    mask ^= tensor.words
-    return BitTensor(tensor.n, tensor.lplanes, mask)
+    if keys.shape != words.shape:
+        raise ValueError("key digits disagree with the words' layout")
+    mask = _plane_masks(words.shape[1].bit_length() - 1)[keys]  # indexing reads uint8 keys in place
+    mask ^= words
+    return mask
 
 
 @dataclass(frozen=True)
@@ -277,19 +326,26 @@ class Ciphertext:
     mode: Mode
 
 
-def _key_digits(seed: Seed, key: MasterKey, n: int, layout: BlockLayout) -> np.ndarray:
+def _key_factors(seed: Seed, key: MasterKey, n: int, layout: BlockLayout):
     lengths = (1 << n, 1 << n, layout.images_per_block, layout.block_count)
-    return key_table(generate_sequences(seed.state(), key.params(), lengths), layout, n)
+    return key_factors(generate_sequences(seed.state(), key.params(), lengths), layout, n)
 
 
 def encrypt(image_set: ImageSet, key: MasterKey) -> Ciphertext:
+    n = image_set.n
     layout = plan_layout(image_set.M, image_set.L)
-    sched = derive_schedule(key, image_set.n, layout)
+    sched = derive_schedule(key, n, layout)
     seed = derive_seed(image_set)
-    keys = _key_digits(seed, key, image_set.n, layout)
-    diffused = diffuse(scramble(pack(image_set), sched), keys)
+    factors = _key_factors(seed, key, n, layout)
+    side = 1 << n
+    words = np.empty((layout.block_count, layout.images_per_block, side, side),
+                     dtype=word_dtype(layout.lplanes))
+    maps = _CellMaps(sched, inverse=False)
+    for chunk in block_chunks(layout.block_count, maps.cells):
+        moved = scramble(pack(image_set, chunk), *maps(chunk))
+        words[chunk] = diffuse(moved, key_table(factors, chunk))
     return Ciphertext(
-        diffused, image_set.n, image_set.L, image_set.M,
+        BitTensor(n, layout.lplanes, words), n, image_set.L, image_set.M,
         seed.x0, seed.alpha, seed.beta, key.mode,
     )
 
@@ -297,15 +353,21 @@ def encrypt(image_set: ImageSet, key: MasterKey) -> Ciphertext:
 def decrypt(ct: Ciphertext, key: MasterKey) -> ImageSet:
     """Reverse pipeline; a wrong key just yields garbage images."""
     layout = plan_layout(ct.M, ct.L)
-    if ct.tensor.block_count != layout.block_count:
+    tensor = ct.tensor
+    if (tensor.n, tensor.lplanes, tensor.block_count) != (ct.n, layout.lplanes, layout.block_count):
         raise ValueError("ciphertext dimensions disagree with its header")
     if ct.mode != key.mode:
         raise ValueError("key mode disagrees with the ciphertext header")
     sched = derive_schedule(key, ct.n, layout)
-    seed = seed_from_header(ct.x0, ct.alpha, ct.beta)
-    keys = _key_digits(seed, key, ct.n, layout)
-    undiffused = diffuse(ct.tensor, keys)
-    return unpack(scramble(undiffused, sched, inverse=True), layout, ct.M, ct.L)
+    factors = _key_factors(seed_from_header(ct.x0, ct.alpha, ct.beta), key, ct.n, layout)
+    side, per_block = 1 << ct.n, layout.images_per_block
+    images = np.empty((ct.M, side, side), dtype=np.min_scalar_type((1 << ct.L) - 1))
+    maps = _CellMaps(sched, inverse=True)
+    for chunk in block_chunks(layout.block_count, maps.cells):
+        undiffused = diffuse(tensor.words[chunk], key_table(factors, chunk))
+        out = images[chunk.start * per_block : chunk.stop * per_block]
+        unpack(scramble(undiffused, *maps(chunk)), ct.L, out)
+    return ImageSet(ct.n, ct.L, images)
 
 
 # ---------------------------------------------------------------------------

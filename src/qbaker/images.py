@@ -6,9 +6,10 @@ pixel has 2^ceil(log2 L) bit planes.  The cells of the cube are indexed
 (block, image-in-block, row, column, plane), and the cube is stored packed:
 one word per (block, image-in-block, row, column), the narrowest
 little-endian unsigned type with 2^ceil(log2 L) bits, whose bit l is plane
-l.  ``to_bits`` and ``from_bits`` convert between words and one byte per
-bit; callers convert a bounded chunk of blocks at a time (``block_chunks``),
-so no bit-per-byte copy of the whole cube is ever made.
+l.  ``pack`` and ``unpack`` convert between images and the words of a
+chunk of blocks, and ``to_bits`` and ``from_bits`` between words and one
+byte per bit; callers work a bounded chunk of blocks at a time
+(``block_chunks``), so no bit-per-byte copy of the whole cube is ever made.
 
 Images are read and written as binary 8-bit PGM (P5).  The reader accepts
 a header of ``P5``, width, height and maxval separated by whitespace or
@@ -32,6 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# The widest pixel word, uint64: its bit planes bound the bit depth L.
+MAX_BIT_DEPTH = 64
+
+
 def ceil_log2(v: int) -> int:
     """The least e >= 0 with 2^e >= v."""
     return max(0, (v - 1).bit_length())
@@ -50,6 +55,11 @@ class ImageSet:
             raise ValueError("n must be >= 0")
         if self.L < 2:
             raise ValueError("L must be >= 2")
+        if self.L > MAX_BIT_DEPTH:
+            raise ValueError(
+                f"L={self.L} above {MAX_BIT_DEPTH}: a pixel word holds at most "
+                f"{MAX_BIT_DEPTH} bit planes"
+            )
         arr = np.asarray(self.images)
         side = 1 << self.n
         if arr.ndim != 3 or arr.shape[1:] != (side, side):
@@ -113,8 +123,9 @@ class BitTensor:
         return self.words.size << self.lplanes
 
 
-# Cells converted per chunk: bounds the transient bit-per-byte and float
-# arrays of a chunked pass to a few hundred kB.
+# Cells per chunk of blocks: bounds the transient bit-per-byte, float and
+# cell-map arrays of a chunked pass to a few hundred kB.  A chunk is still at
+# least one block, whatever its size: 65,536 cells for 32x32 images at L=8.
 _CHUNK_CELLS = 1 << 16
 
 
@@ -152,34 +163,31 @@ def plan_layout(M: int, L: int) -> BlockLayout:
     return BlockLayout(images_per_block, block_count)
 
 
-def pack(image_set: ImageSet) -> BitTensor:
-    """Pack images into the bit cube; blank padding images are all zero.
+def pack(image_set: ImageSet, blocks: slice) -> np.ndarray:
+    """The words of the cube's blocks ``blocks``, shaped (blocks, 2^lplanes,
+    side, side); blank padding images are all zero.
 
     An L-bit pixel fits in a word of 2^ceil(log2 L) bits as it is, so each
     image becomes its words by one cast.
     """
     layout = plan_layout(image_set.M, image_set.L)
-    side = 1 << image_set.n
-    words = np.zeros((layout.padded_total, side, side), dtype=word_dtype(layout.lplanes))
-    words[: image_set.M] = image_set.images
-    shape = (layout.block_count, layout.images_per_block, side, side)
-    return BitTensor(image_set.n, layout.lplanes, words.reshape(shape))
+    start, stop, _ = blocks.indices(layout.block_count)
+    per_block, side = layout.images_per_block, 1 << image_set.n
+    words = np.zeros(((stop - start) * per_block, side, side), dtype=word_dtype(layout.lplanes))
+    images = image_set.images[start * per_block : stop * per_block]
+    words[: len(images)] = images
+    return words.reshape(-1, per_block, side, side)
 
 
-def unpack(tensor: BitTensor, layout: BlockLayout, M: int, L: int = 8) -> ImageSet:
-    """Rebuild the first M images from their low L planes; padding content
-    is discarded."""
-    if tensor.block_count != layout.block_count or (
-        1 << tensor.lplanes
-    ) != layout.images_per_block:
-        raise ValueError("tensor dimensions disagree with the layout")
-    if not 1 <= M <= layout.padded_total:
-        raise ValueError(f"M={M} outside [1, {layout.padded_total}]")
-    side = 1 << tensor.n
-    words = tensor.words.reshape(layout.padded_total, side, side)[:M]
-    values = words.astype(np.min_scalar_type((1 << L) - 1))  # a cast keeps the low bits
-    values &= (1 << L) - 1
-    return ImageSet(tensor.n, L, values)
+def unpack(words: np.ndarray, L: int, out: np.ndarray):
+    """Write the low L planes of the first len(out) images held by a chunk's
+    ``words`` into ``out``; the images after them, blank padding, are
+    discarded."""
+    side = words.shape[-1]
+    images = words.reshape(-1, side, side)
+    if len(out) > len(images):
+        raise ValueError(f"{len(out)} images asked of words that hold {len(images)}")
+    np.bitwise_and(images[: len(out)], (1 << L) - 1, out=out, casting="unsafe")
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chaos import ChaoticSequences, chebyshev
-from .images import BlockLayout, ImageSet, block_chunks
+from .images import BlockLayout, ImageSet
 
 KEY_SCALE = 10**10
 
@@ -93,32 +93,29 @@ def _chebyshev(k, x) -> np.ndarray:
     return np.cos(np.asarray(k) * np.arccos(x))
 
 
-def key_table(seqs: ChaoticSequences, layout: BlockLayout, n: int) -> np.ndarray:
-    """All key digits as a uint8 array indexed [b, m, i, j].
-
-    Digits are computed a chunk of blocks at a time, so the float64 products
-    never span the whole cube; each product multiplies in one order,
-    t_t * t_z * t_y * t_x, so every digit floors the same in any chunking.
-    """
+def key_factors(seqs: ChaoticSequences, layout: BlockLayout, n: int) -> tuple[np.ndarray, ...]:
+    """(t_t, t_z, t_y, t_x): the four Chebyshev factors of every key digit,
+    shaped (b, m, 1, 1), (b, m, 1, 1), (side, 1) and (side,), so that digit
+    [b, m, i, j] multiplies the factors at its index."""
     side = 1 << n
-    blocks = layout.block_count
-    per_block = layout.images_per_block
     if len(seqs.xs) != side or len(seqs.ys) != side:
         raise ValueError("pixel sequences disagree with the grid size")
-    if len(seqs.zs) != per_block or len(seqs.ts) != blocks:
+    if len(seqs.zs) != layout.images_per_block or len(seqs.ts) != layout.block_count:
         raise ValueError("image/block sequences disagree with the layout")
     t_y = _chebyshev(seqs.ns, _mirrored(seqs.ys))
     t_x = _chebyshev(seqs.ks, _mirrored(seqs.xs))
     t_t = _chebyshev(np.asarray(seqs.rs)[None, :], _mirrored(seqs.ts)[:, None])  # (b, m)
     t_z = _chebyshev(np.asarray(seqs.ss)[:, None], _mirrored(seqs.zs)[None, :])  # (b, m)
-    digits = np.empty((blocks, per_block, side, side), dtype=np.uint8)
-    for chunk in block_chunks(blocks, per_block * side * side):
-        prod = (
-            t_t[chunk, :, None, None]
-            * t_z[chunk, :, None, None]
-            * t_y[None, None, :, None]
-            * t_x[None, None, None, :]
-        )
-        scaled = np.floor(np.abs(prod) * KEY_SCALE)
-        digits[chunk] = scaled.astype(np.int64) % (1 << layout.lplanes)
-    return digits
+    return t_t[:, :, None, None], t_z[:, :, None, None], t_y[:, None], t_x
+
+
+def key_table(factors: tuple[np.ndarray, ...], blocks: slice) -> np.ndarray:
+    """The key digits of ``blocks`` as a uint8 array indexed [b, m, i, j].
+
+    Each product multiplies in one order, t_t * t_z * t_y * t_x, so every
+    digit floors the same whichever chunk of blocks it is computed in.
+    """
+    t_t, t_z, t_y, t_x = factors
+    prod = t_t[blocks] * t_z[blocks] * t_y * t_x
+    scaled = np.floor(np.abs(prod) * KEY_SCALE)
+    return (scaled.astype(np.int64) % t_t.shape[1]).astype(np.uint8)  # mod 2^lplanes

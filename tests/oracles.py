@@ -132,11 +132,13 @@ def trajectory(state: ScmState, params: ScmParams, steps: int) -> list[ScmState]
 # -- bit cube -------------------------------------------------------------------
 
 
-def cube_bits(tensor: images.BitTensor) -> np.ndarray:
-    """The (t, m, x, y, l) uint8 bit array of a tensor: bit l of each word,
-    one plane at a time by shift and mask."""
-    words = tensor.words.astype(np.uint64)
-    planes = [(words >> np.uint64(l)) & np.uint64(1) for l in range(1 << tensor.lplanes)]
+def cube_bits(words: np.ndarray) -> np.ndarray:
+    """The (t, m, x, y, l) uint8 bit array of the cube's (t, m, x, y) words,
+    which hold one plane per image of a block: bit l of each word, one plane
+    at a time by shift and mask."""
+    count = words.shape[1]
+    words = words.astype(np.uint64)
+    planes = [(words >> np.uint64(l)) & np.uint64(1) for l in range(count)]
     return np.stack(planes, axis=-1).astype(np.uint8)
 
 

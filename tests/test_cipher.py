@@ -14,6 +14,7 @@ from qbaker.cipher import (
     Ciphertext,
     KeySchedule,
     MasterKey,
+    _CellMaps,
     _StageTables,
     decrypt,
     derive_schedule,
@@ -76,6 +77,21 @@ class TestSchedule:
         assert len(np.unique(sched.s1_part)) == 1
         assert len(np.unique(sched.s1_iter)) == 1
         assert len(np.unique(sched.s2_part)) == 1
+
+    def test_simplified_holds_one_draw_per_stage(self):
+        # a broadcast view over the positions: nothing the size of the layout
+        sched = derive_schedule(MasterKey(KEY.lambdas, 1, "simplified"), 4, plan_layout(4096, 8))
+        assert sched.s1_part.shape == (16, 16, 512) and sched.s2_part.shape == (8, 8, 512)
+        for a in (sched.s1_part, sched.s1_iter, sched.s2_part, sched.s2_iter):
+            assert a.strides == (0,) * a.ndim
+
+    def test_draws_agree_across_chunk_sizes(self, monkeypatch):
+        layout = plan_layout(40, 8)
+        want = derive_schedule(KEY, 3, layout)
+        monkeypatch.setattr(cipher, "_DRAW_CHUNK", 7)  # 512 positions per stage
+        got = derive_schedule(KEY, 3, layout)
+        for name in ("s1_part", "s1_iter", "s2_part", "s2_iter"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
     def test_seed_bit_flip_changes_schedule(self):
         layout = plan_layout(3, 8)
@@ -174,6 +190,22 @@ class TestStageTables:
                 assert a_row.shape == b_row.shape == ranks[..., chunk].shape
                 assert np.array_equal(a_tables[a_row], b_tables[b_row])
 
+    def test_constant_stage_built_from_one_position(self, monkeypatch):
+        sizes = []
+
+        def sized(n, ranks, iters):
+            sizes.append(ranks.size)
+            return tables_of(n, ranks, iters)
+
+        tables_of = cipher.iterated_tables
+        monkeypatch.setattr(cipher, "iterated_tables", sized)
+        sched = derive_schedule(MasterKey(KEY.lambdas, 1, "simplified"), 4, plan_layout(4096, 8))
+        maps = _CellMaps(sched, inverse=False)
+        assert maps.stage1.constant and maps.stage2.constant
+        assert sizes == [1, 1]
+        index, scatter = maps(slice(5, 9))
+        assert index.size == maps.cells and not scatter  # block 0's map, inverted
+
 
 def _identity_schedule(n, layout):
     lplanes = layout.lplanes
@@ -202,23 +234,34 @@ def _with_identity_stage2(sched):
     )
 
 
-def _lit(tensor, cell):
-    """A tensor shaped like ``tensor`` with the one cell (t, m, x, y, l) lit."""
+def _lit(words, cell):
+    """Words shaped like ``words`` with the one cell (t, m, x, y, l) lit."""
     *word, plane = cell
-    words = np.zeros_like(tensor.words)
-    words[tuple(word)] = 1 << plane
-    return type(tensor)(tensor.n, tensor.lplanes, words)
+    lit = np.zeros_like(words)
+    lit[tuple(word)] = 1 << plane
+    return lit
+
+
+def _scrambled(words, sched, inverse=False):
+    """The cube's words through both stages, a chunk of blocks at a time
+    through the chunk's map, as encrypt and decrypt move them."""
+    maps = _CellMaps(sched, inverse)
+    out = np.empty_like(words)
+    for chunk in block_chunks(len(words), maps.cells):
+        out[chunk] = scramble(words[chunk], *maps(chunk))
+    return out
 
 
 MODES = ("simplified", "non_simplified")
 
 
 class TestScrambling:
-    """``scramble`` against the pointwise baker map, stage 1 then stage 2."""
+    """``scramble`` through ``_CellMaps`` against the pointwise baker map,
+    stage 1 then stage 2."""
 
     def test_identity_partitions_leave_tensor_alone(self):
         rng = np.random.default_rng(5)
-        tensor = pack(random_images(rng, M=20))
+        words = pack(random_images(rng, M=20), slice(None))
         layout = plan_layout(20, 8)
         same = _identity_schedule(2, layout)
         # any iteration count of the identity is the identity; varied counts
@@ -230,8 +273,8 @@ class TestScrambling:
         )
         for sched in (same, varied):
             for inverse in (False, True):
-                out = scramble(tensor, sched, inverse)
-                assert np.array_equal(cube_bits(out), cube_bits(tensor))
+                out = _scrambled(words, sched, inverse)
+                assert np.array_equal(cube_bits(out), cube_bits(words))
 
     def test_single_bit_follows_iterated_map(self):
         rng = np.random.default_rng(4)
@@ -239,7 +282,7 @@ class TestScrambling:
         # four chunks of 64, lit in the last chunk
         for M, blocks in ((20, range(4)), (1040, range(192, 256))):
             layout = plan_layout(M, 8)
-            empty = pack(ImageSet(2, 8, np.zeros((M, 4, 4), dtype=int)))
+            empty = pack(ImageSet(2, 8, np.zeros((M, 4, 4), dtype=int)), slice(None))
             scheds = [
                 derive_schedule(MasterKey(KEY.lambdas, KEY.schedule_seed, mode), 2, layout)
                 for mode in MODES
@@ -259,9 +302,9 @@ class TestScrambling:
                     m2, l2 = oracles.iterate(p1, int(sched.s1_iter[x, y, t]), (m, l))
                     p2 = baker.unrank_admissible(sched.pixel_n, int(sched.s2_part[l2, m2, t]))
                     x2, y2 = oracles.iterate(p2, int(sched.s2_iter[l2, m2, t]), (x, y))
-                    out = cube_bits(scramble(_lit(empty, (t, m, x, y, l)), sched))
+                    out = cube_bits(_scrambled(_lit(empty, (t, m, x, y, l)), sched))
                     assert out[t, m2, x2, y2, l2] == 1 and out.sum() == 1
-                    back = cube_bits(scramble(_lit(empty, (t, m2, x2, y2, l2)), sched, True))
+                    back = cube_bits(_scrambled(_lit(empty, (t, m2, x2, y2, l2)), sched, True))
                     assert back[t, m, x, y, l] == 1 and back.sum() == 1
 
     def test_one_cell_map_per_chunk_or_one_shared(self, monkeypatch):
@@ -275,12 +318,12 @@ class TestScrambling:
 
         cell_map = cipher._cell_map
         monkeypatch.setattr(cipher, "_cell_map", counted)
-        tensor = pack(random_images(np.random.default_rng(12), M=1040))
+        words = pack(random_images(np.random.default_rng(12), M=1040), slice(None))
         for mode, want in (("simplified", 1), ("non_simplified", 4)):
             sched = derive_schedule(MasterKey(KEY.lambdas, 1, mode), 2, plan_layout(1040, 8))
             for inverse in (False, True):
                 calls.clear()
-                scramble(tensor, sched, inverse)
+                _scrambled(words, sched, inverse)
                 assert len(calls) == want, (mode, calls)
 
     def test_stage2_ranks_near_int64_max(self):
@@ -298,43 +341,43 @@ class TestScrambling:
             rng.integers(1, 17, (2, 2, 1)),
         )
         images = rng.integers(0, 4, (2, side, side))
-        tensor = pack(ImageSet(n, 2, images))
-        out = scramble(tensor, sched)
-        assert not np.array_equal(cube_bits(out), cube_bits(tensor))
-        assert np.array_equal(cube_bits(scramble(out, sched, inverse=True)), cube_bits(tensor))
+        words = pack(ImageSet(n, 2, images), slice(None))
+        out = _scrambled(words, sched)
+        assert not np.array_equal(cube_bits(out), cube_bits(words))
+        assert np.array_equal(cube_bits(_scrambled(out, sched, inverse=True)), cube_bits(words))
         t, m, x, y, l = 0, 1, 93, 17, 0
         p1 = baker.unrank_admissible(1, int(sched.s1_part[x, y, t]))
         m2, l2 = oracles.iterate(p1, int(sched.s1_iter[x, y, t]), (m, l))
         p2 = baker.unrank_admissible(n, int(sched.s2_part[l2, m2, t]))
         x2, y2 = oracles.iterate(p2, int(sched.s2_iter[l2, m2, t]), (x, y))
-        lit = cube_bits(scramble(_lit(tensor, (t, m, x, y, l)), sched))
+        lit = cube_bits(_scrambled(_lit(words, (t, m, x, y, l)), sched))
         assert lit[t, m2, x2, y2, l2] == 1 and lit.sum() == 1
 
     def test_stage_inverses(self):
         rng = np.random.default_rng(6)
-        tensor = pack(random_images(rng, M=20))
+        words = pack(random_images(rng, M=20), slice(None))
         layout = plan_layout(20, 8)
         assert layout.block_count == 4
         for mode in MODES:
             sched = derive_schedule(MasterKey(KEY.lambdas, KEY.schedule_seed, mode), 2, layout)
-            out = scramble(tensor, sched)
-            assert not np.array_equal(cube_bits(out), cube_bits(tensor))
-            assert np.array_equal(cube_bits(scramble(out, sched, inverse=True)), cube_bits(tensor))
-            back = scramble(scramble(tensor, sched, True), sched)
-            assert np.array_equal(cube_bits(back), cube_bits(tensor))
+            out = _scrambled(words, sched)
+            assert not np.array_equal(cube_bits(out), cube_bits(words))
+            assert np.array_equal(cube_bits(_scrambled(out, sched, inverse=True)), cube_bits(words))
+            back = _scrambled(_scrambled(words, sched, True), sched)
+            assert np.array_equal(cube_bits(back), cube_bits(words))
 
     def test_multiset_preserved_per_plane(self):
         # with stage 2 the identity, stage 1 only reorders (m, l) at each pixel
         rng = np.random.default_rng(7)
-        tensor = pack(random_images(rng, M=20))
+        words = pack(random_images(rng, M=20), slice(None))
         sched = _with_identity_stage2(derive_schedule(KEY, 2, plan_layout(20, 8)))
-        out = scramble(tensor, sched)
-        assert not np.array_equal(cube_bits(out), cube_bits(tensor))
-        assert np.array_equal(cube_bits(tensor).sum(axis=(1, 4)), cube_bits(out).sum(axis=(1, 4)))
+        out = _scrambled(words, sched)
+        assert not np.array_equal(cube_bits(out), cube_bits(words))
+        assert np.array_equal(cube_bits(words).sum(axis=(1, 4)), cube_bits(out).sum(axis=(1, 4)))
 
     def test_schedule_entry_localized(self):
         rng = np.random.default_rng(8)
-        tensor = pack(random_images(rng, M=20))
+        words = pack(random_images(rng, M=20), slice(None))
         sched = _with_identity_stage2(derive_schedule(KEY, 2, plan_layout(20, 8)))
         x, y, t = 1, 1, 2
         rank, iters = sched.s1_part[x, y, t], sched.s1_iter[x, y, t]
@@ -348,8 +391,8 @@ class TestScrambling:
             sched.plane_n, sched.pixel_n,
             sched.s1_part, tweaked_iter, sched.s2_part, sched.s2_iter,
         )
-        a = cube_bits(scramble(tensor, sched))
-        b = cube_bits(scramble(tensor, tweaked))
+        a = cube_bits(_scrambled(words, sched))
+        b = cube_bits(_scrambled(words, tweaked))
         differs = (a != b).any(axis=(1, 4))  # collapse (m, l) per (t, x, y)
         assert differs[t, x, y]
         differs[t, x, y] = False
@@ -359,42 +402,42 @@ class TestScrambling:
 class TestDiffuse:
     def test_zero_keys_identity(self):
         rng = np.random.default_rng(9)
-        tensor = pack(random_images(rng))
+        words = pack(random_images(rng), slice(None))
         keys = np.zeros((1, 8, 4, 4), dtype=np.uint8)
-        assert np.array_equal(cube_bits(diffuse(tensor, keys)), cube_bits(tensor))
+        assert np.array_equal(cube_bits(diffuse(words, keys)), cube_bits(words))
 
     def test_involution(self):
         rng = np.random.default_rng(10)
-        tensor = pack(random_images(rng))
+        words = pack(random_images(rng), slice(None))
         keys = rng.integers(0, 8, size=(1, 8, 4, 4)).astype(np.uint8)
-        twice = diffuse(diffuse(tensor, keys), keys)
-        assert np.array_equal(cube_bits(twice), cube_bits(tensor))
+        twice = diffuse(diffuse(words, keys), keys)
+        assert np.array_equal(cube_bits(twice), cube_bits(words))
 
     def test_single_digit_flips_predicted_planes(self):
-        tensor = pack(ImageSet(0, 8, np.zeros((1, 1, 1), dtype=int)))
+        words = pack(ImageSet(0, 8, np.zeros((1, 1, 1), dtype=int)), slice(None))
         keys = np.zeros((1, 8, 1, 1), dtype=np.uint8)
         keys[0, 0, 0, 0] = 0b101  # digit bits cycle over the 8 planes
-        out = diffuse(tensor, keys)
+        out = diffuse(words, keys)
         assert cube_bits(out)[0, 0, 0, 0].tolist() == [1, 0, 1, 1, 0, 1, 1, 0]
 
     def test_layout_mismatch(self):
         rng = np.random.default_rng(11)
-        tensor = pack(random_images(rng))
+        words = pack(random_images(rng), slice(None))
         with pytest.raises(ValueError):
-            diffuse(tensor, np.zeros((2, 8, 4, 4), dtype=np.uint8))
+            diffuse(words, np.zeros((2, 8, 4, 4), dtype=np.uint8))
 
     def test_peak_memory_within_two_cubes(self):
         # 4096 images of 16x16: a 512-block, 8.4 MB cube
-        tensor = pack(ImageSet(4, 8, np.zeros((4096, 16, 16), dtype=np.uint8)))
+        words = pack(ImageSet(4, 8, np.zeros((4096, 16, 16), dtype=np.uint8)), slice(None))
         keys = np.random.default_rng(12).integers(0, 8, size=(512, 8, 16, 16)).astype(np.uint8)
         tracemalloc.start()
         try:
-            out = diffuse(tensor, keys)
+            out = diffuse(words, keys)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert cube_bits(out).sum() > 0
-        assert peak <= 2 * tensor.words.nbytes
+        assert peak <= 2 * words.nbytes
 
 
 class TestPipeline:
@@ -415,7 +458,7 @@ class TestPipeline:
         rng = np.random.default_rng(14)
         s = random_images(rng)
         assert np.array_equal(
-            cube_bits(encrypt(s, KEY).tensor), cube_bits(encrypt(s, KEY).tensor)
+            cube_bits(encrypt(s, KEY).tensor.words), cube_bits(encrypt(s, KEY).tensor.words)
         )
 
     def test_mode_mismatch_rejected(self):
@@ -444,7 +487,7 @@ class TestPipeline:
         loaded = read_ciphertext(path)
         assert loaded.x0 == ct.x0
         assert loaded.alpha == ct.alpha and loaded.beta == ct.beta
-        assert np.array_equal(cube_bits(loaded.tensor), cube_bits(ct.tensor))
+        assert np.array_equal(cube_bits(loaded.tensor.words), cube_bits(ct.tensor.words))
         assert np.array_equal(decrypt(loaded, KEY).images, s.images)
 
     @pytest.mark.parametrize("mode", MODES)
@@ -457,15 +500,13 @@ class TestPipeline:
         path = tmp_path / "ct.bin"
         write_ciphertext(path, ct)
         loaded = read_ciphertext(path)
-        assert np.array_equal(cube_bits(loaded.tensor), cube_bits(ct.tensor))
+        assert np.array_equal(cube_bits(loaded.tensor.words), cube_bits(ct.tensor.words))
         assert np.array_equal(decrypt(loaded, key).images, s.images)
 
-    def test_bulk_peak_memory(self, tmp_path):
-        # 4096 images of 16x16 in simplified mode, 1 MB of pixels: encrypt
-        # with the file write, and the file read with decrypt, each trace at
-        # most 20 MB
-        s = ImageSet(4, 8, np.random.default_rng(18).integers(0, 256, (4096, 16, 16), np.uint8))
-        key = MasterKey(KEY.lambdas, KEY.schedule_seed, "simplified")
+    @staticmethod
+    def _traced_peaks(tmp_path, s, key):
+        """Traced peaks of encrypt with the file write, and of the file read
+        with decrypt; the roundtrip must be exact."""
         path = tmp_path / "ct.bin"
         tracemalloc.start()
         try:
@@ -477,7 +518,23 @@ class TestPipeline:
         finally:
             tracemalloc.stop()
         assert np.array_equal(back.images, s.images)
-        assert encrypt_peak <= 20e6 and decrypt_peak <= 20e6, (encrypt_peak, decrypt_peak)
+        return encrypt_peak, decrypt_peak
+
+    def test_bulk_peak_memory(self, tmp_path):
+        # 4096 images of 16x16 in simplified mode, 1 MB of pixels and 1 MB
+        # of ciphertext words: each direction traces at most 4 MB
+        s = ImageSet(4, 8, np.random.default_rng(18).integers(0, 256, (4096, 16, 16), np.uint8))
+        key = MasterKey(KEY.lambdas, KEY.schedule_seed, "simplified")
+        peaks = self._traced_peaks(tmp_path, s, key)
+        assert max(peaks) <= 4e6, peaks
+
+    def test_keyed_peak_memory(self, tmp_path):
+        # 200 images of 32x32 in keyed mode: 32 blocks of 65,536 cells, each
+        # with its own map and stage-2 tables, and 34,816 schedule draws;
+        # each direction traces at most 4 MB
+        s = ImageSet(5, 8, np.random.default_rng(19).integers(0, 256, (200, 32, 32), np.uint8))
+        peaks = self._traced_peaks(tmp_path, s, KEY)
+        assert max(peaks) <= 4e6, peaks
 
     def test_ciphertext_header_checked(self, tmp_path):
         path = tmp_path / "junk.bin"
@@ -488,7 +545,7 @@ class TestPipeline:
     def test_roundtrip_keyed_n6(self):
         s = ImageSet(6, 8, (np.arange(4 * 64 * 64).reshape(4, 64, 64) * 7 + 3) % 256)
         ct = encrypt(s, KEY)
-        assert not np.array_equal(cube_bits(ct.tensor), cube_bits(pack(s)))
+        assert not np.array_equal(cube_bits(ct.tensor.words), cube_bits(pack(s, slice(None))))
         assert np.array_equal(decrypt(ct, KEY).images, s.images)
 
     def test_n7_images_rejected(self):
@@ -503,8 +560,10 @@ def _arithmetic_images(M, n):
 
 
 class TestBitIdentity:
-    """SHA-256 of ciphertext files, recorded before the schedule moved from
-    enumerating partitions to count-and-unrank; format QBMI1 must not drift."""
+    """SHA-256 of ciphertext files; format QBMI1 must not drift.  The first
+    four were recorded before the schedule moved from enumerating partitions
+    to count-and-unrank, the last two, four chunks of blocks each, before
+    encrypt became one loop over chunks."""
 
     @pytest.mark.parametrize("mode, n, M, digest", [
         ("non_simplified", 3, 5,
@@ -515,6 +574,10 @@ class TestBitIdentity:
          "8706c401f9feef9d464067dc041a971de69ecf7275f7b12b62e1723bfde30259"),
         ("simplified", 4, 20,
          "54b8dee83c7dbcd4a0614ccbb00d581409c033994b9e8a8ada30b3470668d446"),
+        ("non_simplified", 5, 20,
+         "4847c2abaceef1d9a0b29298a0ab1a2a6090b1c30bdbdfb969f57e3d8b7cee38"),
+        ("simplified", 4, 80,
+         "75b5a40d3b53c139f38f00ec86ff0c2f6a51ecf8242409fee578327fcae2b3b9"),
     ])
     def test_ciphertext_digest(self, tmp_path, mode, n, M, digest):
         key = MasterKey((49.0, 23.0, 58.0, 120.0, 237.0), 0x5EED, mode)
@@ -699,7 +762,7 @@ def _check_ciphertext(fuzz_file):
     again = read_ciphertext(fuzz_file)
     assert (again.n, again.L, again.M, again.x0, again.alpha, again.beta, again.mode) == (
         ct.n, ct.L, ct.M, ct.x0, ct.alpha, ct.beta, ct.mode)
-    assert np.array_equal(cube_bits(again.tensor), cube_bits(ct.tensor))
+    assert np.array_equal(cube_bits(again.tensor.words), cube_bits(ct.tensor.words))
 
 
 _CT_TOKENS = st.sampled_from(

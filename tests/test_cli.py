@@ -96,6 +96,16 @@ class TestEncryptDecrypt:
         assert rc == 1
         assert "64-bit" in capsys.readouterr().err
 
+    def test_bit_depth_past_64_exits_one(self, workspace, capsys):
+        rc = main([
+            "encrypt", "--manifest", str(workspace / "manifest.txt"),
+            "--key", str(workspace / "key.txt"), "--out", str(workspace / "ct.bin"),
+            "--bit-depth", "65",
+        ])
+        assert rc == 1
+        assert "error: L=65 above 64" in capsys.readouterr().err
+        assert not (workspace / "ct.bin").exists()
+
     def test_decrypt_of_pixels_past_a_byte_exits_one(self, workspace, capsys):
         # L=16 pixels above 255 do not fit an 8-bit PGM: refused, not wrapped,
         # and refused before the first image, which fits, is written

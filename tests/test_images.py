@@ -4,7 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qbaker import images
-from qbaker.images import BitTensor, ImageSet, from_bits, pack, plan_layout, to_bits, unpack
+from qbaker.cipher import MasterKey, decrypt, encrypt
+from qbaker.images import ImageSet, block_chunks, from_bits, pack, plan_layout, to_bits, unpack
 
 import oracles
 
@@ -45,18 +46,17 @@ class TestPlanLayout:
 class TestPack:
     def test_single_pixel_binary_expansion(self):
         s = ImageSet(0, 8, np.array([[[5]]]))
-        tensor = pack(s)
-        bits = oracles.cube_bits(tensor)[0, 0, 0, 0]
+        bits = oracles.cube_bits(pack(s, slice(None)))[0, 0, 0, 0]
         assert bits.tolist() == [1, 0, 1, 0, 0, 0, 0, 0]
 
     def test_all_zero(self):
         s = ImageSet(1, 8, np.zeros((3, 2, 2), dtype=int))
-        assert oracles.cube_bits(pack(s)).sum() == 0
+        assert oracles.cube_bits(pack(s, slice(None))).sum() == 0
 
     def test_against_per_pixel_expansion(self):
         rng = np.random.default_rng(3)
         imgs = rng.integers(0, 256, size=(3, 2, 2))
-        bits = oracles.cube_bits(pack(ImageSet(1, 8, imgs)))
+        bits = oracles.cube_bits(pack(ImageSet(1, 8, imgs), slice(None)))
         layout = plan_layout(3, 8)
         for idx in range(3):
             t, m = divmod(idx, layout.images_per_block)
@@ -67,17 +67,37 @@ class TestPack:
 
     def test_padding_images_zero(self):
         imgs = np.full((3, 2, 2), 255, dtype=int)
-        tensor = pack(ImageSet(1, 8, imgs))
-        assert oracles.cube_bits(tensor)[0, 3:].sum() == 0
+        words = pack(ImageSet(1, 8, imgs), slice(None))
+        assert oracles.cube_bits(words)[0, 3:].sum() == 0
+
+    def test_chunks_are_slices_of_the_cube(self):
+        # 17 images in 4 blocks of 8: block 2 holds one image, block 3 none
+        s = ImageSet(1, 8, np.random.default_rng(4).integers(1, 256, size=(17, 2, 2)))
+        whole = pack(s, slice(None))
+        assert whole.shape == (4, 8, 2, 2)
+        for chunk in [slice(b, b + 1) for b in range(4)] + [slice(1, 3), slice(2, 4)]:
+            assert np.array_equal(pack(s, chunk), whole[chunk])
+        assert whole[2, 1:].sum() == 0 and whole[3].sum() == 0
 
     def test_address_bits_match_width_claim(self):
         # 2n + ceil(log2 L) + ceil(log2 M)
-        tensor = pack(ImageSet(2, 8, np.zeros((30, 4, 4), dtype=int)))
-        assert oracles.cube_bits(tensor).size == 1 << (2 * 2 + 3 + 5)
+        words = pack(ImageSet(2, 8, np.zeros((30, 4, 4), dtype=int)), slice(None))
+        assert oracles.cube_bits(words).size == 1 << (2 * 2 + 3 + 5)
 
     def test_intensity_range_checked(self):
         with pytest.raises(ValueError):
             ImageSet(1, 8, np.full((1, 2, 2), 256))
+
+    @pytest.mark.parametrize("L", [65, 128])
+    def test_bit_depth_past_64_refused(self, L):
+        with pytest.raises(ValueError, match=f"L={L} above 64"):
+            ImageSet(1, L, np.zeros((1, 2, 2), dtype=int))
+
+
+def _unpacked(words, M, L=8):
+    out = np.empty((M, *words.shape[2:]), dtype=np.uint64)
+    unpack(words, L, out)
+    return out
 
 
 class TestUnpack:
@@ -85,34 +105,30 @@ class TestUnpack:
         rng = np.random.default_rng(11)
         imgs = rng.integers(0, 256, size=(5, 4, 4))
         s = ImageSet(2, 8, imgs)
-        layout = plan_layout(5, 8)
-        back = unpack(pack(s), layout, 5)
-        assert np.array_equal(back.images, imgs)
+        assert np.array_equal(_unpacked(pack(s, slice(None)), 5), imgs)
 
     def test_padding_content_ignored(self):
         s = ImageSet(1, 8, np.arange(12).reshape(3, 2, 2))
-        tensor = pack(s)
-        dirty = tensor.words.copy()
+        dirty = pack(s, slice(None))
         dirty[0, 3:] = 0xFF  # scribble over the blank images
-        back = unpack(BitTensor(1, 3, dirty), plan_layout(3, 8), 3)
-        assert np.array_equal(back.images, s.images)
+        assert np.array_equal(_unpacked(dirty, 3), s.images)
 
     def test_zero_roundtrip(self):
         s = ImageSet(1, 8, np.zeros((2, 2, 2), dtype=int))
-        back = unpack(pack(s), plan_layout(2, 8), 2)
-        assert back.images.sum() == 0
+        assert _unpacked(pack(s, slice(None)), 2).sum() == 0
 
     @pytest.mark.parametrize("L,dtype", [(8, np.uint8), (12, np.uint16), (2, np.uint8)])
     def test_narrowest_dtype(self, L, dtype):
         imgs = np.arange(3 * 4, dtype=np.int64).reshape(3, 2, 2) % (1 << L)
-        back = unpack(pack(ImageSet(1, L, imgs)), plan_layout(3, L), 3, L)
+        key = MasterKey((49.0, 23.0, 58.0, 120.0, 237.0), 3)
+        back = decrypt(encrypt(ImageSet(1, L, imgs), key), key)
         assert back.images.dtype == dtype
         assert np.array_equal(back.images, imgs)
 
     def test_layout_mismatch_reported(self):
-        tensor = pack(ImageSet(1, 8, np.zeros((2, 2, 2), dtype=int)))
+        words = pack(ImageSet(1, 8, np.zeros((2, 2, 2), dtype=int)), slice(None))
         with pytest.raises(ValueError):
-            unpack(tensor, plan_layout(100, 8), 2)
+            _unpacked(words, 100)
 
 
 @settings(max_examples=60)
@@ -125,13 +141,17 @@ class TestUnpack:
 def test_pack_unpack_identity(L, M, n, seed):
     side = 1 << n
     imgs = np.random.default_rng(seed).integers(0, 1 << L, size=(M, side, side))
-    tensor = pack(ImageSet(n, L, imgs))
-    assert 8 * tensor.words.dtype.itemsize == max(8, 1 << tensor.lplanes)
-    bits = oracles.cube_bits(tensor)
-    assert np.array_equal(to_bits(tensor.words, tensor.lplanes), bits)
-    assert np.array_equal(from_bits(bits, tensor.lplanes), tensor.words)
-    back = unpack(tensor, plan_layout(M, L), M, L)
-    assert np.array_equal(back.images, imgs)
+    layout = plan_layout(M, L)
+    words = pack(ImageSet(n, L, imgs), slice(None))
+    assert 8 * words.dtype.itemsize == max(8, 1 << layout.lplanes)
+    bits = oracles.cube_bits(words)
+    assert np.array_equal(to_bits(words, layout.lplanes), bits)
+    assert np.array_equal(from_bits(bits, layout.lplanes), words)
+    back = np.empty_like(imgs)
+    per_block = layout.images_per_block
+    for chunk in block_chunks(layout.block_count, 1 << (2 * n + 2 * layout.lplanes)):
+        unpack(words[chunk], L, back[chunk.start * per_block : chunk.stop * per_block])
+    assert np.array_equal(back, imgs)
 
 
 class TestPgm:

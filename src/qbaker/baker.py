@@ -10,13 +10,15 @@ Admissible partitions are numbered by their lexicographic rank in q.  Since
 the admissible completions of a prefix depend only on its sum N, a DP over
 prefix sums counts them, and skipping whole subtrees by their counts unranks
 an index without listing the partitions before it (Kreher & Stinson,
-*Combinatorial Algorithms*, ch. 2).  Listing them is unranking every index
-in turn, so the ranking has one implementation.
+*Combinatorial Algorithms*, ch. 2).  ``unrank_rows`` is the one unranking:
+it walks a whole array of ranks down that tree together, one numpy pass per
+part index, over the DP's steps laid out as padded per-prefix-sum tables.
+Single partitions, listing (every index, a bounded batch at a time) and
+baker tables of ranks all go through it.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -28,6 +30,8 @@ import numpy as np
 MAX_ENUM_N = 5
 # Largest square side exponent: tables over (x << n) | y stay int32.
 MAX_N = 15
+# Ranks unranked at once while listing: bounds the rows held to about 0.5 MB.
+_ENUM_BATCH = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -75,7 +79,16 @@ def enumerate_admissible(n: int) -> list[BakerPartition]:
     """All admissible partitions for a 2^n square, lexicographic in q."""
     if not 1 <= n <= MAX_ENUM_N:
         raise ValueError(f"n must lie in [1, {MAX_ENUM_N}]")
-    return [unrank_admissible(n, i) for i in range(count_admissible(n))]
+    count = count_admissible(n)
+    parts = []
+    for lo in range(0, count, _ENUM_BATCH):
+        rows = unrank_rows(n, np.arange(lo, min(lo + _ENUM_BATCH, count)))
+        used = rows >= 0
+        flat, start = rows[used].tolist(), 0
+        for stop in np.cumsum(np.count_nonzero(used, axis=1)).tolist():
+            parts.append(BakerPartition(n, tuple(flat[start:stop])))
+            start = stop
+    return parts
 
 
 @lru_cache(maxsize=None)
@@ -101,30 +114,75 @@ def count_admissible(n: int) -> int:
     return _ranking(n)[0]
 
 
-def _unrank(n: int, index: int) -> list[int]:
+# Ranks below this walk in int64 with subtree starts clipped to it, which
+# keeps every comparison exact; larger ranks (n >= 7) walk as Python ints.
+_INT64_RANKS = (1 << 63) - 1
+
+
+@lru_cache(maxsize=None)
+def _walk_table(n: int, wide: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_ranking(n)``'s steps as arrays indexed [choice, prefix sum]: subtree
+    starts (int64 clipped to ``_INT64_RANKS``, or Python ints when ``wide``),
+    exponents and widths.  Padding starts lie above every rank."""
     count, steps = _ranking(n)
-    if not 0 <= index < count:
-        raise ValueError(f"rank {index} outside [0, {count})")
-    q: list[int] = []
-    s = 0
-    while s < 1 << n:
-        starts, exps = steps[s]
-        j = bisect_right(starts, index) - 1
-        index -= starts[j]
-        q.append(exps[j])
-        s += 1 << exps[j]
-    return q
+    pad = count if wide else _INT64_RANKS
+    starts = np.full((n + 1, 1 << n), pad, dtype=object if wide else np.int64)
+    exps = np.zeros((n + 1, 1 << n), dtype=np.int8)
+    for s, (st, ex) in enumerate(steps):
+        starts[: len(st), s] = [min(v, pad) for v in st]
+        exps[: len(ex), s] = ex
+    return starts, exps, np.left_shift(1, exps, dtype=np.int64)
+
+
+def unrank_rows(n: int, ranks: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Exponent lists of the partitions with these ranks, one int8 row per
+    rank padded with -1 to the longest list.
+
+    All ranks walk together, one pass per part index: each live rank counts
+    the subtree starts of its prefix sum that it reaches, takes the last
+    such choice's exponent, and stops once the widths cover the square.
+    """
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"n must lie in [1, {MAX_N}], got {n}")
+    count, _ = _ranking(n)
+    ranks = np.asarray(ranks).reshape(-1)
+    if ranks.dtype.kind not in "iuO":
+        raise ValueError("ranks must be integers")
+    if ranks.size and not (0 <= ranks.min() and ranks.max() < count):
+        raise ValueError(f"rank outside [0, {count})")
+    wide = bool(ranks.size) and ranks.max() >= _INT64_RANKS
+    starts, exps, widths = _walk_table(n, wide)
+    side = 1 << n
+    rows = np.full((ranks.size, side), -1, dtype=np.int8)
+    live = np.arange(ranks.size)
+    left = ranks.astype(object if wide else np.int64)
+    at = np.zeros(ranks.size, dtype=np.intp)  # prefix sum of each live rank
+    parts = 0
+    while live.size:
+        choice = at.copy()  # flat [choice, prefix sum] index; choice 0 starts at 0
+        for column in starts[1:]:
+            choice += (column[at] <= left) * side
+        left = left - starts.reshape(-1)[choice]
+        rows[live, parts] = exps.reshape(-1)[choice]
+        at += widths.reshape(-1)[choice]
+        parts += 1
+        more = at < side
+        if not more.all():
+            live, left, at = live[more], left[more], at[more]
+    return rows[:, :parts]
 
 
 def unrank_admissible(n: int, index: int) -> BakerPartition:
     """The partition at ``index`` in ``enumerate_admissible(n)`` order."""
-    return BakerPartition(n, tuple(_unrank(n, index)))
+    (row,) = unrank_rows(n, [index]).tolist()
+    return BakerPartition(n, tuple(e for e in row if e >= 0))
 
 
-def partition_tables(n: int, partitions: Iterable[Sequence[int]]) -> np.ndarray:
+def partition_tables(n: int, partitions: Iterable[Sequence[int]] | np.ndarray) -> np.ndarray:
     """Forward maps of these exponent lists, one int32 row per list, as
     tables over indices (x << n) | y (so n <= ``MAX_N``).  Each list's
-    widths 2^q must sum to 2^n.
+    widths 2^q must sum to 2^n.  The lists may also come as rows padded
+    with -1, as ``unrank_rows`` returns them.
 
     One vectorized pass: every column x gets its strip's left edge N and
     shift s = n - q, and (x, y) goes to ((x - N) << s | y mod 2^s, N + y >> s).
@@ -133,7 +191,10 @@ def partition_tables(n: int, partitions: Iterable[Sequence[int]]) -> np.ndarray:
     if not 1 <= n <= MAX_N:
         raise ValueError(f"tables need 1 <= n <= {MAX_N}")
     side = 1 << n
-    q = np.array([e for qs in partitions for e in qs], dtype=np.int32)
+    if isinstance(partitions, np.ndarray):
+        q = partitions[partitions >= 0].astype(np.int32)
+    else:
+        q = np.array([e for qs in partitions for e in qs], dtype=np.int32)
     widths = 1 << q
     edge = np.repeat((np.cumsum(widths, dtype=np.int32) - widths) % side, widths)
     shift = np.repeat(n - q, widths)
@@ -145,7 +206,7 @@ def partition_tables(n: int, partitions: Iterable[Sequence[int]]) -> np.ndarray:
     return (column.reshape(-1, 1) + y_share[shift]).reshape(-1, side * side)
 
 
-def rank_tables(n: int, ranks: Iterable[int]) -> np.ndarray:
+def rank_tables(n: int, ranks: Sequence[int] | np.ndarray) -> np.ndarray:
     """``partition_tables`` of the partitions with these ranks."""
-    return partition_tables(n, (_unrank(n, int(i)) for i in ranks))
+    return partition_tables(n, unrank_rows(n, ranks))
 

@@ -10,8 +10,12 @@ XORs in the chunk's key digits (``diffuse``) and writes the words into the
 ciphertext; decrypt undoes the XOR, moves the bits back and unpacks them into
 the image array.  Only the chunk being moved is expanded to one byte per bit,
 so besides the images and the ciphertext words a call holds one chunk's
-arrays.  The stage tables are built once per call; when every position shares
-one key (simplified mode), block 0's map is built once and moves every block.
+arrays.  Each stage unranks its distinct drawn ranks once per call, in one
+batch; a (rank, iterations) pair's table is then composed by binary powers,
+for all blocks at once when every key the stage could draw fits one block's
+map, and otherwise for each chunk from its own keys.  When every position
+shares one key (simplified mode), block 0's map is built once and moves
+every block.
 
 Baker parameters and iteration counts come from a keyed schedule (SHA-256
 over the schedule seed and position, so both sides agree without sharing
@@ -19,9 +23,9 @@ plaintext).  The positions are hashed a bounded chunk at a time, and
 simplified mode makes one draw per stage, held as a broadcast view over the
 positions.  A draw takes the digest's first 64 bits modulo the number of
 admissible partitions as a lexicographic rank, and only the drawn ranks are
-unranked into baker tables.  There are 2.1e11 admissible partitions at n=6
-but 4.4e22 at n=7, more than a 64-bit draw can reach, so both squares are
-limited to n <= 6: images of at most 64x64 pixels, L <= 64.
+unranked.  There are 2.1e11 admissible partitions at n=6 but 4.4e22 at n=7,
+more than a 64-bit draw can reach, so both squares are limited to n <= 6:
+images of at most 64x64 pixels, L <= 64.
 Diffusion XORs key digits derived from the plaintext-seeded chaotic
 sequences into the bit cube; the aggregates x0/alpha/beta travel in the
 ciphertext header so the receiver can rebuild the keystream, while the
@@ -33,6 +37,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -104,18 +109,22 @@ def _draws(seed: int, label: bytes, shape: tuple[int, ...], n_choices: int):
     Shape () makes one draw with no coordinates.
     """
     base = hashlib.sha256(struct.pack(">Q", seed) + label)
+    copy, update, digest = type(base).copy, type(base).update, type(base).digest
     size = math.prod(shape)
     part = np.empty(size, dtype=np.int64)
     iters = np.empty(size, dtype=np.int64)
-    width = 4 * len(shape)
     for lo in range(0, size, _DRAW_CHUNK):
         at = np.arange(lo, min(lo + _DRAW_CHUNK, size))
-        coords = np.array(np.unravel_index(at, shape) if shape else (), dtype=">u4").T.tobytes()
+        if shape:
+            coords = np.array(np.unravel_index(at, shape), dtype=">u4").T.tobytes()
+            rows = np.frombuffer(coords, dtype=f"V{4 * len(shape)}").tolist()
+        else:
+            rows = [b""]
         digests = []
-        for i in range(len(at)):
-            h = base.copy()
-            h.update(coords[i * width : (i + 1) * width])
-            digests.append(h.digest())
+        for row in rows:
+            h = copy(base)
+            update(h, row)
+            digests.append(digest(h))
         words = np.frombuffer(b"".join(digests), dtype=">u8").reshape(-1, 4)
         part[lo : lo + len(at)] = words[:, 0] % np.uint64(n_choices)
         iters[lo : lo + len(at)] = words[:, 1] % np.uint64(MAX_ITERATIONS) + np.uint64(1)
@@ -155,30 +164,65 @@ def iterated_tables(n: int, ranks: np.ndarray, iters: np.ndarray) -> tuple[np.nd
     """(tables, row): one table over (x << n) | y per distinct (rank, iterations)
     pair, and the row of each position's pair, in the shape of ``ranks``.
 
-    Each distinct rank is unranked once; a pair is keyed by its distinct-rank
-    index, never by the rank, so no key can overflow.  Pairs sort by count,
-    so the rows still composing at step s are a suffix, which ``np.take``
-    advances through the flat one-step tables a bounded block at a time.
-    Rows with count 0 never compose and stay the identity.
+    Each distinct rank is unranked once, in one batch; ``_powers`` then
+    builds the pairs' tables from those exponent rows.
     """
     distinct, which = np.unique(ranks, return_inverse=True)
-    pairs, row = np.unique(iters.ravel() * len(distinct) + which.ravel(), return_inverse=True)
-    counts, first = np.divmod(pairs, len(distinct))
-    step = baker.rank_tables(n, distinct.tolist())[first]
-    cells = step.shape[1]
-    dtype = np.int32 if step.size < 1 << 31 else np.int64
-    step = step.astype(dtype, copy=False)
-    offsets = np.arange(0, step.size, cells, dtype=dtype).reshape(-1, 1)
-    step += offsets
-    done = offsets + np.arange(cells, dtype=dtype)
-    flat = step.reshape(-1)
-    chunk = max(1, (1 << 18) // cells)  # numpy's intp copy of a take's indices stays near 2 MB
-    for s in range(1, int(counts[-1]) + 1):
-        for lo in range(np.searchsorted(counts, s), len(done), chunk):
-            rows = done[lo : lo + chunk]
-            np.take(flat, rows, out=rows)
+    return _powers(n, baker.unrank_rows(n, distinct), which.reshape(ranks.shape), iters)
+
+
+def _powers(n: int, exponents: np.ndarray, which: np.ndarray, iters: np.ndarray):
+    """``iterated_tables`` for positions whose partitions are given as rows
+    of ``exponents`` (as ``baker.unrank_rows`` returns them), ``which``
+    holding each position's row.
+
+    A pair is keyed by its exponent row, never by the rank, so no key can
+    overflow.  Pairs sort by count, and each count c is a sum of powers of
+    two, so P^c is composed from P, P^2, P^4, ... (the binary method, Knuth,
+    TAOCP vol. 2, 4.6.3): the rows still squaring at bit b are the suffix
+    with count >= 2^(b+1), and each equal-count slice copies its lowest set
+    bit's power and composes one gather per further set bit.  Rows with
+    count 0 stay the identity.
+    """
+    distinct = len(exponents)
+    pairs, row = np.unique(iters.ravel() * distinct + which.ravel(), return_inverse=True)
+    counts, first = np.divmod(pairs, distinct)
+    power = baker.partition_tables(n, exponents[first])
+    cells = power.shape[1]
+    dtype = np.int32 if power.size < 1 << 31 else np.int64
+    power = power.astype(dtype, copy=False)
+    # every value a flat index into its own row, so one gather composes rows
+    offsets = np.arange(0, power.size, cells, dtype=dtype).reshape(-1, 1)
+    power += offsets
+    done = np.empty_like(power)
+    idle = np.searchsorted(counts, 1)
+    done[:idle] = offsets[:idle] + np.arange(cells, dtype=dtype)
+    flat = power.reshape(-1)
+    starts = np.flatnonzero(np.diff(counts, prepend=-1)).tolist()  # of equal-count slices
+    groups = [(lo, hi, int(counts[lo])) for lo, hi in zip(starts, [*starts[1:], len(counts)])]
+    # a take's intp copy of its indices and its output, 384 kB at 2^15 cells,
+    # stay in cache: 2^16 or more ran about 1.5 times slower at n=5
+    chunk = max(1, (1 << 15) // cells)
+    for bit in range(int(counts[-1]).bit_length()):
+        for lo, hi, count in groups:
+            if count >> bit & 1:
+                if count & ((1 << bit) - 1):
+                    _compose(flat, done, lo, hi, chunk)
+                else:
+                    done[lo:hi] = power[lo:hi]
+        _compose(flat, power, np.searchsorted(counts, 2 << bit), len(counts), chunk)
     done -= offsets
-    return done, row.reshape(ranks.shape)
+    return done, row.reshape(which.shape)
+
+
+def _compose(flat: np.ndarray, tables: np.ndarray, lo: int, hi: int, chunk: int):
+    """tables[lo:hi] = flat[tables[lo:hi]], gathering ``chunk`` rows at a
+    time into fresh arrays: a gather whose output overlaps its indices runs
+    buffered and about half as fast.  Each row only reads its own row of
+    ``flat``, so overwriting earlier rows is safe."""
+    for at in range(lo, hi, chunk):
+        rows = slice(at, min(at + chunk, hi))
+        tables[rows] = np.take(flat, tables[rows])
 
 
 class _StageTables:
@@ -186,23 +230,29 @@ class _StageTables:
 
     When every position has one key (``constant``), its tables are built
     from one position: ``np.unique`` of a broadcast schedule would copy it to
-    full size.  When the tables of every key the stage could draw
-    (count_admissible(n) ranks times ``MAX_ITERATIONS`` counts) fit in
-    ``budget`` cells, one block's map, the drawn keys' tables are built once
-    for all blocks; otherwise each chunk's are built from its own keys, so
+    full size.  Otherwise the stage's distinct ranks are unranked once, and
+    when the tables of every key the stage could draw (count_admissible(n)
+    ranks times ``MAX_ITERATIONS`` counts) fit in ``budget`` cells, one
+    block's map, the drawn keys' tables are built once for all blocks;
+    otherwise each chunk's are built from its own keys' exponent rows, so
     memory scales with one chunk and not with the block count.
     """
 
     def __init__(self, n: int, ranks: np.ndarray, iters: np.ndarray, budget: int):
-        self.n, self.ranks, self.iters = n, ranks, iters
+        self.n, self.iters = n, iters
         self.constant = np.ptp(ranks) == 0 and np.ptp(iters) == 0
         self.whole = None
         if self.constant:
             one = (slice(0, 1),) * ranks.ndim
             tables, _ = iterated_tables(n, ranks[one], iters[one])
             self.whole = tables, np.broadcast_to(np.intp(0), ranks.shape)
-        elif baker.count_admissible(n) * MAX_ITERATIONS << (2 * n) <= budget:
-            self.whole = iterated_tables(n, ranks, iters)
+            return
+        distinct, which = np.unique(ranks, return_inverse=True)
+        exponents, which = baker.unrank_rows(n, distinct), which.reshape(ranks.shape)
+        if baker.count_admissible(n) * MAX_ITERATIONS << (2 * n) <= budget:
+            self.whole = _powers(n, exponents, which, iters)
+        else:
+            self.exponents, self.which = exponents, which
 
     def tables(self, blocks: slice) -> tuple[np.ndarray, np.ndarray]:
         """(tables, row) as ``iterated_tables`` returns them, for the
@@ -210,7 +260,7 @@ class _StageTables:
         if self.whole is not None:
             tables, row = self.whole
             return tables, row[..., blocks]
-        return iterated_tables(self.n, self.ranks[..., blocks], self.iters[..., blocks])
+        return _powers(self.n, self.exponents, self.which[..., blocks], self.iters[..., blocks])
 
 
 def _cell_map(stage1: _StageTables, stage2: _StageTables, blocks: slice) -> np.ndarray:
@@ -413,56 +463,76 @@ def write_ciphertext(path: str | Path, ct: Ciphertext):
             f.write(np.packbits(bits.transpose(0, 1, 4, 3, 2).reshape(-1)))
 
 
+def _read_header(f, path) -> tuple[bytes, int]:
+    """The bytes before the first ``---`` separator line, read a block at a
+    time, and the offset at which the payload starts."""
+    head = bytearray()
+    while more := f.read(1 << 16):
+        seen = max(0, len(head) - 3)  # a separator may span two reads
+        head += more
+        if (sep := head.find(b"---\n", seen)) >= 0:
+            break
+    else:
+        sep = -1
+    if not head.startswith(MAGIC) or sep < 0:
+        raise ValueError(f"{path}: not a ciphertext file")
+    return bytes(head[:sep]), sep + 4
+
+
 def read_ciphertext(path: str | Path) -> Ciphertext:
     """Parse a ciphertext file; any missing, malformed or inconsistent header
     field (n outside [1, MAX_SCHEDULE_N] and L outside [2, 2^MAX_SCHEDULE_N]
     are refused before anything is sized from them), aggregates no plaintext
-    can produce, and a payload of the wrong length raise ValueError."""
-    blob = Path(path).read_bytes()
-    sep = blob.find(b"---\n")
-    if not blob.startswith(MAGIC) or sep < 0:
-        raise ValueError(f"{path}: not a ciphertext file")
-    try:
-        fields = _parse_fields(blob[:sep].decode().splitlines()[1:])
-        n, L, M, blocks, alpha, beta = (
-            int(fields[name]) for name in ("n", "L", "M", "blocks", "alpha", "beta")
-        )
-        if not 1 <= n <= MAX_SCHEDULE_N:
-            raise ValueError(f"n={n} outside [1, {MAX_SCHEDULE_N}]")
-        if not 2 <= L <= 1 << MAX_SCHEDULE_N:
-            raise ValueError(f"L={L} outside [2, {1 << MAX_SCHEDULE_N}]")
-        x0, mode = float(fields["x0"]), fields["mode"]
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}")
-        layout = plan_layout(M, L)
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing ciphertext field {exc}") from None
-    except ValueError as exc:
-        raise ValueError(f"{path}: bad ciphertext header: {exc}") from None
-    if blocks != layout.block_count:
-        raise ValueError(f"{path}: bad ciphertext header: blocks={blocks} for M={M}, L={L}")
-    side = 1 << n
-    per_block = layout.images_per_block
-    # alpha and beta floor the mean and mean square of per-pixel bit counts,
-    # which lie in [0, c]; mean(c^2) >= mean(c)^2 gives alpha^2 <= beta.
-    c = blocks * per_block * per_block
-    if not (0.0 <= x0 <= 1.0 and 0 <= alpha <= c and alpha * alpha <= beta <= c * c):
-        raise ValueError(
-            f"{path}: impossible header aggregates x0={x0!r}, alpha={alpha}, beta={beta} "
-            f"(per-pixel bit counts lie in [0, {c}])"
-        )
-    # a block holds 2^(2n + 2 lplanes) >= 16 bits (n >= 1, L >= 2): whole bytes
-    block_bits = per_block * side * side * per_block
-    payload = memoryview(blob)[sep + 4 :]
-    if len(payload) != blocks * block_bits // 8:
-        raise ValueError(
-            f"{path}: payload has {len(payload)} bytes, the header implies "
-            f"{blocks * block_bits // 8}"
-        )
-    words = np.empty((blocks, per_block, side, side), dtype=word_dtype(layout.lplanes))
-    for chunk in block_chunks(blocks, block_bits):
-        raw = payload[chunk.start * block_bits // 8 : chunk.stop * block_bits // 8]
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
-        bits = bits.reshape(-1, per_block, per_block, side, side).transpose(0, 1, 4, 3, 2)
-        words[chunk] = from_bits(bits, layout.lplanes)
+    can produce, and a payload of the wrong length raise ValueError.  The
+    payload is read a chunk of blocks at a time into one reused buffer."""
+    with open(path, "rb") as f:
+        head, start = _read_header(f, path)
+        try:
+            fields = _parse_fields(head.decode().splitlines()[1:])
+            n, L, M, blocks, alpha, beta = (
+                int(fields[name]) for name in ("n", "L", "M", "blocks", "alpha", "beta")
+            )
+            if not 1 <= n <= MAX_SCHEDULE_N:
+                raise ValueError(f"n={n} outside [1, {MAX_SCHEDULE_N}]")
+            if not 2 <= L <= 1 << MAX_SCHEDULE_N:
+                raise ValueError(f"L={L} outside [2, {1 << MAX_SCHEDULE_N}]")
+            x0, mode = float(fields["x0"]), fields["mode"]
+            if mode not in MODES:
+                raise ValueError(f"unknown mode {mode!r}")
+            layout = plan_layout(M, L)
+        except KeyError as exc:
+            raise ValueError(f"{path}: missing ciphertext field {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: bad ciphertext header: {exc}") from None
+        if blocks != layout.block_count:
+            raise ValueError(f"{path}: bad ciphertext header: blocks={blocks} for M={M}, L={L}")
+        side = 1 << n
+        per_block = layout.images_per_block
+        # alpha and beta floor the mean and mean square of per-pixel bit counts,
+        # which lie in [0, c]; mean(c^2) >= mean(c)^2 gives alpha^2 <= beta.
+        c = blocks * per_block * per_block
+        if not (0.0 <= x0 <= 1.0 and 0 <= alpha <= c and alpha * alpha <= beta <= c * c):
+            raise ValueError(
+                f"{path}: impossible header aggregates x0={x0!r}, alpha={alpha}, beta={beta} "
+                f"(per-pixel bit counts lie in [0, {c}])"
+            )
+        # a block holds 2^(2n + 2 lplanes) >= 16 bits (n >= 1, L >= 2): whole bytes
+        block_bytes = per_block * side * side * per_block // 8
+        payload = os.fstat(f.fileno()).st_size - start
+        if payload != blocks * block_bytes:
+            raise ValueError(
+                f"{path}: payload has {payload} bytes, the header implies "
+                f"{blocks * block_bytes}"
+            )
+        f.seek(start)
+        chunks = block_chunks(blocks, 8 * block_bytes)
+        buffer = memoryview(bytearray((chunks[0].stop - chunks[0].start) * block_bytes))
+        words = np.empty((blocks, per_block, side, side), dtype=word_dtype(layout.lplanes))
+        for chunk in chunks:
+            raw = buffer[: (chunk.stop - chunk.start) * block_bytes]
+            if f.readinto(raw) != len(raw):
+                raise ValueError(f"{path}: payload ended early")
+            bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
+            bits = bits.reshape(-1, per_block, per_block, side, side).transpose(0, 1, 4, 3, 2)
+            words[chunk] = from_bits(bits, layout.lplanes)
     return Ciphertext(BitTensor(n, layout.lplanes, words), n, L, M, x0, alpha, beta, mode)

@@ -9,11 +9,12 @@ helpers at the end, which only tests call, read one PGM and write a key file.
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
 
-from qbaker import cipher, images
+from qbaker import baker, cipher, images
 from qbaker.baker import BakerPartition
 from qbaker.chaos import ScmParams, ScmState, scm_step
 from qbaker.cipher import MasterKey
@@ -77,6 +78,25 @@ def admissible_partitions(n: int) -> list[tuple[int, ...]]:
 
     extend(0, [])
     return out
+
+
+def unrank(n: int, index: int) -> tuple[int, ...]:
+    """The exponent list at ``index`` in lexicographic order, one rank at a
+    time: at each prefix sum of ``baker._ranking(n)``'s tree, take the last
+    choice whose subtree starts at or below the index left, and skip that
+    start."""
+    count, steps = baker._ranking(n)
+    if not 0 <= index < count:
+        raise ValueError(f"rank {index} outside [0, {count})")
+    q: list[int] = []
+    s = 0
+    while s < 1 << n:
+        starts, exps = steps[s]
+        j = bisect_right(starts, index) - 1
+        index -= starts[j]
+        q.append(exps[j])
+        s += 1 << exps[j]
+    return tuple(q)
 
 
 def iterate(p: BakerPartition, r: int, pt: Point) -> Point:

@@ -130,6 +130,33 @@ class TestRanking:
         assert baker.unrank_admissible(8, 0).q == (0,) * 256
         assert baker.unrank_admissible(8, total - 1).q == (8,)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_batched_unrank_matches_scalar_walk_everywhere(self, n):
+        count = baker.count_admissible(n)
+        rows = baker.unrank_rows(n, range(count))
+        assert rows.dtype == np.int8 and rows.shape[1] == 1 << n  # (0,) * 2^n is rank 0
+        got = [tuple(e for e in row if e >= 0) for row in rows.tolist()]
+        assert got == [oracles.unrank(n, i) for i in range(count)]
+
+    def test_batched_unrank_matches_scalar_walk_on_sampled_n5(self):
+        ranks = np.random.default_rng(5).integers(0, baker.count_admissible(5), 2048)
+        rows = baker.unrank_rows(5, ranks)
+        got = [tuple(e for e in row if e >= 0) for row in rows.tolist()]
+        assert got == [oracles.unrank(5, int(i)) for i in ranks]
+        # rows pad with -1 after each list, to the longest list
+        assert max(len(q) for q in got) == rows.shape[1]
+
+    def test_batched_unrank_past_int64_at_n8(self):
+        # ranks from 2^63 - 1 on walk as Python ints, smaller ones in int64
+        count = baker.count_admissible(8)
+        wide = [0, count - 1, 1 << 63, (1 << 63) + 12_345, count // 3]
+        narrow = [(1 << 63) - 2, (1 << 62) + 99, 7]
+        for ranks in (wide, narrow, [(1 << 63) - 1]):
+            got = [tuple(e for e in row if e >= 0) for row in baker.unrank_rows(8, ranks).tolist()]
+            assert got == [oracles.unrank(8, i) for i in ranks]
+        for i in (*wide, *narrow):
+            assert baker.unrank_admissible(8, i).q == oracles.unrank(8, i)
+
     def test_rank_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             baker.unrank_admissible(3, baker.count_admissible(3))
@@ -137,6 +164,9 @@ class TestRanking:
             baker.unrank_admissible(3, -1)
         with pytest.raises(ValueError):
             baker.count_admissible(0)
+        for ranks in ([0, baker.count_admissible(4)], [-1, 0], [0.5]):
+            with pytest.raises(ValueError):
+                baker.unrank_rows(4, ranks)
 
 
 class TestRankTables:

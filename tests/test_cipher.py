@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qbaker import baker, cipher
 from qbaker.cipher import (
+    MAX_ITERATIONS,
     MAX_SCHEDULE_N,
     MODES,
     Ciphertext,
@@ -167,8 +168,57 @@ class TestIteratedTables:
         step = baker.rank_tables(3, [7])[0]
         assert np.array_equal(tables[at[0, 0]], step[step])
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_count_matches_naive_composition(self, n):
+        # three ranks (repeats allowed) at every count 0..16, so equal-count
+        # slices hold several rows and a rank recurs at several counts
+        rng = np.random.default_rng(n)
+        pool = rng.integers(0, baker.count_admissible(n), 3)
+        ranks = rng.choice(pool, 51)
+        iters = np.repeat(np.arange(MAX_ITERATIONS + 1), 3)
+        rng.shuffle(iters)
+        tables, at = iterated_tables(n, ranks, iters)
+        for row, step, count in zip(tables[at], baker.rank_tables(n, ranks), iters):
+            want = np.arange(4**n)
+            for _ in range(count):
+                want = step[want]
+            assert np.array_equal(row, want)
+
+    def test_n8_ranks_just_below_int64(self):
+        rng = np.random.default_rng(8)
+        ranks = rng.integers(1 << 62, (1 << 63) - 1, 4, dtype=np.int64)
+        iters = np.array([1, 6, 11, 16])
+        tables, at = iterated_tables(8, ranks, iters)
+        for row, i, count in zip(tables[at], ranks.tolist(), iters):
+            step = baker.partition_tables(8, [oracles.unrank(8, i)])[0]
+            want = np.arange(1 << 16)
+            for _ in range(count):
+                want = step[want]
+            assert np.array_equal(row, want)
+
 
 class TestStageTables:
+    def test_keyed_stages_unrank_once_per_call(self, monkeypatch):
+        # four chunks of blocks, and every key a chunk draws needs tables
+        # per chunk (neither stage's every-key tables fit one block's cells)
+        calls = []
+
+        def counted(n, ranks):
+            calls.append(n)
+            return unrank_rows(n, ranks)
+
+        unrank_rows = baker.unrank_rows
+        monkeypatch.setattr(baker, "unrank_rows", counted)
+        layout = plan_layout(1040, 8)
+        sched = derive_schedule(KEY, 2, layout)
+        maps = _CellMaps(sched, inverse=False)
+        assert maps.stage1.whole is None and maps.stage2.whole is None
+        chunks = block_chunks(layout.block_count, maps.cells)
+        assert len(chunks) == 4
+        for chunk in chunks:
+            maps(chunk)
+        assert sorted(calls) == [sched.pixel_n, sched.plane_n]
+
     @pytest.mark.parametrize("n, M", [(2, 20), (3, 40), (5, 200)])
     def test_shared_and_per_block_tables_agree(self, n, M):
         # chunk slices as scramble takes them: whole tables sliced per chunk
@@ -527,6 +577,20 @@ class TestPipeline:
         key = MasterKey(KEY.lambdas, KEY.schedule_seed, "simplified")
         peaks = self._traced_peaks(tmp_path, s, key)
         assert max(peaks) <= 4e6, peaks
+
+    def test_read_holds_one_chunk_of_payload(self, tmp_path):
+        # a 1 MB payload read into 1 MB of words: besides the words, the
+        # read holds one chunk of blocks, not the whole file
+        s = ImageSet(4, 8, np.random.default_rng(18).integers(0, 256, (4096, 16, 16), np.uint8))
+        path = tmp_path / "ct.bin"
+        write_ciphertext(path, encrypt(s, MasterKey(KEY.lambdas, KEY.schedule_seed, "simplified")))
+        tracemalloc.start()
+        try:
+            words = read_ciphertext(path).tensor.words.nbytes
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert words == 1 << 20 and peak <= words + 5e5, peak
 
     def test_keyed_peak_memory(self, tmp_path):
         # 200 images of 32x32 in keyed mode: 32 blocks of 65,536 cells, each

@@ -205,8 +205,3 @@ def partition_tables(n: int, partitions: Iterable[Sequence[int]] | np.ndarray) -
     column = ((x - edge) << (shift + n)) | edge
     return (column.reshape(-1, 1) + y_share[shift]).reshape(-1, side * side)
 
-
-def rank_tables(n: int, ranks: Sequence[int] | np.ndarray) -> np.ndarray:
-    """``partition_tables`` of the partitions with these ranks."""
-    return partition_tables(n, unrank_rows(n, ranks))
-

@@ -1,21 +1,20 @@
 """Encrypt/decrypt pipeline: two-stage baker scrambling plus keyed XOR.
 
-Stage 1 permutes the (image, plane) matrix independently at every pixel and
-block; stage 2 permutes pixel positions independently per plane, image, and
-block.  Both stages compose into one map of each cell to where its bit lands
-after stage 1 and then stage 2.  ``encrypt`` and ``decrypt`` are one loop
-over chunks of blocks (``images.block_chunks``): encrypt packs a chunk's
-images into words, moves its bits through the chunk's map (``scramble``),
-XORs in the chunk's key digits (``diffuse``) and writes the words into the
-ciphertext; decrypt undoes the XOR, moves the bits back and unpacks them into
-the image array.  Only the chunk being moved is expanded to one byte per bit,
-so besides the images and the ciphertext words a call holds one chunk's
-arrays.  Each stage unranks its distinct drawn ranks once per call, in one
-batch; a (rank, iterations) pair's table is then composed by binary powers,
-for all blocks at once when every key the stage could draw fits one block's
-map, and otherwise for each chunk from its own keys.  When every position
-shares one key (simplified mode), block 0's map is built once and moves
-every block.
+Stage 1 permutes the (image, plane) square at every pixel and block; stage 2
+permutes the pixel square of every plane, image and block.  ``encrypt`` and
+``decrypt`` are one loop over chunks of blocks (``images.block_chunks``):
+encrypt packs a chunk's images into words, scrambles them (stage 1, then
+stage 2), XORs in the chunk's key digits (``diffuse``) and writes the words
+into the ciphertext; decrypt undoes the XOR, unscrambles (stage 2, then stage
+1) and unpacks the words into the image array.  Each stage is one gather over
+the chunk's bits, one byte per bit (``scramble_stage1``, ``scramble_stage2``):
+every row, a pixel's (m, l) square or a plane's (x, y) square, moves through
+its own table, inverted for encrypt.  Each stage unranks its distinct drawn
+ranks once per call, in one batch; a (rank, iterations) pair's table is then
+composed by binary powers, for all blocks at once when every key the stage
+could draw fits one block's cells, and otherwise for each chunk from its own
+keys.  When every position shares one key (simplified mode), the two gathers
+are composed once into one index over a block's cells.
 
 Baker parameters and iteration counts come from a keyed schedule (SHA-256
 over the schedule seed and position, so both sides agree without sharing
@@ -46,8 +45,8 @@ import numpy as np
 
 from . import baker
 from .chaos import ScmParams, generate_sequences
-from .images import (BitTensor, BlockLayout, ImageSet, block_chunks, from_bits, pack,
-                     plan_layout, to_bits, unpack, word_dtype)
+from .images import (MAX_BIT_DEPTH, BitTensor, BlockLayout, ImageSet, block_chunks, from_bits,
+                     pack, plan_layout, to_bits, unpack, word_dtype)
 from .keystream import Seed, derive_seed, key_factors, key_table, seed_from_header
 
 MAX_ITERATIONS = 16
@@ -160,21 +159,12 @@ def derive_schedule(key: MasterKey, n: int, layout: BlockLayout) -> KeySchedule:
     return KeySchedule(lplanes, n, *arrays)
 
 
-def iterated_tables(n: int, ranks: np.ndarray, iters: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(tables, row): one table over (x << n) | y per distinct (rank, iterations)
-    pair, and the row of each position's pair, in the shape of ``ranks``.
-
-    Each distinct rank is unranked once, in one batch; ``_powers`` then
-    builds the pairs' tables from those exponent rows.
-    """
-    distinct, which = np.unique(ranks, return_inverse=True)
-    return _powers(n, baker.unrank_rows(n, distinct), which.reshape(ranks.shape), iters)
-
-
-def _powers(n: int, exponents: np.ndarray, which: np.ndarray, iters: np.ndarray):
-    """``iterated_tables`` for positions whose partitions are given as rows
-    of ``exponents`` (as ``baker.unrank_rows`` returns them), ``which``
-    holding each position's row.
+def _powers(n: int, exponents: np.ndarray, which: np.ndarray, iters: np.ndarray, invert: bool):
+    """(tables, row) for positions whose partitions are given as rows of
+    ``exponents`` (as ``baker.unrank_rows`` returns them), ``which`` holding
+    each position's row: one table over (x << n) | y per distinct (exponent
+    row, iterations) pair, P^c or with ``invert`` P^-c, and the row of each
+    position's pair, in the shape of ``which``.
 
     A pair is keyed by its exponent row, never by the rank, so no key can
     overflow.  Pairs sort by count, and each count c is a sum of powers of
@@ -211,6 +201,9 @@ def _powers(n: int, exponents: np.ndarray, which: np.ndarray, iters: np.ndarray)
                 else:
                     done[lo:hi] = power[lo:hi]
         _compose(flat, power, np.searchsorted(counts, 2 << bit), len(counts), chunk)
+    if invert:  # each row sends its values back to their cells, into the spare powers
+        flat[done.reshape(-1)] = np.arange(power.size, dtype=dtype)
+        done = power
     done -= offsets
     return done, row.reshape(which.shape)
 
@@ -226,114 +219,104 @@ def _compose(flat: np.ndarray, tables: np.ndarray, lo: int, hi: int, chunk: int)
 
 
 class _StageTables:
-    """One stage's iterated tables, handed out a chunk of blocks at a time.
+    """One stage's iterated tables (inverted with ``invert``), handed out a
+    chunk of blocks at a time.
 
-    When every position has one key (``constant``), its tables are built
-    from one position: ``np.unique`` of a broadcast schedule would copy it to
-    full size.  Otherwise the stage's distinct ranks are unranked once, and
-    when the tables of every key the stage could draw (count_admissible(n)
-    ranks times ``MAX_ITERATIONS`` counts) fit in ``budget`` cells, one
-    block's map, the drawn keys' tables are built once for all blocks;
-    otherwise each chunk's are built from its own keys' exponent rows, so
-    memory scales with one chunk and not with the block count.
+    The stage's distinct ranks are unranked once, and when the tables of
+    every key the stage could draw (count_admissible(n) ranks times
+    ``MAX_ITERATIONS`` counts) fit in ``budget`` cells, one block's, the
+    drawn keys' tables are built once for all blocks; otherwise each chunk's
+    are built from its own keys' exponent rows, so memory scales with one
+    chunk and not with the block count.
     """
 
-    def __init__(self, n: int, ranks: np.ndarray, iters: np.ndarray, budget: int):
-        self.n, self.iters = n, iters
-        self.constant = np.ptp(ranks) == 0 and np.ptp(iters) == 0
-        self.whole = None
-        if self.constant:
-            one = (slice(0, 1),) * ranks.ndim
-            tables, _ = iterated_tables(n, ranks[one], iters[one])
-            self.whole = tables, np.broadcast_to(np.intp(0), ranks.shape)
-            return
+    def __init__(self, n: int, ranks: np.ndarray, iters: np.ndarray, budget: int, invert: bool):
+        self.n, self.iters, self.invert = n, iters, invert
         distinct, which = np.unique(ranks, return_inverse=True)
         exponents, which = baker.unrank_rows(n, distinct), which.reshape(ranks.shape)
+        self.whole = None
         if baker.count_admissible(n) * MAX_ITERATIONS << (2 * n) <= budget:
-            self.whole = _powers(n, exponents, which, iters)
+            self.whole = _powers(n, exponents, which, iters, invert)
         else:
             self.exponents, self.which = exponents, which
 
     def tables(self, blocks: slice) -> tuple[np.ndarray, np.ndarray]:
-        """(tables, row) as ``iterated_tables`` returns them, for the
-        positions of ``blocks``: row[..., i] belongs to block blocks.start + i."""
+        """(tables, row) as ``_powers`` returns them, for the positions of
+        ``blocks``: row[..., i] belongs to block blocks.start + i."""
         if self.whole is not None:
             tables, row = self.whole
             return tables, row[..., blocks]
-        return _powers(self.n, self.exponents, self.which[..., blocks], self.iters[..., blocks])
+        return _powers(self.n, self.exponents, self.which[..., blocks], self.iters[..., blocks],
+                       self.invert)
 
 
-def _cell_map(stage1: _StageTables, stage2: _StageTables, blocks: slice) -> np.ndarray:
-    """Where both stages send each cell of ``blocks``: an int32 array over
-    the slice's flat (t, m, x, y, l) cells holding the flat (t, m', x', y', l')
-    index, with t counted from blocks.start.
-
-    Stage 1 sends (m, l) to (m', l') by the table at (x, y, t); stage 2 then
-    sends (x, y) to (x', y') by the table at (l', m', t).
-    """
-    n, lplanes = stage2.n, stage1.n
-    side, per_block = 1 << n, 1 << lplanes
-    tables1, row1 = stage1.tables(blocks)
-    tables2, row2 = stage2.tables(blocks)
-    # (x, y, t, m, l) -> (t, m, x, y, l), holding (m' << lplanes) | l'
-    ml = tables1[row1].reshape(side, side, -1, per_block, per_block).transpose(2, 3, 0, 1, 4)
-    m2, l2 = ml >> lplanes, ml & (per_block - 1)
-    t = np.arange(len(ml), dtype=ml.dtype).reshape(-1, 1, 1, 1, 1)
-    xy = np.arange(side * side, dtype=ml.dtype).reshape(1, 1, side, side, 1)
-    # stage 2 tables in (t, l, m) order, flat over their (x << n) | y cells
-    at = tables2[row2.transpose(2, 0, 1)].reshape(-1)
-    xy2 = at[(((t << (2 * lplanes)) | (l2 << lplanes) | m2) << (2 * n)) | xy]
-    dest = (((t << lplanes) | m2) << (2 * n + lplanes)) | (xy2 << lplanes) | l2
-    return dest.reshape(-1)
+def _gather(rows: np.ndarray, tables: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """``rows`` (..., a, b) with each (a, b) row gathered through its table:
+    out[i][j] = rows[i][tables[row[i]][j]], ``row`` in the shape of the
+    leading axes.  One flat take: each table value is offset to its own row."""
+    flat = rows.reshape(-1)
+    index = tables[row.reshape(-1)]
+    index += np.arange(0, flat.size, index.shape[1], dtype=index.dtype).reshape(-1, 1)
+    return np.take(flat, index).reshape(rows.shape)
 
 
-class _CellMaps:
-    """The cell maps of one schedule, handed out a chunk of blocks at a time
-    as (index, scatter): the map that ``scramble`` moves the chunk's bits
-    through, and how.
+def scramble_stage1(cube: np.ndarray, tables: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """Stage 1 on a chunk's (t, m, x, y, l) cells: the (m, l) square at each
+    pixel (x, y) of block t gathered through the table at row[x, y, t]."""
+    moved = _gather(cube.transpose(0, 2, 3, 1, 4), tables, row.transpose(2, 0, 1))
+    return moved.transpose(0, 3, 1, 2, 4)
 
-    The forward direction sends the bit at cell i to cell dest[i] (stage 1,
-    then stage 2): each chunk scatters through its own map.  The inverse
-    gathers through dest.  The stage tables are built once.  When both
-    stages have one key for every position (simplified mode), block 0's map
-    moves every block: it is built once, and the forward direction inverts
-    it once and gathers through that.
+
+def scramble_stage2(cube: np.ndarray, tables: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """Stage 2 on a chunk's (t, m, x, y, l) cells: the (x, y) square of each
+    plane (m, l) of block t gathered through the table at row[l, m, t]."""
+    moved = _gather(cube.transpose(0, 1, 4, 2, 3), tables, row.transpose(2, 1, 0))
+    return moved.transpose(0, 1, 3, 4, 2)
+
+
+class _Scrambler:
+    """Moves a chunk of blocks' bits through both stages, as gathers.
+
+    Encrypt sends the bit at cell c of a row to P(c), so it gathers stage 1
+    then stage 2 through the inverted tables; decrypt gathers stage 2 then
+    stage 1 through the tables.  When every position of both stages has one
+    key (simplified mode), the tables come from block 0 alone, and the two
+    gathers are composed once into one index over a block's cells.
     """
 
     def __init__(self, sched: KeySchedule, inverse: bool):
-        self.cells = 1 << (2 * (sched.plane_n + sched.pixel_n))  # per block
-        self.stage1 = _StageTables(sched.plane_n, sched.s1_part, sched.s1_iter, self.cells)
-        self.stage2 = _StageTables(sched.pixel_n, sched.s2_part, sched.s2_iter, self.cells)
-        self.scatter = not inverse
+        lplanes, n = sched.plane_n, sched.pixel_n
+        self.cells = 1 << (2 * (lplanes + n))  # per block
+        keys = (sched.s1_part, sched.s1_iter, sched.s2_part, sched.s2_iter)
+        constant = all(np.ptp(a) == 0 for a in keys)
+        if constant:  # block 0's keys: np.unique of a broadcast view copies it to full size
+            keys = tuple(a[..., :1] for a in keys)
+        self.stage1 = _StageTables(lplanes, *keys[:2], self.cells, not inverse)
+        self.stage2 = _StageTables(n, *keys[2:], self.cells, not inverse)
+        self.inverse = inverse
         self.shared = None
-        if self.stage1.constant and self.stage2.constant:
-            index = _cell_map(self.stage1, self.stage2, slice(0, 1))
-            if not inverse:
-                src = np.empty_like(index)
-                src[index] = np.arange(index.size, dtype=index.dtype)
-                index = src
-            self.shared = index.astype(np.intp)  # np.take would copy it to intp for every chunk
+        if constant:
+            cells = np.arange(self.cells, dtype=np.int32)  # block 0's cell numbers, moved
+            moved = self._moved(cells.reshape(1, 1 << lplanes, 1 << n, 1 << n, -1), slice(0, 1))
+            # np.take would copy an int32 index to intp for every chunk
+            self.shared = moved.reshape(-1).astype(np.intp)
 
-    def __call__(self, blocks: slice) -> tuple[np.ndarray, bool]:
+    def _moved(self, cube: np.ndarray, blocks: slice) -> np.ndarray:
+        """The (t, m, x, y, l) array ``cube`` of ``blocks`` through both stages."""
+        stages = [(scramble_stage1, self.stage1), (scramble_stage2, self.stage2)]
+        for stage, tables in reversed(stages) if self.inverse else stages:
+            cube = stage(cube, *tables.tables(blocks))
+        return cube
+
+    def __call__(self, words: np.ndarray, blocks: slice) -> np.ndarray:
+        """The words of the chunk ``blocks`` with their bits moved."""
+        lplanes = words.shape[1].bit_length() - 1
+        bits = to_bits(words, lplanes)
         if self.shared is not None:
-            return self.shared, False
-        return _cell_map(self.stage1, self.stage2, blocks), self.scatter
-
-
-def scramble(words: np.ndarray, index: np.ndarray, scatter: bool) -> np.ndarray:
-    """The words of a chunk of blocks with their bits moved through a cell
-    map: the bit at cell i moves to cell index[i] (``scatter``) or comes from
-    cell index[i].  The map covers the chunk's flat (t, m, x, y, l) cells or
-    one block's, and then moves every block alike.
-    """
-    lplanes = words.shape[1].bit_length() - 1
-    bits = to_bits(words, lplanes).reshape(-1, index.size)
-    if scatter:
-        moved = np.empty_like(bits)
-        moved[:, index] = bits
-    else:
-        moved = np.take(bits, index, axis=1)
-    return from_bits(moved.reshape(*words.shape, -1), lplanes)
+            moved = np.take(bits.reshape(len(words), -1), self.shared, axis=1)
+        else:
+            moved = self._moved(bits, blocks)
+        return from_bits(moved.reshape(bits.shape), lplanes)
 
 
 @functools.cache
@@ -390,9 +373,9 @@ def encrypt(image_set: ImageSet, key: MasterKey) -> Ciphertext:
     side = 1 << n
     words = np.empty((layout.block_count, layout.images_per_block, side, side),
                      dtype=word_dtype(layout.lplanes))
-    maps = _CellMaps(sched, inverse=False)
-    for chunk in block_chunks(layout.block_count, maps.cells):
-        moved = scramble(pack(image_set, chunk), *maps(chunk))
+    scrambler = _Scrambler(sched, inverse=False)
+    for chunk in block_chunks(layout.block_count, scrambler.cells):
+        moved = scrambler(pack(image_set, chunk), chunk)
         words[chunk] = diffuse(moved, key_table(factors, chunk))
     return Ciphertext(
         BitTensor(n, layout.lplanes, words), n, image_set.L, image_set.M,
@@ -412,11 +395,11 @@ def decrypt(ct: Ciphertext, key: MasterKey) -> ImageSet:
     factors = _key_factors(seed_from_header(ct.x0, ct.alpha, ct.beta), key, ct.n, layout)
     side, per_block = 1 << ct.n, layout.images_per_block
     images = np.empty((ct.M, side, side), dtype=np.min_scalar_type((1 << ct.L) - 1))
-    maps = _CellMaps(sched, inverse=True)
-    for chunk in block_chunks(layout.block_count, maps.cells):
+    scrambler = _Scrambler(sched, inverse=True)
+    for chunk in block_chunks(layout.block_count, scrambler.cells):
         undiffused = diffuse(tensor.words[chunk], key_table(factors, chunk))
         out = images[chunk.start * per_block : chunk.stop * per_block]
-        unpack(scramble(undiffused, *maps(chunk)), ct.L, out)
+        unpack(scrambler(undiffused, chunk), ct.L, out)
     return ImageSet(ct.n, ct.L, images)
 
 
@@ -481,7 +464,7 @@ def _read_header(f, path) -> tuple[bytes, int]:
 
 def read_ciphertext(path: str | Path) -> Ciphertext:
     """Parse a ciphertext file; any missing, malformed or inconsistent header
-    field (n outside [1, MAX_SCHEDULE_N] and L outside [2, 2^MAX_SCHEDULE_N]
+    field (n outside [1, MAX_SCHEDULE_N] and L outside [2, MAX_BIT_DEPTH]
     are refused before anything is sized from them), aggregates no plaintext
     can produce, and a payload of the wrong length raise ValueError.  The
     payload is read a chunk of blocks at a time into one reused buffer."""
@@ -494,8 +477,8 @@ def read_ciphertext(path: str | Path) -> Ciphertext:
             )
             if not 1 <= n <= MAX_SCHEDULE_N:
                 raise ValueError(f"n={n} outside [1, {MAX_SCHEDULE_N}]")
-            if not 2 <= L <= 1 << MAX_SCHEDULE_N:
-                raise ValueError(f"L={L} outside [2, {1 << MAX_SCHEDULE_N}]")
+            if not 2 <= L <= MAX_BIT_DEPTH:
+                raise ValueError(f"L={L} outside [2, {MAX_BIT_DEPTH}]")
             x0, mode = float(fields["x0"]), fields["mode"]
             if mode not in MODES:
                 raise ValueError(f"unknown mode {mode!r}")

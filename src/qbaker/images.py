@@ -124,7 +124,7 @@ class BitTensor:
 
 
 # Cells per chunk of blocks: bounds the transient bit-per-byte, float and
-# cell-map arrays of a chunked pass to a few hundred kB.  A chunk is still at
+# gather-index arrays of a chunked pass to a few hundred kB.  A chunk is still at
 # least one block, whatever its size: 65,536 cells for 32x32 images at L=8.
 _CHUNK_CELLS = 1 << 16
 

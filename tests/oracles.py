@@ -2,8 +2,9 @@
 
 Each evaluates one point, one gate, one bit plane or one header field at a
 time, in plain Python, so it is slow and easy to check by eye.  The program
-itself works on whole tables, packed words and compiled patterns.  The file
-helpers at the end, which only tests call, read one PGM and write a key file.
+itself works on whole tables, packed words and compiled patterns.  The
+helpers at the end, which only tests call, build whole baker tables through
+the program's own table code, read one PGM and write a key file.
 """
 
 from __future__ import annotations
@@ -195,6 +196,25 @@ def pgm_accepts(width: int, height: int, maxval: int, payload: int) -> bool:
     """The reader's checks on parsed header fields and the pixel byte count."""
     side_ok = width == height and width >= 1 and not width & (width - 1)
     return maxval == 255 and side_ok and payload == width * height
+
+
+# -- test-only table helpers ------------------------------------------------------
+
+
+def rank_tables(n: int, ranks) -> np.ndarray:
+    """``baker.partition_tables`` of the partitions with these ranks."""
+    return baker.partition_tables(n, baker.unrank_rows(n, ranks))
+
+
+def iterated_tables(n: int, ranks: np.ndarray, iters: np.ndarray, invert: bool = False):
+    """(tables, row): one table over (x << n) | y per distinct (rank,
+    iterations) pair, P^c or with ``invert`` P^-c, and the row of each
+    position's pair, in the shape of ``ranks``.  Each distinct rank is
+    unranked once, in one batch, and ``cipher._powers`` composes the pairs'
+    tables from those exponent rows."""
+    distinct, which = np.unique(ranks, return_inverse=True)
+    exponents = baker.unrank_rows(n, distinct)
+    return cipher._powers(n, exponents, which.reshape(ranks.shape), iters, invert)
 
 
 # -- test-only file helpers -------------------------------------------------------

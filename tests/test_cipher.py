@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import time
 import tracemalloc
 
@@ -15,16 +16,14 @@ from qbaker.cipher import (
     Ciphertext,
     KeySchedule,
     MasterKey,
-    _CellMaps,
+    _Scrambler,
     _StageTables,
     decrypt,
     derive_schedule,
     diffuse,
     encrypt,
-    iterated_tables,
     read_ciphertext,
     read_key,
-    scramble,
     write_ciphertext,
 )
 from qbaker.cli import main
@@ -145,9 +144,9 @@ class TestIteratedTables:
         rng = np.random.default_rng(3)
         ranks = rng.integers(0, baker.count_admissible(5), 40)
         iters = rng.integers(1, 17, 40)
-        tables, at = iterated_tables(5, ranks, iters)
+        tables, at = oracles.iterated_tables(5, ranks, iters)
         for row, i, r in zip(tables[at], ranks, iters):
-            step = baker.rank_tables(5, [int(i)])[0]
+            step = oracles.rank_tables(5, [int(i)])[0]
             want = np.arange(1024)
             for _ in range(int(r)):
                 want = step[want]
@@ -158,37 +157,43 @@ class TestIteratedTables:
         # row, and count 0 is the identity whatever the rank
         ranks = np.array([[7, 7, 3, 7], [3, 7, 7, 0]])
         iters = np.array([[2, 2, 2, 5], [2, 0, 0, 0]])
-        tables, at = iterated_tables(3, ranks, iters)
+        tables, at = oracles.iterated_tables(3, ranks, iters)
         assert at.shape == ranks.shape
         assert len(tables) == len(set(zip(ranks.ravel().tolist(), iters.ravel().tolist()))) == 5
         assert at[0, 0] == at[0, 1] and at[0, 2] == at[1, 0] and at[1, 1] == at[1, 2]
         assert len({at[0, 0], at[0, 2], at[0, 3], at[1, 1], at[1, 3]}) == 5
         for cell in ((1, 1), (1, 2), (1, 3)):
             assert np.array_equal(tables[at[cell]], np.arange(64))
-        step = baker.rank_tables(3, [7])[0]
+        step = oracles.rank_tables(3, [7])[0]
         assert np.array_equal(tables[at[0, 0]], step[step])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_every_count_matches_naive_composition(self, n):
         # three ranks (repeats allowed) at every count 0..16, so equal-count
-        # slices hold several rows and a rank recurs at several counts
+        # slices hold several rows and a rank recurs at several counts; each
+        # inverted row composed with its forward row is the identity
         rng = np.random.default_rng(n)
         pool = rng.integers(0, baker.count_admissible(n), 3)
         ranks = rng.choice(pool, 51)
         iters = np.repeat(np.arange(MAX_ITERATIONS + 1), 3)
         rng.shuffle(iters)
-        tables, at = iterated_tables(n, ranks, iters)
-        for row, step, count in zip(tables[at], baker.rank_tables(n, ranks), iters):
+        tables, at = oracles.iterated_tables(n, ranks, iters)
+        for row, step, count in zip(tables[at], oracles.rank_tables(n, ranks), iters):
             want = np.arange(4**n)
             for _ in range(count):
                 want = step[want]
             assert np.array_equal(row, want)
+        inverse, inverse_at = oracles.iterated_tables(n, ranks, iters, invert=True)
+        assert np.array_equal(inverse_at, at)
+        for forward, backward in zip(tables[at], inverse[at]):
+            assert np.array_equal(forward[backward], np.arange(4**n))
+            assert np.array_equal(backward[forward], np.arange(4**n))
 
     def test_n8_ranks_just_below_int64(self):
         rng = np.random.default_rng(8)
         ranks = rng.integers(1 << 62, (1 << 63) - 1, 4, dtype=np.int64)
         iters = np.array([1, 6, 11, 16])
-        tables, at = iterated_tables(8, ranks, iters)
+        tables, at = oracles.iterated_tables(8, ranks, iters)
         for row, i, count in zip(tables[at], ranks.tolist(), iters):
             step = baker.partition_tables(8, [oracles.unrank(8, i)])[0]
             want = np.arange(1 << 16)
@@ -211,13 +216,16 @@ class TestStageTables:
         monkeypatch.setattr(baker, "unrank_rows", counted)
         layout = plan_layout(1040, 8)
         sched = derive_schedule(KEY, 2, layout)
-        maps = _CellMaps(sched, inverse=False)
-        assert maps.stage1.whole is None and maps.stage2.whole is None
-        chunks = block_chunks(layout.block_count, maps.cells)
-        assert len(chunks) == 4
-        for chunk in chunks:
-            maps(chunk)
-        assert sorted(calls) == [sched.pixel_n, sched.plane_n]
+        words = pack(random_images(np.random.default_rng(2), M=1040), slice(None))
+        for inverse in (False, True):
+            calls.clear()
+            scrambler = _Scrambler(sched, inverse)
+            assert scrambler.stage1.whole is None and scrambler.stage2.whole is None
+            chunks = block_chunks(layout.block_count, scrambler.cells)
+            assert len(chunks) == 4
+            for chunk in chunks:
+                scrambler(words[chunk], chunk)
+            assert sorted(calls) == [sched.pixel_n, sched.plane_n]
 
     @pytest.mark.parametrize("n, M", [(2, 20), (3, 40), (5, 200)])
     def test_shared_and_per_block_tables_agree(self, n, M):
@@ -230,9 +238,9 @@ class TestStageTables:
             (sched.pixel_n, sched.s2_part, sched.s2_iter),
         )
         cells = layout.images_per_block ** 2 << (2 * n)
-        for stage_n, ranks, iters in stages:
-            per_chunk = _StageTables(stage_n, ranks, iters, budget=0)
-            shared = _StageTables(stage_n, ranks, iters, budget=1 << 40)
+        for (stage_n, ranks, iters), invert in itertools.product(stages, (False, True)):
+            per_chunk = _StageTables(stage_n, ranks, iters, 0, invert)
+            shared = _StageTables(stage_n, ranks, iters, 1 << 40, invert)
             assert per_chunk.whole is None and shared.whole is not None
             for chunk in [slice(1, 2), *block_chunks(layout.block_count, cells)]:
                 a_tables, a_row = per_chunk.tables(chunk)
@@ -241,20 +249,30 @@ class TestStageTables:
                 assert np.array_equal(a_tables[a_row], b_tables[b_row])
 
     def test_constant_stage_built_from_one_position(self, monkeypatch):
-        sizes = []
+        # simplified mode: each stage's tables come from block 0's positions
+        # alone, and the one index they compose to covers one block's cells
+        shapes = []
 
-        def sized(n, ranks, iters):
-            sizes.append(ranks.size)
-            return tables_of(n, ranks, iters)
+        def shaped(n, exponents, which, iters, invert):
+            shapes.append(which.shape)
+            return powers(n, exponents, which, iters, invert)
 
-        tables_of = cipher.iterated_tables
-        monkeypatch.setattr(cipher, "iterated_tables", sized)
-        sched = derive_schedule(MasterKey(KEY.lambdas, 1, "simplified"), 4, plan_layout(4096, 8))
-        maps = _CellMaps(sched, inverse=False)
-        assert maps.stage1.constant and maps.stage2.constant
-        assert sizes == [1, 1]
-        index, scatter = maps(slice(5, 9))
-        assert index.size == maps.cells and not scatter  # block 0's map, inverted
+        powers = cipher._powers
+        monkeypatch.setattr(cipher, "_powers", shaped)
+        layout = plan_layout(4096, 8)
+        sched = derive_schedule(MasterKey(KEY.lambdas, 1, "simplified"), 4, layout)
+        assert layout.block_count == 512
+        for inverse in (False, True):
+            shapes.clear()
+            tracemalloc.start()
+            try:
+                scrambler = _Scrambler(sched, inverse)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert sorted(shapes) == [(8, 8, 1), (16, 16, 1)]
+            assert scrambler.shared.shape == (scrambler.cells,)
+            assert peak < sched.s1_part.size * 8  # one int64 copy of stage 1's keys
 
 
 def _identity_schedule(n, layout):
@@ -293,12 +311,12 @@ def _lit(words, cell):
 
 
 def _scrambled(words, sched, inverse=False):
-    """The cube's words through both stages, a chunk of blocks at a time
-    through the chunk's map, as encrypt and decrypt move them."""
-    maps = _CellMaps(sched, inverse)
+    """The cube's words through both stages (in reverse with ``inverse``), a
+    chunk of blocks at a time, as encrypt and decrypt move them."""
+    scrambler = _Scrambler(sched, inverse)
     out = np.empty_like(words)
-    for chunk in block_chunks(len(words), maps.cells):
-        out[chunk] = scramble(words[chunk], *maps(chunk))
+    for chunk in block_chunks(len(words), scrambler.cells):
+        out[chunk] = scrambler(words[chunk], chunk)
     return out
 
 
@@ -306,8 +324,7 @@ MODES = ("simplified", "non_simplified")
 
 
 class TestScrambling:
-    """``scramble`` through ``_CellMaps`` against the pointwise baker map,
-    stage 1 then stage 2."""
+    """``_Scrambler`` against the pointwise baker map, stage 1 then stage 2."""
 
     def test_identity_partitions_leave_tensor_alone(self):
         rng = np.random.default_rng(5)
@@ -358,23 +375,26 @@ class TestScrambling:
                     assert back[t, m, x, y, l] == 1 and back.sum() == 1
 
     def test_one_cell_map_per_chunk_or_one_shared(self, monkeypatch):
-        # 256 blocks in four chunks: keyed mode builds each chunk's map,
-        # simplified mode builds block 0's map once for every block
+        # 256 blocks in four chunks: keyed mode runs each stage once per
+        # chunk, simplified mode runs each once to compose one shared index
         calls = []
 
-        def counted(stage1, stage2, blocks):
-            calls.append(blocks)
-            return cell_map(stage1, stage2, blocks)
+        def counted(name, stage):
+            def run(cube, tables, row):
+                calls.append((name, len(cube)))
+                return stage(cube, tables, row)
+            return run
 
-        cell_map = cipher._cell_map
-        monkeypatch.setattr(cipher, "_cell_map", counted)
+        for name in ("scramble_stage1", "scramble_stage2"):
+            monkeypatch.setattr(cipher, name, counted(name, getattr(cipher, name)))
         words = pack(random_images(np.random.default_rng(12), M=1040), slice(None))
-        for mode, want in (("simplified", 1), ("non_simplified", 4)):
+        for mode, blocks in (("simplified", [1]), ("non_simplified", [64] * 4)):
             sched = derive_schedule(MasterKey(KEY.lambdas, 1, mode), 2, plan_layout(1040, 8))
-            for inverse in (False, True):
+            for inverse, order in ((False, (1, 2)), (True, (2, 1))):
                 calls.clear()
                 _scrambled(words, sched, inverse)
-                assert len(calls) == want, (mode, calls)
+                want = [(f"scramble_stage{s}", b) for b in blocks for s in order]
+                assert calls == want, (mode, inverse, calls)
 
     def test_stage2_ranks_near_int64_max(self):
         # n=7 ranks in [2^62, 2^63): no table key built from them may leave
@@ -431,7 +451,7 @@ class TestScrambling:
         sched = _with_identity_stage2(derive_schedule(KEY, 2, plan_layout(20, 8)))
         x, y, t = 1, 1, 2
         rank, iters = sched.s1_part[x, y, t], sched.s1_iter[x, y, t]
-        tables, at = iterated_tables(sched.plane_n, np.array([rank] * 16), np.arange(1, 17))
+        tables, at = oracles.iterated_tables(sched.plane_n, np.array([rank] * 16), np.arange(1, 17))
         table = tables[at]
         # an iteration count whose table differs from the scheduled one
         other = next(r for r in range(1, 17) if not np.array_equal(table[r - 1], table[iters - 1]))

@@ -4,9 +4,10 @@ Stage 1 permutes the (image, plane) square at every pixel and block; stage 2
 permutes the pixel square of every plane, image and block.  ``encrypt`` and
 ``decrypt`` are one loop over chunks of blocks (``images.block_chunks``):
 encrypt packs a chunk's images into words, scrambles them (stage 1, then
-stage 2), XORs in the chunk's key digits (``diffuse``) and writes the words
-into the ciphertext; decrypt undoes the XOR, unscrambles (stage 2, then stage
-1) and unpacks the words into the image array.  Each stage is one gather over
+stage 2), XORs in the chunk's key digits (``diffuse``) and packs the bits
+into the chunk's bytes of ``Ciphertext.payload``, in the file's byte order;
+decrypt reads them back, undoes the XOR, unscrambles (stage 2, then stage 1)
+and unpacks the words into the image array.  Each stage is one gather over
 the chunk's bits, one byte per bit (``scramble_stage1``, ``scramble_stage2``):
 every row, a pixel's (m, l) square or a plane's (x, y) square, moves through
 its own table, inverted for encrypt.  Each stage unranks its distinct drawn
@@ -45,8 +46,8 @@ import numpy as np
 
 from . import baker
 from .chaos import ScmParams, generate_sequences
-from .images import (MAX_BIT_DEPTH, BitTensor, BlockLayout, ImageSet, block_chunks, from_bits,
-                     pack, plan_layout, to_bits, unpack, word_dtype)
+from .images import (MAX_BIT_DEPTH, BlockLayout, ImageSet, block_chunks, from_bits, pack,
+                     plan_layout, to_bits, unpack, word_dtype)
 from .keystream import Seed, derive_seed, key_factors, key_table, seed_from_header
 
 MAX_ITERATIONS = 16
@@ -54,6 +55,9 @@ MAGIC = b"QBMI1"
 # Largest square side exponent a 64-bit draw covers: count_admissible(6) is
 # 2.1e11, count_admissible(7) is 4.4e22 > 2^64.
 MAX_SCHEDULE_N = 6
+# Bytes of a ciphertext file read for its header; headers written here are
+# about 150 bytes.
+_HEADER_BYTES = 1 << 16
 # Positions hashed per pass of a keyed draw: bounds the digests held at once
 # to about 200 kB.
 _DRAW_CHUNK = 1 << 10
@@ -345,11 +349,19 @@ def diffuse(words: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return mask
 
 
+def _block_bytes(n: int, layout: BlockLayout) -> int:
+    """Payload bytes per block: 2^(2n + 2 lplanes) >= 16 cells (n >= 1,
+    L >= 2), eight to a byte."""
+    return layout.images_per_block**2 << 2 * n >> 3
+
+
 @dataclass(frozen=True)
 class Ciphertext:
-    """Scrambled and diffused bit cube plus the public seed aggregates."""
+    """Scrambled and diffused bit cube plus the public seed aggregates.
+    ``payload`` is the cube as the file holds it after its header: the
+    (t, m, l, y, x) cells packed eight to a byte, first cell in the high bit."""
 
-    tensor: BitTensor
+    payload: np.ndarray  # 1-D uint8
     n: int
     L: int
     M: int
@@ -357,6 +369,14 @@ class Ciphertext:
     alpha: int
     beta: int
     mode: Mode
+
+    def __post_init__(self):
+        layout = plan_layout(self.M, self.L)
+        size = layout.block_count * _block_bytes(self.n, layout)
+        p = self.payload
+        if p.dtype != np.uint8 or p.ndim != 1 or not p.flags.c_contiguous or p.size != size:
+            raise ValueError(f"payload must be {size} contiguous uint8 bytes for n={self.n}, "
+                             f"L={self.L}, M={self.M}; got shape {p.shape} of {p.dtype}")
 
 
 def _key_factors(seed: Seed, key: MasterKey, n: int, layout: BlockLayout):
@@ -370,36 +390,39 @@ def encrypt(image_set: ImageSet, key: MasterKey) -> Ciphertext:
     sched = derive_schedule(key, n, layout)
     seed = derive_seed(image_set)
     factors = _key_factors(seed, key, n, layout)
-    side = 1 << n
-    words = np.empty((layout.block_count, layout.images_per_block, side, side),
-                     dtype=word_dtype(layout.lplanes))
+    block_bytes = _block_bytes(n, layout)
+    payload = np.empty(layout.block_count * block_bytes, dtype=np.uint8)
     scrambler = _Scrambler(sched, inverse=False)
     for chunk in block_chunks(layout.block_count, scrambler.cells):
-        moved = scrambler(pack(image_set, chunk), chunk)
-        words[chunk] = diffuse(moved, key_table(factors, chunk))
-    return Ciphertext(
-        BitTensor(n, layout.lplanes, words), n, image_set.L, image_set.M,
-        seed.x0, seed.alpha, seed.beta, key.mode,
-    )
+        words = diffuse(scrambler(pack(image_set, chunk), chunk), key_table(factors, chunk))
+        # (t, m, x, y, l) bits in file order, (t, m, l, y, x); no name holds
+        # a chunk's bits into the next chunk's scramble
+        payload[chunk.start * block_bytes : chunk.stop * block_bytes] = np.packbits(
+            to_bits(words, layout.lplanes).transpose(0, 1, 4, 3, 2))
+    return Ciphertext(payload, n, image_set.L, image_set.M, seed.x0, seed.alpha, seed.beta,
+                      key.mode)
 
 
 def decrypt(ct: Ciphertext, key: MasterKey) -> ImageSet:
     """Reverse pipeline; a wrong key just yields garbage images."""
-    layout = plan_layout(ct.M, ct.L)
-    tensor = ct.tensor
-    if (tensor.n, tensor.lplanes, tensor.block_count) != (ct.n, layout.lplanes, layout.block_count):
-        raise ValueError("ciphertext dimensions disagree with its header")
     if ct.mode != key.mode:
         raise ValueError("key mode disagrees with the ciphertext header")
+    layout = plan_layout(ct.M, ct.L)
     sched = derive_schedule(key, ct.n, layout)
     factors = _key_factors(seed_from_header(ct.x0, ct.alpha, ct.beta), key, ct.n, layout)
     side, per_block = 1 << ct.n, layout.images_per_block
+    block_bytes = _block_bytes(ct.n, layout)
+    file_order = (-1, per_block, per_block, side, side)  # (t, m, l, y, x)
     images = np.empty((ct.M, side, side), dtype=np.min_scalar_type((1 << ct.L) - 1))
     scrambler = _Scrambler(sched, inverse=True)
     for chunk in block_chunks(layout.block_count, scrambler.cells):
-        undiffused = diffuse(tensor.words[chunk], key_table(factors, chunk))
+        raw = ct.payload[chunk.start * block_bytes : chunk.stop * block_bytes]
+        # to (t, m, x, y, l) words; no name holds the bits into the scramble
+        words = from_bits(np.unpackbits(raw).reshape(file_order).transpose(0, 1, 4, 3, 2),
+                          layout.lplanes)
+        words = diffuse(words, key_table(factors, chunk))
         out = images[chunk.start * per_block : chunk.stop * per_block]
-        unpack(scrambler(undiffused, chunk), ct.L, out)
+        unpack(scrambler(words, chunk), ct.L, out)
     return ImageSet(ct.n, ct.L, images)
 
 
@@ -433,33 +456,26 @@ def read_key(path: str | Path) -> MasterKey:
 
 
 def write_ciphertext(path: str | Path, ct: Ciphertext):
-    """Header lines, a separator, then bits packed in (t, m, l, y, x) order."""
+    """Header lines, a separator, then the payload."""
     header = _format_fields({
-        "n": ct.n, "L": ct.L, "M": ct.M, "blocks": ct.tensor.block_count,
+        "n": ct.n, "L": ct.L, "M": ct.M, "blocks": plan_layout(ct.M, ct.L).block_count,
         "x0": ct.x0, "alpha": ct.alpha, "beta": ct.beta, "mode": ct.mode,
     })
-    tensor = ct.tensor
     with open(path, "wb") as f:
         f.write(f"{MAGIC.decode()}\n{header}---\n".encode())
-        for chunk in block_chunks(tensor.block_count, tensor.cells // tensor.block_count):
-            bits = to_bits(tensor.words[chunk], tensor.lplanes)
-            f.write(np.packbits(bits.transpose(0, 1, 4, 3, 2).reshape(-1)))
+        f.write(ct.payload)
 
 
 def _read_header(f, path) -> tuple[bytes, int]:
-    """The bytes before the first ``---`` separator line, read a block at a
-    time, and the offset at which the payload starts."""
-    head = bytearray()
-    while more := f.read(1 << 16):
-        seen = max(0, len(head) - 3)  # a separator may span two reads
-        head += more
-        if (sep := head.find(b"---\n", seen)) >= 0:
-            break
-    else:
-        sep = -1
+    """The bytes before the first ``---`` separator line, which must lie in
+    the file's first _HEADER_BYTES bytes, and the offset at which the payload
+    starts."""
+    head = f.read(_HEADER_BYTES)
+    sep = head.find(b"---\n")
     if not head.startswith(MAGIC) or sep < 0:
-        raise ValueError(f"{path}: not a ciphertext file")
-    return bytes(head[:sep]), sep + 4
+        raise ValueError(f"{path}: not a ciphertext file (no header in its first "
+                         f"{_HEADER_BYTES} bytes)")
+    return head[:sep], sep + 4
 
 
 def read_ciphertext(path: str | Path) -> Ciphertext:
@@ -467,7 +483,7 @@ def read_ciphertext(path: str | Path) -> Ciphertext:
     field (n outside [1, MAX_SCHEDULE_N] and L outside [2, MAX_BIT_DEPTH]
     are refused before anything is sized from them), aggregates no plaintext
     can produce, and a payload of the wrong length raise ValueError.  The
-    payload is read a chunk of blocks at a time into one reused buffer."""
+    payload is read once, after every check, into the array it stays in."""
     with open(path, "rb") as f:
         head, start = _read_header(f, path)
         try:
@@ -489,7 +505,6 @@ def read_ciphertext(path: str | Path) -> Ciphertext:
             raise ValueError(f"{path}: bad ciphertext header: {exc}") from None
         if blocks != layout.block_count:
             raise ValueError(f"{path}: bad ciphertext header: blocks={blocks} for M={M}, L={L}")
-        side = 1 << n
         per_block = layout.images_per_block
         # alpha and beta floor the mean and mean square of per-pixel bit counts,
         # which lie in [0, c]; mean(c^2) >= mean(c)^2 gives alpha^2 <= beta.
@@ -499,23 +514,11 @@ def read_ciphertext(path: str | Path) -> Ciphertext:
                 f"{path}: impossible header aggregates x0={x0!r}, alpha={alpha}, beta={beta} "
                 f"(per-pixel bit counts lie in [0, {c}])"
             )
-        # a block holds 2^(2n + 2 lplanes) >= 16 bits (n >= 1, L >= 2): whole bytes
-        block_bytes = per_block * side * side * per_block // 8
-        payload = os.fstat(f.fileno()).st_size - start
-        if payload != blocks * block_bytes:
-            raise ValueError(
-                f"{path}: payload has {payload} bytes, the header implies "
-                f"{blocks * block_bytes}"
-            )
+        size, found = blocks * _block_bytes(n, layout), os.fstat(f.fileno()).st_size - start
+        if found != size:
+            raise ValueError(f"{path}: payload has {found} bytes, the header implies {size}")
         f.seek(start)
-        chunks = block_chunks(blocks, 8 * block_bytes)
-        buffer = memoryview(bytearray((chunks[0].stop - chunks[0].start) * block_bytes))
-        words = np.empty((blocks, per_block, side, side), dtype=word_dtype(layout.lplanes))
-        for chunk in chunks:
-            raw = buffer[: (chunk.stop - chunk.start) * block_bytes]
-            if f.readinto(raw) != len(raw):
-                raise ValueError(f"{path}: payload ended early")
-            bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
-            bits = bits.reshape(-1, per_block, per_block, side, side).transpose(0, 1, 4, 3, 2)
-            words[chunk] = from_bits(bits, layout.lplanes)
-    return Ciphertext(BitTensor(n, layout.lplanes, words), n, L, M, x0, alpha, beta, mode)
+        payload = np.empty(size, dtype=np.uint8)
+        if f.readinto(payload) != size:
+            raise ValueError(f"{path}: payload ended early")
+    return Ciphertext(payload, n, L, M, x0, alpha, beta, mode)

@@ -33,7 +33,7 @@ def _cmd_encrypt(args) -> int:
     ct = cipher.encrypt(image_set, key)
     cipher.write_ciphertext(args.out, ct)
     print(f"encrypted {image_set.M} images -> {args.out} "
-          f"({ct.tensor.cells} bits, mode {ct.mode})")
+          f"({8 * ct.payload.size} bits, mode {ct.mode})")
     return 0
 
 

@@ -3,13 +3,13 @@
 M images of size 2^n x 2^n with L-bit pixels are grouped into blocks of
 2^ceil(log2 L) images (short blocks padded with all-zero blanks), and every
 pixel has 2^ceil(log2 L) bit planes.  The cells of the cube are indexed
-(block, image-in-block, row, column, plane), and the cube is stored packed:
-one word per (block, image-in-block, row, column), the narrowest
-little-endian unsigned type with 2^ceil(log2 L) bits, whose bit l is plane
-l.  ``pack`` and ``unpack`` convert between images and the words of a
-chunk of blocks, and ``to_bits`` and ``from_bits`` between words and one
-byte per bit; callers work a bounded chunk of blocks at a time
-(``block_chunks``), so no bit-per-byte copy of the whole cube is ever made.
+(block, image-in-block, row, column, plane).  Callers work a bounded chunk
+of blocks at a time (``block_chunks``), and hold a chunk's cells as words:
+one per (block, image-in-block, row, column), the narrowest little-endian
+unsigned type with 2^ceil(log2 L) bits, whose bit l is plane l.  ``pack``
+and ``unpack`` convert between images and the words of a chunk, and
+``to_bits`` and ``from_bits`` between words and one byte per bit.  No
+whole-cube array of words or bits is ever made.
 
 Images are read and written as binary 8-bit PGM (P5).  The reader accepts
 a header of ``P5``, width, height and maxval separated by whitespace or
@@ -87,40 +87,10 @@ class BlockLayout:
         its block."""
         return ceil_log2(self.images_per_block)
 
-    @property
-    def padded_total(self) -> int:
-        return self.images_per_block * self.block_count
-
 
 def word_dtype(lplanes: int) -> np.dtype:
     """The narrowest little-endian unsigned type with 2^lplanes bits."""
     return np.dtype(f"<u{max(1, (1 << lplanes) // 8)}")
-
-
-@dataclass(frozen=True)
-class BitTensor:
-    """The bit cube, packed: bit l of words[t, m, x, y] is cell (t, m, x, y, l)."""
-
-    n: int
-    lplanes: int  # ceil(log2 L): plane index width and per-block image count
-    words: np.ndarray  # (block_count, 2^lplanes, side, side) word_dtype(lplanes)
-
-    def __post_init__(self):
-        side = 1 << self.n
-        arr = self.words
-        if arr.ndim != 4 or arr.shape[1:] != (1 << self.lplanes, side, side):
-            raise ValueError("bit tensor shape disagrees with n and plane count")
-        if arr.dtype != word_dtype(self.lplanes):
-            raise ValueError(f"bit tensor words must be {word_dtype(self.lplanes)}")
-
-    @property
-    def block_count(self) -> int:
-        return int(self.words.shape[0])
-
-    @property
-    def cells(self) -> int:
-        """Cells of the cube: bits the ciphertext payload carries."""
-        return self.words.size << self.lplanes
 
 
 # Cells per chunk of blocks: bounds the transient bit-per-byte, float and

@@ -163,6 +163,13 @@ def cube_bits(words: np.ndarray) -> np.ndarray:
     return np.stack(planes, axis=-1).astype(np.uint8)
 
 
+def cube_payload(words: np.ndarray) -> np.ndarray:
+    """The ciphertext file's payload for the cube's (t, m, x, y) words: the
+    ``cube_bits`` cells in (t, m, l, y, x) order, eight to a byte, first cell
+    in the high bit."""
+    return np.packbits(cube_bits(words).transpose(0, 1, 4, 3, 2).reshape(-1))
+
+
 # -- PGM header -----------------------------------------------------------------
 
 

@@ -146,13 +146,13 @@ def test_criterion_6_avalanche_and_key_sensitivity():
         fx, fy, fi = rng.integers(0, 16), rng.integers(0, 16), rng.integers(0, 8)
         flipped[int(rng.integers(0, 8)), fx, fy] ^= 1 << fi
         ct_flip = encrypt(ImageSet(4, 8, flipped), KEY)
-        flip_rates.append(np.mean(cube_bits(ct.tensor.words) != cube_bits(ct_flip.tensor.words)))
+        flip_rates.append(np.mean(np.unpackbits(ct.payload) != np.unpackbits(ct_flip.payload)))
 
         nudged = MasterKey(
             (KEY.lambdas[0] + 1e-9, *KEY.lambdas[1:]), KEY.schedule_seed
         )
         ct_lam = encrypt(ImageSet(4, 8, imgs), nudged)
-        lam_rates.append(np.mean(cube_bits(ct.tensor.words) != cube_bits(ct_lam.tensor.words)))
+        lam_rates.append(np.mean(np.unpackbits(ct.payload) != np.unpackbits(ct_lam.payload)))
 
     flip_mean = float(np.mean(flip_rates))
     lam_mean = float(np.mean(lam_rates))
@@ -197,7 +197,7 @@ def test_criterion_8_blank_image_handling():
     imgs = rng.integers(0, 256, size=(10, 16, 16))
     s = ImageSet(4, 8, imgs)
     layout = plan_layout(10, 8)
-    assert layout.padded_total == 16  # six blank images
+    assert layout.images_per_block * layout.block_count == 16  # six blank images
 
     words = pack(s, slice(None))
     assert cube_bits(words).reshape(2, 8, -1)[1, 2:].sum() == 0  # blanks zero

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import time
@@ -527,9 +528,7 @@ class TestPipeline:
     def test_encrypt_deterministic(self):
         rng = np.random.default_rng(14)
         s = random_images(rng)
-        assert np.array_equal(
-            cube_bits(encrypt(s, KEY).tensor.words), cube_bits(encrypt(s, KEY).tensor.words)
-        )
+        assert np.array_equal(encrypt(s, KEY).payload, encrypt(s, KEY).payload)
 
     def test_mode_mismatch_rejected(self):
         rng = np.random.default_rng(15)
@@ -557,7 +556,7 @@ class TestPipeline:
         loaded = read_ciphertext(path)
         assert loaded.x0 == ct.x0
         assert loaded.alpha == ct.alpha and loaded.beta == ct.beta
-        assert np.array_equal(cube_bits(loaded.tensor.words), cube_bits(ct.tensor.words))
+        assert np.array_equal(loaded.payload, ct.payload)
         assert np.array_equal(decrypt(loaded, KEY).images, s.images)
 
     @pytest.mark.parametrize("mode", MODES)
@@ -570,7 +569,7 @@ class TestPipeline:
         path = tmp_path / "ct.bin"
         write_ciphertext(path, ct)
         loaded = read_ciphertext(path)
-        assert np.array_equal(cube_bits(loaded.tensor.words), cube_bits(ct.tensor.words))
+        assert np.array_equal(loaded.payload, ct.payload)
         assert np.array_equal(decrypt(loaded, key).images, s.images)
 
     @staticmethod
@@ -599,18 +598,18 @@ class TestPipeline:
         assert max(peaks) <= 4e6, peaks
 
     def test_read_holds_one_chunk_of_payload(self, tmp_path):
-        # a 1 MB payload read into 1 MB of words: besides the words, the
-        # read holds one chunk of blocks, not the whole file
+        # a 1 MB payload read once into its array: besides the payload, the
+        # read holds one header block, not a second copy of the file
         s = ImageSet(4, 8, np.random.default_rng(18).integers(0, 256, (4096, 16, 16), np.uint8))
         path = tmp_path / "ct.bin"
         write_ciphertext(path, encrypt(s, MasterKey(KEY.lambdas, KEY.schedule_seed, "simplified")))
         tracemalloc.start()
         try:
-            words = read_ciphertext(path).tensor.words.nbytes
+            payload = read_ciphertext(path).payload.nbytes
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert words == 1 << 20 and peak <= words + 5e5, peak
+        assert payload == 1 << 20 and peak <= payload + 5e5, peak
 
     def test_keyed_peak_memory(self, tmp_path):
         # 200 images of 32x32 in keyed mode: 32 blocks of 65,536 cells, each
@@ -626,10 +625,34 @@ class TestPipeline:
         with pytest.raises(ValueError):
             read_ciphertext(path)
 
+    def test_header_read_is_bounded(self, tmp_path):
+        # a 1 MiB file with no separator is refused from its first block
+        path = tmp_path / "long.bin"
+        path.write_bytes(b"QBMI1\n" + b"a" * (1 << 20))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="not a ciphertext"):
+                read_ciphertext(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 << 10, peak
+
+    @pytest.mark.parametrize("bad", [
+        lambda p: p[:-1],
+        lambda p: p.astype(np.int16),
+        lambda p: p.reshape(2, -1),
+        lambda p: np.repeat(p, 2)[::2],
+    ], ids=["byte_short", "int16", "2d", "strided"])
+    def test_payload_checked_where_made(self, bad):
+        ct = encrypt(random_images(np.random.default_rng(20)), KEY)
+        with pytest.raises(ValueError, match="payload must be"):
+            dataclasses.replace(ct, payload=bad(ct.payload))
+
     def test_roundtrip_keyed_n6(self):
         s = ImageSet(6, 8, (np.arange(4 * 64 * 64).reshape(4, 64, 64) * 7 + 3) % 256)
         ct = encrypt(s, KEY)
-        assert not np.array_equal(cube_bits(ct.tensor.words), cube_bits(pack(s, slice(None))))
+        assert not np.array_equal(ct.payload, oracles.cube_payload(pack(s, slice(None))))
         assert np.array_equal(decrypt(ct, KEY).images, s.images)
 
     def test_n7_images_rejected(self):
@@ -840,13 +863,12 @@ def _check_ciphertext(fuzz_file):
         return
     assert 1 <= ct.n <= MAX_SCHEDULE_N and ct.mode in MODES
     layout = plan_layout(ct.M, ct.L)
-    assert ct.tensor.n == ct.n and ct.tensor.block_count == layout.block_count
-    assert ct.tensor.lplanes == layout.lplanes
+    assert ct.payload.size == layout.block_count * layout.images_per_block**2 << 2 * ct.n >> 3
     write_ciphertext(fuzz_file, ct)
     again = read_ciphertext(fuzz_file)
     assert (again.n, again.L, again.M, again.x0, again.alpha, again.beta, again.mode) == (
         ct.n, ct.L, ct.M, ct.x0, ct.alpha, ct.beta, ct.mode)
-    assert np.array_equal(cube_bits(again.tensor.words), cube_bits(ct.tensor.words))
+    assert np.array_equal(again.payload, ct.payload)
 
 
 _CT_TOKENS = st.sampled_from(

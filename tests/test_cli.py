@@ -48,6 +48,15 @@ class TestEncryptDecrypt:
             recovered = (out / f"image_{i:04d}.pgm").read_bytes()
             assert original == recovered
 
+    def test_encrypt_reports_payload_bits(self, workspace, capsys):
+        ct = workspace / "ct.bin"
+        assert main(["encrypt", "--manifest", str(workspace / "manifest.txt"),
+                     "--key", str(workspace / "key.txt"), "--out", str(ct)]) == 0
+        data = ct.read_bytes()
+        bits = 8 * (len(data) - data.index(b"---\n") - 4)  # one block of 8 8x8 images, 8 planes
+        assert bits == 4096
+        assert f"({bits} bits, mode non_simplified)" in capsys.readouterr().out
+
     def test_manifest_paths_and_overwritten_outputs(self, workspace, monkeypatch, capsys):
         # entries resolve against the manifest's directory, not the working one
         rng = np.random.default_rng(7)

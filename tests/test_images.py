@@ -15,20 +15,20 @@ class TestPlanLayout:
         layout = plan_layout(200, 8)
         assert layout.block_count == 32
         assert layout.images_per_block == 8
-        assert layout.padded_total - 200 == 56
+        assert layout.images_per_block * layout.block_count - 200 == 56
 
     def test_exact_fit(self):
         layout = plan_layout(8, 8)
-        assert (layout.block_count, layout.padded_total - 8) == (1, 0)
+        assert (layout.block_count, layout.images_per_block * layout.block_count - 8) == (1, 0)
 
     def test_paper_case_30(self):
         layout = plan_layout(30, 8)
         assert layout.block_count == 4
-        assert layout.padded_total - 30 == 2
+        assert layout.images_per_block * layout.block_count - 30 == 2
 
     def test_single_image(self):
         layout = plan_layout(1, 8)
-        assert layout.padded_total == 8
+        assert layout.images_per_block * layout.block_count == 8
 
     @pytest.mark.parametrize("L,want", [(2, 1), (3, 2), (8, 3), (9, 4), (16, 4)])
     def test_lplanes(self, L, want):

@@ -5,6 +5,10 @@ d=5, e=2.5, f=4.45, g=38.5) are wrapped componentwise as
 x_i <- sin(pi * lambda_i * phi_i(x)), read as a discrete map.  Every output
 component therefore lands in [-1, 1], and the tuning parameters lambda_i >= 1
 can grow without bound.
+
+Every transcendental is a scalar ``math`` (libm) call, and ``chebyshev``
+serves the key digits too.  ``BURN_IN`` steps amplify any last-bit
+difference, so the orbit depends on the host's ``math.sin``.
 """
 
 from __future__ import annotations

@@ -17,15 +17,12 @@ could draw fits one block's cells, and otherwise for each chunk from its own
 keys.  When every position shares one key (simplified mode), the two gathers
 are composed once into one index over a block's cells.
 
-Baker parameters and iteration counts come from a keyed schedule (SHA-256
-over the schedule seed and position, so both sides agree without sharing
-plaintext).  The positions are hashed a bounded chunk at a time, and
-simplified mode makes one draw per stage, held as a broadcast view over the
-positions.  A draw takes the digest's first 64 bits modulo the number of
-admissible partitions as a lexicographic rank, and only the drawn ranks are
-unranked.  There are 2.1e11 admissible partitions at n=6 but 4.4e22 at n=7,
-more than a 64-bit draw can reach, so both squares are limited to n <= 6:
-images of at most 64x64 pixels, L <= 64.
+Baker parameters and iteration counts come from a keyed schedule, one
+SHAKE-256 stream (FIPS 202) per stage over the schedule seed and the stage's
+label, so both sides agree without sharing plaintext; simplified mode makes
+one draw per stage, a broadcast view over the positions.  A rank is a word
+64 bits wider than the partition count, modulo the count (bias below 2^-64),
+so every square up to ``baker.MAX_N`` is drawn; only drawn ranks are unranked.
 Diffusion XORs key digits derived from the plaintext-seeded chaotic
 sequences into the bit cube; the aggregates x0/alpha/beta travel in the
 ciphertext header so the receiver can rebuild the keystream, while the
@@ -38,7 +35,6 @@ import functools
 import hashlib
 import math
 import os
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,16 +47,10 @@ from .images import (MAX_BIT_DEPTH, BlockLayout, ImageSet, block_chunks, from_bi
 from .keystream import Seed, derive_seed, key_factors, key_table, seed_from_header
 
 MAX_ITERATIONS = 16
-MAGIC = b"QBMI1"
-# Largest square side exponent a 64-bit draw covers: count_admissible(6) is
-# 2.1e11, count_admissible(7) is 4.4e22 > 2^64.
-MAX_SCHEDULE_N = 6
+MAGIC = b"QBMI2"
 # Bytes of a ciphertext file read for its header; headers written here are
 # about 150 bytes.
 _HEADER_BYTES = 1 << 16
-# Positions hashed per pass of a keyed draw: bounds the digests held at once
-# to about 200 kB.
-_DRAW_CHUNK = 1 << 10
 
 Mode = str  # one of MODES
 MODES = ("simplified", "non_simplified")
@@ -86,6 +76,8 @@ class MasterKey:
 @dataclass(frozen=True)
 class KeySchedule:
     """Per-position partition choices and iteration counts for both stages.
+    Counts are uint8; ranks int64, or Python ints where a square has 2^55
+    admissible partitions or more (n >= 7).
 
     Stage 1 tables are indexed [x, y, t] and hold partitions of the 2^plane_n
     (m, l) square; stage 2 tables are indexed [l, m, t] and hold partitions of
@@ -102,63 +94,42 @@ class KeySchedule:
     s2_iter: np.ndarray
 
 
-def _draws(seed: int, label: bytes, shape: tuple[int, ...], n_choices: int):
-    """Partition ranks and iteration counts, one draw per position of an
-    array of ``shape``, as two int64 arrays of that shape.
-
-    A draw hashes the seed, the label and the position's coordinates (64-bit
-    and 32-bit big-endian words) with SHA-256; the first 64 digest bits
-    modulo ``n_choices`` give the rank, the next 64 bits the iteration count.
-    Shape () makes one draw with no coordinates.
-    """
-    base = hashlib.sha256(struct.pack(">Q", seed) + label)
-    copy, update, digest = type(base).copy, type(base).update, type(base).digest
+def _draws(seed: int, label: bytes, shape: tuple[int, ...], count: int):
+    """(ranks below ``count``, iteration counts), one draw per position of
+    an array of ``shape`` (() makes one), read from one SHAKE-256 stream over
+    the seed and the label, ``width + 1`` bytes per position in C order: a
+    big-endian word of ``width`` bytes modulo ``count``, reduced one byte
+    column at a time (Horner's rule), then one byte modulo 16 (a divisor of
+    256, so unbiased) plus one."""
     size = math.prod(shape)
-    part = np.empty(size, dtype=np.int64)
-    iters = np.empty(size, dtype=np.int64)
-    for lo in range(0, size, _DRAW_CHUNK):
-        at = np.arange(lo, min(lo + _DRAW_CHUNK, size))
-        if shape:
-            coords = np.array(np.unravel_index(at, shape), dtype=">u4").T.tobytes()
-            rows = np.frombuffer(coords, dtype=f"V{4 * len(shape)}").tolist()
-        else:
-            rows = [b""]
-        digests = []
-        for row in rows:
-            h = copy(base)
-            update(h, row)
-            digests.append(digest(h))
-        words = np.frombuffer(b"".join(digests), dtype=">u8").reshape(-1, 4)
-        part[lo : lo + len(at)] = words[:, 0] % np.uint64(n_choices)
-        iters[lo : lo + len(at)] = words[:, 1] % np.uint64(MAX_ITERATIONS) + np.uint64(1)
+    width = (count.bit_length() + 64 + 7) // 8
+    stream = hashlib.shake_256(seed.to_bytes(8, "big") + label).digest(size * (width + 1))
+    words = np.frombuffer(stream, dtype=np.uint8).reshape(size, width + 1)
+    dtype = np.int64 if count < 1 << 55 else object  # part * 256 stays in int64
+    part = np.zeros(size, dtype=dtype)
+    for column in words[:, :width].T:
+        part = (part * 256 + column.astype(dtype)) % count
+    iters = words[:, width] % MAX_ITERATIONS + 1
     return part.reshape(shape), iters.reshape(shape)
 
 
-def _choices(n: int) -> int:
-    """Admissible partitions of a 2^n square, if a 64-bit draw covers them."""
-    if n > MAX_SCHEDULE_N:
-        raise ValueError(
-            f"a 2^{n} square has more admissible partitions than the 64-bit "
-            f"schedule draw reaches; the keyed schedule supports n <= {MAX_SCHEDULE_N}"
-        )
-    return baker.count_admissible(n)
-
-
 def derive_schedule(key: MasterKey, n: int, layout: BlockLayout) -> KeySchedule:
-    """Deterministic schedule from the seed; positions ignored when simplified."""
-    lplanes = layout.lplanes
-    if lplanes < 1:
-        raise ValueError("plane square needs at least one bit")
-    per_block = layout.images_per_block
+    """Deterministic schedule from the seed; positions ignored when simplified.
+    Squares and blocks too large to scramble are refused before any sizing."""
+    lplanes, per_block = layout.lplanes, layout.images_per_block
+    if not 1 <= n <= baker.MAX_N:
+        raise ValueError(f"n={n} outside [1, {baker.MAX_N}]")
+    if not 2 <= per_block <= MAX_BIT_DEPTH:
+        raise ValueError(f"a block of {per_block} planes outside [2, {MAX_BIT_DEPTH}]")
     stages = (
-        (b"stage1", (1 << n, 1 << n, layout.block_count), _choices(lplanes)),
-        (b"stage2", (per_block, per_block, layout.block_count), _choices(n)),
+        (b"stage1", (1 << n, 1 << n, layout.block_count), baker.count_admissible(lplanes)),
+        (b"stage2", (per_block, per_block, layout.block_count), baker.count_admissible(n)),
     )
     simplified = key.mode == "simplified"
     arrays = []
-    for label, shape, n_choices in stages:
+    for label, shape, count in stages:
         # simplified: one draw with no position, seen at every position
-        drawn = _draws(key.schedule_seed, label, () if simplified else shape, n_choices)
+        drawn = _draws(key.schedule_seed, label, () if simplified else shape, count)
         arrays += (np.broadcast_to(a, shape) for a in drawn)
     return KeySchedule(lplanes, n, *arrays)
 
@@ -179,7 +150,8 @@ def _powers(n: int, exponents: np.ndarray, which: np.ndarray, iters: np.ndarray,
     count 0 stay the identity.
     """
     distinct = len(exponents)
-    pairs, row = np.unique(iters.ravel() * distinct + which.ravel(), return_inverse=True)
+    pairs, row = np.unique(iters.ravel().astype(np.intp) * distinct + which.ravel(),
+                          return_inverse=True)
     counts, first = np.divmod(pairs, distinct)
     power = baker.partition_tables(n, exponents[first])
     cells = power.shape[1]
@@ -292,7 +264,7 @@ class _Scrambler:
         lplanes, n = sched.plane_n, sched.pixel_n
         self.cells = 1 << (2 * (lplanes + n))  # per block
         keys = (sched.s1_part, sched.s1_iter, sched.s2_part, sched.s2_iter)
-        constant = all(np.ptp(a) == 0 for a in keys)
+        constant = all((a == a.flat[0]).all() for a in keys)
         if constant:  # block 0's keys: np.unique of a broadcast view copies it to full size
             keys = tuple(a[..., :1] for a in keys)
         self.stage1 = _StageTables(lplanes, *keys[:2], self.cells, not inverse)
@@ -469,10 +441,13 @@ def write_ciphertext(path: str | Path, ct: Ciphertext):
 def _read_header(f, path) -> tuple[bytes, int]:
     """The bytes before the first ``---`` separator line, which must lie in
     the file's first _HEADER_BYTES bytes, and the offset at which the payload
-    starts."""
+    starts.  A first line naming another ``QBMI`` format is refused by name."""
     head = f.read(_HEADER_BYTES)
-    sep = head.find(b"---\n")
-    if not head.startswith(MAGIC) or sep < 0:
+    magic, sep = head.partition(b"\n")[0], head.find(b"---\n")
+    if magic.startswith(b"QBMI") and magic != MAGIC:
+        raise ValueError(f"{path}: format {magic[:16].decode(errors='replace')}, but this "
+                         f"program reads {MAGIC.decode()}")
+    if magic != MAGIC or sep < 0:
         raise ValueError(f"{path}: not a ciphertext file (no header in its first "
                          f"{_HEADER_BYTES} bytes)")
     return head[:sep], sep + 4
@@ -480,7 +455,7 @@ def _read_header(f, path) -> tuple[bytes, int]:
 
 def read_ciphertext(path: str | Path) -> Ciphertext:
     """Parse a ciphertext file; any missing, malformed or inconsistent header
-    field (n outside [1, MAX_SCHEDULE_N] and L outside [2, MAX_BIT_DEPTH]
+    field (n outside [1, baker.MAX_N] and L outside [2, MAX_BIT_DEPTH]
     are refused before anything is sized from them), aggregates no plaintext
     can produce, and a payload of the wrong length raise ValueError.  The
     payload is read once, after every check, into the array it stays in."""
@@ -491,8 +466,8 @@ def read_ciphertext(path: str | Path) -> Ciphertext:
             n, L, M, blocks, alpha, beta = (
                 int(fields[name]) for name in ("n", "L", "M", "blocks", "alpha", "beta")
             )
-            if not 1 <= n <= MAX_SCHEDULE_N:
-                raise ValueError(f"n={n} outside [1, {MAX_SCHEDULE_N}]")
+            if not 1 <= n <= baker.MAX_N:
+                raise ValueError(f"n={n} outside [1, {baker.MAX_N}]")
             if not 2 <= L <= MAX_BIT_DEPTH:
                 raise ValueError(f"L={L} outside [2, {MAX_BIT_DEPTH}]")
             x0, mode = float(fields["x0"]), fields["mode"]

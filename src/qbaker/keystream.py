@@ -10,6 +10,10 @@ Key digits combine four Chebyshev evaluations over the extracted sequences,
 scaled by 1e10, floored, and reduced mod 2^ceil(log2 L).  The product can be
 negative, so its absolute value is taken before the floor.  Sequence lookups
 use the mirrored index (len - i + 1) reduced mod len.
+
+A digit depends on its factors' last bits, so each factor is
+``chaos.chebyshev`` (libm through ``math``), never a numpy kernel picked by
+CPU at run time; the orbit's own dependence on ``math.sin`` remains.
 """
 
 from __future__ import annotations
@@ -88,11 +92,6 @@ def _mirrored(seq) -> np.ndarray:
     return np.asarray(seq)[(size - np.arange(size) + 1) % size]
 
 
-def _chebyshev(k, x) -> np.ndarray:
-    """T_k(x) = cos(k * arccos x), elementwise."""
-    return np.cos(np.asarray(k) * np.arccos(x))
-
-
 def key_factors(seqs: ChaoticSequences, layout: BlockLayout, n: int) -> tuple[np.ndarray, ...]:
     """(t_t, t_z, t_y, t_x): the four Chebyshev factors of every key digit,
     shaped (b, m, 1, 1), (b, m, 1, 1), (side, 1) and (side,), so that digit
@@ -102,11 +101,13 @@ def key_factors(seqs: ChaoticSequences, layout: BlockLayout, n: int) -> tuple[np
         raise ValueError("pixel sequences disagree with the grid size")
     if len(seqs.zs) != layout.images_per_block or len(seqs.ts) != layout.block_count:
         raise ValueError("image/block sequences disagree with the layout")
-    t_y = _chebyshev(seqs.ns, _mirrored(seqs.ys))
-    t_x = _chebyshev(seqs.ks, _mirrored(seqs.xs))
-    t_t = _chebyshev(np.asarray(seqs.rs)[None, :], _mirrored(seqs.ts)[:, None])  # (b, m)
-    t_z = _chebyshev(np.asarray(seqs.ss)[:, None], _mirrored(seqs.zs)[None, :])  # (b, m)
-    return t_t[:, :, None, None], t_z[:, :, None, None], t_y[:, None], t_x
+    cheb = np.frompyfunc(chebyshev, 2, 1)  # T_k(x) elementwise, as Python floats
+    t_y = cheb(seqs.ns, _mirrored(seqs.ys))
+    t_x = cheb(seqs.ks, _mirrored(seqs.xs))
+    t_t = cheb(np.asarray(seqs.rs)[None, :], _mirrored(seqs.ts)[:, None])  # (b, m)
+    t_z = cheb(np.asarray(seqs.ss)[:, None], _mirrored(seqs.zs)[None, :])  # (b, m)
+    factors = t_t[:, :, None, None], t_z[:, :, None, None], t_y[:, None], t_x
+    return tuple(f.astype(float) for f in factors)
 
 
 def key_table(factors: tuple[np.ndarray, ...], blocks: slice) -> np.ndarray:

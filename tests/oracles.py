@@ -1,14 +1,17 @@
 """Pointwise reference implementations that the tests compare the program to.
 
-Each evaluates one point, one gate, one bit plane or one header field at a
-time, in plain Python, so it is slow and easy to check by eye.  The program
-itself works on whole tables, packed words and compiled patterns.  The
+Each evaluates one point, one gate, one schedule draw, one key digit, one
+bit plane or one header field at a time, in plain Python, so it is slow and
+easy to check by eye.  The program itself works on whole tables, packed
+words and compiled patterns.  The
 helpers at the end, which only tests call, build whole baker tables through
 the program's own table code, read one PGM and write a key file.
 """
 
 from __future__ import annotations
 
+import hashlib
+import math
 import os
 from bisect import bisect_right
 from pathlib import Path
@@ -17,7 +20,7 @@ import numpy as np
 
 from qbaker import baker, cipher, images
 from qbaker.baker import BakerPartition
-from qbaker.chaos import ScmParams, ScmState, scm_step
+from qbaker.chaos import ChaoticSequences, ScmParams, ScmState, scm_step
 from qbaker.cipher import MasterKey
 from qbaker.circuit import Circuit, Gate
 
@@ -148,6 +151,48 @@ def trajectory(state: ScmState, params: ScmParams, steps: int) -> list[ScmState]
         state = scm_step(state, params)
         out.append(state)
     return out
+
+
+# -- keyed schedule and key digits ---------------------------------------------
+
+
+def schedule_draws(seed: int, label: bytes, count: int, positions: int):
+    """(ranks, iteration counts) of the first ``positions`` draws of a stage,
+    as lists of Python ints: draw i is record i of the SHAKE-256 stream over
+    the 8-byte big-endian seed and the label.  A record is a word of
+    ceil((bit length of count + 64) / 8) bytes, read big-endian and reduced
+    modulo ``count``, then one byte whose value mod 16, plus one, is the
+    iteration count."""
+    width = -(-(count.bit_length() + 64) // 8)
+    stream = hashlib.shake_256(seed.to_bytes(8, "big") + label).digest(positions * (width + 1))
+    ranks, iters = [], []
+    for at in range(0, len(stream), width + 1):
+        ranks.append(int.from_bytes(stream[at : at + width], "big") % count)
+        iters.append(stream[at + width] % 16 + 1)
+    return ranks, iters
+
+
+def key_digits(seqs: ChaoticSequences, layout: images.BlockLayout) -> np.ndarray:
+    """Every key digit of the layout, indexed [b, m, i, j], by the formula
+    with scalar ``math`` calls only: |T_t T_z T_y T_x| * 10^10, floored, mod
+    2^lplanes, where T_t = T_rs[m](ts[b']), T_z = T_ss[b](zs[m']), T_y =
+    T_ns[i](ys[i']), T_x = T_ks[j](xs[j']), T_k(x) = cos(k acos x), and i' is
+    the mirrored index (len - i + 1) mod len.  The factors multiply in that
+    order, as ``keystream.key_table`` does, so both round alike."""
+
+    def factor(k: int, seq, i: int) -> float:
+        return math.cos(k * math.acos(seq[(len(seq) - i + 1) % len(seq)]))
+
+    side, modulus = len(seqs.xs), layout.images_per_block
+    t_y = [factor(seqs.ns[i], seqs.ys, i) for i in range(side)]
+    t_x = [factor(seqs.ks[j], seqs.xs, j) for j in range(side)]
+    digits = []
+    for b in range(layout.block_count):
+        for m in range(modulus):
+            t_tz = factor(seqs.rs[m], seqs.ts, b) * factor(seqs.ss[b], seqs.zs, m)
+            for y in t_y:
+                digits += [int(abs(t_tz * y * x) * 10**10) % modulus for x in t_x]
+    return np.array(digits, dtype=np.uint8).reshape(layout.block_count, modulus, side, side)
 
 
 # -- bit cube -------------------------------------------------------------------

@@ -12,13 +12,13 @@ from hypothesis import strategies as st
 from qbaker import baker, cipher
 from qbaker.cipher import (
     MAX_ITERATIONS,
-    MAX_SCHEDULE_N,
     MODES,
     Ciphertext,
     KeySchedule,
     MasterKey,
     _Scrambler,
     _StageTables,
+    _draws,
     decrypt,
     derive_schedule,
     diffuse,
@@ -86,13 +86,32 @@ class TestSchedule:
         for a in (sched.s1_part, sched.s1_iter, sched.s2_part, sched.s2_iter):
             assert a.strides == (0,) * a.ndim
 
-    def test_draws_agree_across_chunk_sizes(self, monkeypatch):
-        layout = plan_layout(40, 8)
-        want = derive_schedule(KEY, 3, layout)
-        monkeypatch.setattr(cipher, "_DRAW_CHUNK", 7)  # 512 positions per stage
-        got = derive_schedule(KEY, 3, layout)
-        for name in ("s1_part", "s1_iter", "s2_part", "s2_iter"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_draws_match_oracle(self, n):
+        # both stage labels at every square of n <= 8; n >= 7 takes the
+        # Python-int path (count_admissible(7) is about 4.4e22)
+        count = baker.count_admissible(n)
+        for label in (b"stage1", b"stage2"):
+            part, iters = _draws(KEY.schedule_seed, label, (3, 5, 2), count)
+            assert part.dtype == (np.int64 if n <= 6 else object) and iters.dtype == np.uint8
+            want = oracles.schedule_draws(KEY.schedule_seed, label, count, 30)
+            assert (part.ravel().tolist(), iters.ravel().tolist()) == want
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n, L", [(1, 2), (3, 8), (5, 64), (8, 16)])
+    def test_schedule_matches_oracle(self, mode, n, L):
+        # each stage's positions in C order, or one draw when simplified
+        layout = plan_layout(3 * L, L)
+        sched = derive_schedule(MasterKey(KEY.lambdas, 99, mode), n, layout)
+        stages = ((b"stage1", sched.plane_n, sched.s1_part, sched.s1_iter),
+                  (b"stage2", sched.pixel_n, sched.s2_part, sched.s2_iter))
+        for label, side_n, part, iters in stages:
+            positions = 1 if mode == "simplified" else part.size
+            ranks, counts = oracles.schedule_draws(99, label, baker.count_admissible(side_n),
+                                                   positions)
+            if mode == "simplified":
+                ranks, counts = ranks * part.size, counts * part.size
+            assert part.ravel().tolist() == ranks and iters.ravel().tolist() == counts
 
     def test_seed_bit_flip_changes_schedule(self):
         layout = plan_layout(3, 8)
@@ -130,14 +149,21 @@ class TestSchedule:
             sched = derive_schedule(key, 6, plan_layout(4, 8))
             assert sched.s2_part.shape == (8, 8, 1)
 
-    @pytest.mark.parametrize("n, L", [(7, 8), (8, 8), (3, 128), (3, 1 << 40)])
-    def test_squares_past_the_64_bit_draw_rejected(self, n, L):
-        # 4.4e22 partitions at n=7: digest % count could not reach most of them
-        assert baker.count_admissible(MAX_SCHEDULE_N) < 1 << 64
-        assert baker.count_admissible(MAX_SCHEDULE_N + 1) >= 1 << 64
-        for mode in ("simplified", "non_simplified"):
-            with pytest.raises(ValueError, match="64-bit"):
-                derive_schedule(MasterKey(KEY.lambdas, 1, mode), n, plan_layout(2, L))
+    @pytest.mark.parametrize("n, L", [(16, 8), (0, 8), (3, 128), (3, 1 << 40)])
+    def test_squares_and_blocks_past_the_limits_rejected(self, n, L):
+        # past baker.MAX_N or MAX_BIT_DEPTH: refused before any array is
+        # sized, so in well under a second and with almost nothing allocated
+        match = f"n={n} outside" if L <= 64 else f"{plan_layout(2, L).images_per_block} planes"
+        for mode in MODES:
+            start = time.process_time()
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match=match):
+                    derive_schedule(MasterKey(KEY.lambdas, 1, mode), n, plan_layout(2, L))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert time.process_time() - start < 1.0 and peak < 64 << 10, peak
 
 
 class TestIteratedTables:
@@ -399,8 +425,8 @@ class TestScrambling:
 
     def test_stage2_ranks_near_int64_max(self):
         # n=7 ranks in [2^62, 2^63): no table key built from them may leave
-        # int64; the schedule is built by hand, since the 64-bit draw stops
-        # at n=6
+        # int64; the schedule is built by hand, since a draw among the 4.4e22
+        # n=7 partitions lands in [2^62, 2^63) with probability about 1e-4
         rng = np.random.default_rng(11)
         n, layout = 7, plan_layout(2, 2)  # one block of 2 images, 2 planes
         side = 1 << n
@@ -628,7 +654,7 @@ class TestPipeline:
     def test_header_read_is_bounded(self, tmp_path):
         # a 1 MiB file with no separator is refused from its first block
         path = tmp_path / "long.bin"
-        path.write_bytes(b"QBMI1\n" + b"a" * (1 << 20))
+        path.write_bytes(cipher.MAGIC + b"\n" + b"a" * (1 << 20))
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="not a ciphertext"):
@@ -655,10 +681,15 @@ class TestPipeline:
         assert not np.array_equal(ct.payload, oracles.cube_payload(pack(s, slice(None))))
         assert np.array_equal(decrypt(ct, KEY).images, s.images)
 
-    def test_n7_images_rejected(self):
-        s = ImageSet(7, 8, np.zeros((2, 128, 128), dtype=int))
-        with pytest.raises(ValueError, match="64-bit"):
-            encrypt(s, KEY)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_roundtrip_n8(self, mode):
+        # the paper's 256x256 images, two blocks of 8: stage 2 draws n=8
+        # ranks of up to 151 bits as Python ints in keyed mode
+        s = ImageSet(8, 8, np.random.default_rng(23).integers(0, 256, (9, 256, 256), np.uint8))
+        key = MasterKey(KEY.lambdas, KEY.schedule_seed, mode)
+        ct = encrypt(s, key)
+        assert not np.array_equal(ct.payload, oracles.cube_payload(pack(s, slice(None))))
+        assert np.array_equal(decrypt(ct, key).images, s.images)
 
 
 def _arithmetic_images(M, n):
@@ -667,24 +698,25 @@ def _arithmetic_images(M, n):
 
 
 class TestBitIdentity:
-    """SHA-256 of ciphertext files; format QBMI1 must not drift.  The first
-    four were recorded before the schedule moved from enumerating partitions
-    to count-and-unrank, the last two, four chunks of blocks each, before
-    encrypt became one loop over chunks."""
+    """SHA-256 of ciphertext files; format QBMI2 must not drift.  All six
+    were recorded when the format became QBMI2 (one SHAKE-256 stream per
+    schedule stage, key factors through ``math``), after the draw and digit
+    oracles agreed with the program; the last two hold four chunks of blocks
+    each."""
 
     @pytest.mark.parametrize("mode, n, M, digest", [
         ("non_simplified", 3, 5,
-         "236373b311ab8fcd80e7c426b4c29c586948fa29f809ed258b312565320a03fd"),
+         "428ef45de54bfa9c083105d5d2aa3a6a8b9e70bd8510112c9cbe9e8947873e76"),
         ("non_simplified", 2, 12,
-         "f2786a1924491bbfc7aafffbdbc0cc9c3278c90e7efd3f04808c19f62d49f95b"),
+         "5a2d1836ca4abaa034453f2bd87993d90d16ca0787518dde17a1e06cf54e2862"),
         ("simplified", 3, 5,
-         "8706c401f9feef9d464067dc041a971de69ecf7275f7b12b62e1723bfde30259"),
+         "d0ebb22deaafa1805d8943d5fec89ee5526c35fe8118332d10ee7154eae47897"),
         ("simplified", 4, 20,
-         "54b8dee83c7dbcd4a0614ccbb00d581409c033994b9e8a8ada30b3470668d446"),
+         "34ad0de33b36345c144ddcb75800cf2299c699d7b93a49e448dbf6e5a6bd13d6"),
         ("non_simplified", 5, 20,
-         "4847c2abaceef1d9a0b29298a0ab1a2a6090b1c30bdbdfb969f57e3d8b7cee38"),
+         "adaa764e49782e2e41a43bc93ebd3d3c45c11007d3575cc8ad05b919c005b7a8"),
         ("simplified", 4, 80,
-         "75b5a40d3b53c139f38f00ec86ff0c2f6a51ecf8242409fee578327fcae2b3b9"),
+         "decb91c63ce2284bc34fd4d93f5553ad7aac35e27e1c389bca46bca62fa8aa8b"),
     ])
     def test_ciphertext_digest(self, tmp_path, mode, n, M, digest):
         key = MasterKey((49.0, 23.0, 58.0, 120.0, 237.0), 0x5EED, mode)
@@ -780,12 +812,23 @@ class TestCiphertextFile:
         write_key(key, KEY)
         header = "n = 1\nL = 65\nM = 1\nblocks = 1\nx0 = 0.5\nalpha = 0\nbeta = 0\n"
         payload = bytes(128 * 4 * 128 // 8)
-        path.write_bytes(b"QBMI1\n" + header.encode() + b"mode = simplified\n---\n" + payload)
+        path.write_bytes(cipher.MAGIC + b"\n" + header.encode() + b"mode = simplified\n---\n"
+                         + payload)
         with pytest.raises(ValueError, match="L=65 outside"):
             read_ciphertext(path)
         self._rejected(path, key, capsys)
 
-    @pytest.mark.parametrize("n", ["0", "7", "100000", "400000000", "10000000000"])
+    def test_retired_format_named(self, written, capsys):
+        # a QBMI1 file is refused by its format's name, and decrypt writes
+        # no image
+        path, key = written
+        path.write_bytes(b"QBMI1" + path.read_bytes()[len(cipher.MAGIC):])
+        with pytest.raises(ValueError, match="format QBMI1, but this program reads QBMI2"):
+            read_ciphertext(path)
+        self._rejected(path, key, capsys)
+        assert not (path.parent / "out").exists()
+
+    @pytest.mark.parametrize("n", ["0", "16", "100000", "400000000", "10000000000"])
     def test_header_n_refused_at_once(self, written, capsys, n):
         path, key = written
         self._replace_line(path, b"n = ", b"n = " + n.encode())
@@ -861,7 +904,7 @@ def _check_ciphertext(fuzz_file):
         ct = read_ciphertext(fuzz_file)
     except ValueError:
         return
-    assert 1 <= ct.n <= MAX_SCHEDULE_N and ct.mode in MODES
+    assert 1 <= ct.n <= baker.MAX_N and ct.mode in MODES
     layout = plan_layout(ct.M, ct.L)
     assert ct.payload.size == layout.block_count * layout.images_per_block**2 << 2 * ct.n >> 3
     write_ciphertext(fuzz_file, ct)
@@ -881,7 +924,7 @@ _CT_TOKENS = st.sampled_from(
 @given(st.one_of(
     st.binary(max_size=160),
     st.tuples(st.lists(_CT_TOKENS, max_size=24), st.binary(max_size=40)).map(
-        lambda t: b"QBMI1\n" + b"".join(t[0]) + b"\n---\n" + t[1]
+        lambda t: cipher.MAGIC + b"\n" + b"".join(t[0]) + b"\n---\n" + t[1]
     ),
 ))
 def test_read_ciphertext_any_bytes(fuzz_file, data):

@@ -93,17 +93,25 @@ class TestEncryptDecrypt:
         assert rc == 1
         assert f"error: {bad}: 69 pixel bytes" in capsys.readouterr().err
 
-    def test_images_past_n6_exit_one(self, tmp_path, capsys):
+    def test_n7_images_roundtrip(self, tmp_path, capsys):
+        # 128x128 images: stage 2 draws n=7 ranks past int64 in keyed mode
+        rng = np.random.default_rng(32)
         for i in range(2):
-            images.write_pgm(tmp_path / f"big{i}.pgm", np.zeros((128, 128), dtype=np.uint8))
+            images.write_pgm(tmp_path / f"big{i}.pgm",
+                             rng.integers(0, 256, (128, 128)).astype(np.uint8))
         (tmp_path / "manifest.txt").write_text("big0.pgm\nbig1.pgm\n")
         write_key(tmp_path / "key.txt", MasterKey((49.0, 23.0, 58.0, 120.0, 237.0), 77))
         rc = main([
             "encrypt", "--manifest", str(tmp_path / "manifest.txt"),
             "--key", str(tmp_path / "key.txt"), "--out", str(tmp_path / "ct.bin"),
         ])
-        assert rc == 1
-        assert "64-bit" in capsys.readouterr().err
+        assert rc == 0
+        rc = main(["decrypt", "--in", str(tmp_path / "ct.bin"),
+                   "--key", str(tmp_path / "key.txt"), "--out-dir", str(tmp_path / "out")])
+        assert rc == 0
+        for i in range(2):
+            assert ((tmp_path / "out" / f"image_{i:04d}.pgm").read_bytes()
+                    == (tmp_path / f"big{i}.pgm").read_bytes())
 
     def test_bit_depth_past_64_exits_one(self, workspace, capsys):
         rc = main([

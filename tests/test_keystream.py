@@ -17,6 +17,7 @@ from qbaker.keystream import (
     seed_from_header,
 )
 
+import oracles
 from oracles import cube_bits
 
 LAMBDAS = ScmParams((49.0, 23.0, 58.0, 120.0, 237.0))
@@ -30,8 +31,8 @@ def _mirrored(length: int, i: int) -> int:
 
 
 def _cheb(k: int, x: float) -> float:
-    # Same ufuncs as the vectorized table so both paths floor identically.
-    return float(np.cos(k * np.arccos(x)))
+    # libm through math, as the program's factors are: no numpy kernel
+    return math.cos(k * math.acos(x))
 
 
 def key_bits(
@@ -210,6 +211,34 @@ class TestKeyBits:
         seqs = _sequences(1, layout)
         with pytest.raises(ValueError):
             key_factors(seqs, layout, 3)
+
+
+class TestDigitOracle:
+    """``key_table`` against ``oracles.key_digits``, which evaluates every
+    factor with scalar ``math`` calls and no numpy transcendental."""
+
+    def test_every_digit_at_n8(self):
+        # the paper's 256x256 images, M=9: two blocks of 8 images, 1M digits
+        layout = plan_layout(9, 8)
+        seqs = _sequences(8, layout, seed_from_header(0.4375, 3, 11).state())
+        table = key_table(key_factors(seqs, layout, 8), slice(None))
+        assert table.shape == (2, 8, 256, 256)
+        assert np.array_equal(table, oracles.key_digits(seqs, layout))
+
+    @settings(max_examples=40)
+    @given(
+        n=st.integers(1, 4),
+        M=st.integers(1, 40),
+        L=st.integers(2, 64),
+        x0=st.floats(0.01, 0.99),
+        alpha=st.integers(0, 64),
+        beta=st.integers(0, 4096),
+    )
+    def test_small_layouts(self, n, M, L, x0, alpha, beta):
+        layout = plan_layout(M, L)
+        seqs = _sequences(n, layout, seed_from_header(x0, alpha, beta).state())
+        factors = key_factors(seqs, layout, n)
+        assert np.array_equal(key_table(factors, slice(None)), oracles.key_digits(seqs, layout))
 
 
 class TestPlaintextSensitivity:

@@ -172,12 +172,6 @@ def unrank_rows(n: int, ranks: Sequence[int] | np.ndarray) -> np.ndarray:
     return rows[:, :parts]
 
 
-def unrank_admissible(n: int, index: int) -> BakerPartition:
-    """The partition at ``index`` in ``enumerate_admissible(n)`` order."""
-    (row,) = unrank_rows(n, [index]).tolist()
-    return BakerPartition(n, tuple(e for e in row if e >= 0))
-
-
 def partition_tables(n: int, partitions: Iterable[Sequence[int]] | np.ndarray) -> np.ndarray:
     """Forward maps of these exponent lists, one int32 row per list, as
     tables over indices (x << n) | y (so n <= ``MAX_N``).  Each list's

@@ -2,20 +2,21 @@
 
 Stage 1 permutes the (image, plane) square at every pixel and block; stage 2
 permutes the pixel square of every plane, image and block.  ``encrypt`` and
-``decrypt`` are one loop over chunks of blocks (``images.block_chunks``):
-encrypt packs a chunk's images into words, scrambles them (stage 1, then
-stage 2), XORs in the chunk's key digits (``diffuse``) and packs the bits
-into the chunk's bytes of ``Ciphertext.payload``, in the file's byte order;
-decrypt reads them back, undoes the XOR, unscrambles (stage 2, then stage 1)
-and unpacks the words into the image array.  Each stage is one gather over
-the chunk's bits, one byte per bit (``scramble_stage1``, ``scramble_stage2``):
-every row, a pixel's (m, l) square or a plane's (x, y) square, moves through
-its own table, inverted for encrypt.  Each stage unranks its distinct drawn
-ranks once per call, in one batch; a (rank, iterations) pair's table is then
-composed by binary powers, for all blocks at once when every key the stage
-could draw fits one block's cells, and otherwise for each chunk from its own
-keys.  When every position shares one key (simplified mode), the two gathers
-are composed once into one index over a block's cells.
+``decrypt`` are one loop over chunks of blocks (``images.block_chunks``),
+and a chunk is (t, m, x, y, l) bits, one byte per bit, from ``images.pack``
+to the payload and back: encrypt scrambles a chunk's bits (stage 1, then
+stage 2), XORs in its key digits (``diffuse``) and packs them eight to a
+byte into its bytes of ``Ciphertext.payload``, in the file's order; decrypt
+unpacks them, undoes the XOR, unscrambles (stage 2, then stage 1) and hands
+the bits to ``images.unpack``.  Each stage is one gather over the chunk's
+bits (``scramble_stage1``, ``scramble_stage2``): every row, a pixel's (m, l)
+square or a plane's (x, y) square, moves through its own table, inverted for
+encrypt.  Each stage unranks its distinct drawn ranks once per call, in one
+batch; a (rank, iterations) pair's table is then composed by binary powers,
+for all blocks at once when every key the stage could draw fits one block's
+cells, and otherwise for each chunk from its own keys.  When every position
+shares one key (simplified mode), the two gathers are composed once into one
+index over a block's cells.
 
 Baker parameters and iteration counts come from a keyed schedule, one
 SHAKE-256 stream (FIPS 202) per stage over the schedule seed and the stage's
@@ -42,8 +43,8 @@ import numpy as np
 
 from . import baker
 from .chaos import ScmParams, generate_sequences
-from .images import (MAX_BIT_DEPTH, BlockLayout, ImageSet, block_chunks, from_bits, pack,
-                     plan_layout, to_bits, unpack, word_dtype)
+from .images import (MAX_BIT_DEPTH, BlockLayout, ImageSet, block_chunks, open_regular, pack,
+                     plan_layout, read_file, unpack)
 from .keystream import Seed, derive_seed, key_factors, key_table, seed_from_header
 
 MAX_ITERATIONS = 16
@@ -83,7 +84,7 @@ class KeySchedule:
     (m, l) square; stage 2 tables are indexed [l, m, t] and hold partitions of
     the 2^pixel_n (x, y) square.  A partition entry is the partition's
     lexicographic rank among the admissible partitions of its square, as
-    ``baker.unrank_admissible`` reads it.
+    ``baker.unrank_rows`` reads it.
     """
 
     plane_n: int
@@ -284,40 +285,34 @@ class _Scrambler:
             cube = stage(cube, *tables.tables(blocks))
         return cube
 
-    def __call__(self, words: np.ndarray, blocks: slice) -> np.ndarray:
-        """The words of the chunk ``blocks`` with their bits moved."""
-        lplanes = words.shape[1].bit_length() - 1
-        bits = to_bits(words, lplanes)
+    def __call__(self, bits: np.ndarray, blocks: slice) -> np.ndarray:
+        """The (t, m, x, y, l) bits of the chunk ``blocks``, moved."""
         if self.shared is not None:
-            moved = np.take(bits.reshape(len(words), -1), self.shared, axis=1)
-        else:
-            moved = self._moved(bits, blocks)
-        return from_bits(moved.reshape(bits.shape), lplanes)
+            return np.take(bits.reshape(len(bits), -1), self.shared, axis=1).reshape(bits.shape)
+        return self._moved(bits, blocks)
 
 
 @functools.cache
-def _plane_masks(lplanes: int) -> np.ndarray:
-    """The word that XORs digit d into every plane: plane l takes digit bit
-    (l mod digit width)."""
-    per_block, width = 1 << lplanes, max(1, lplanes)
-    return np.array(
-        [sum(((d >> (l % width)) & 1) << l for l in range(per_block)) for d in range(per_block)],
-        dtype=word_dtype(lplanes),
-    )
+def _plane_bits(lplanes: int) -> np.ndarray:
+    """The (digit, plane) uint8 bits that XOR digit d into every plane:
+    plane l takes digit bit (l mod digit width)."""
+    planes = np.arange(1 << lplanes)
+    return (planes.reshape(-1, 1) >> (planes % lplanes) & 1).astype(np.uint8)
 
 
-def diffuse(words: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """The words of a chunk of blocks with key digits XORed in; plane l
-    takes key bit (l mod digit width).
+def diffuse(bits: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """A chunk's (t, m, x, y, l) bits with key digits XORed in, as a new
+    contiguous array; plane l takes key bit (l mod digit width).
 
     Key digits carry ceil(log2 L) bits while the cube has 2^ceil(log2 L)
     planes, so digit bits are reused cyclically across planes; the operation
-    stays an involution.  Each digit's plane mask is looked up as one word.
+    stays an involution.  Each digit's planes are looked up as one row.
     """
-    if keys.shape != words.shape:
-        raise ValueError("key digits disagree with the words' layout")
-    mask = _plane_masks(words.shape[1].bit_length() - 1)[keys]  # indexing reads uint8 keys in place
-    mask ^= words
+    if keys.shape != bits.shape[:-1]:
+        raise ValueError("key digits disagree with the bits' layout")
+    # np.take, not table[keys]: fancy indexing ran about eight times slower
+    mask = np.take(_plane_bits(bits.shape[-1].bit_length() - 1), keys, axis=0)
+    mask ^= bits
     return mask
 
 
@@ -366,11 +361,10 @@ def encrypt(image_set: ImageSet, key: MasterKey) -> Ciphertext:
     payload = np.empty(layout.block_count * block_bytes, dtype=np.uint8)
     scrambler = _Scrambler(sched, inverse=False)
     for chunk in block_chunks(layout.block_count, scrambler.cells):
-        words = diffuse(scrambler(pack(image_set, chunk), chunk), key_table(factors, chunk))
-        # (t, m, x, y, l) bits in file order, (t, m, l, y, x); no name holds
-        # a chunk's bits into the next chunk's scramble
+        bits = diffuse(scrambler(pack(image_set, chunk), chunk), key_table(factors, chunk))
+        # (t, m, x, y, l) bits in file order, (t, m, l, y, x)
         payload[chunk.start * block_bytes : chunk.stop * block_bytes] = np.packbits(
-            to_bits(words, layout.lplanes).transpose(0, 1, 4, 3, 2))
+            bits.transpose(0, 1, 4, 3, 2))
     return Ciphertext(payload, n, image_set.L, image_set.M, seed.x0, seed.alpha, seed.beta,
                       key.mode)
 
@@ -389,12 +383,11 @@ def decrypt(ct: Ciphertext, key: MasterKey) -> ImageSet:
     scrambler = _Scrambler(sched, inverse=True)
     for chunk in block_chunks(layout.block_count, scrambler.cells):
         raw = ct.payload[chunk.start * block_bytes : chunk.stop * block_bytes]
-        # to (t, m, x, y, l) words; no name holds the bits into the scramble
-        words = from_bits(np.unpackbits(raw).reshape(file_order).transpose(0, 1, 4, 3, 2),
-                          layout.lplanes)
-        words = diffuse(words, key_table(factors, chunk))
+        # seen as (t, m, x, y, l); the XOR writes them contiguous
+        bits = np.unpackbits(raw).reshape(file_order).transpose(0, 1, 4, 3, 2)
+        bits = diffuse(bits, key_table(factors, chunk))
         out = images[chunk.start * per_block : chunk.stop * per_block]
-        unpack(scrambler(words, chunk), ct.L, out)
+        unpack(scrambler(bits, chunk), ct.L, out)
     return ImageSet(ct.n, ct.L, images)
 
 
@@ -419,7 +412,7 @@ def _parse_fields(lines: list[str]) -> dict[str, str]:
 
 
 def read_key(path: str | Path) -> MasterKey:
-    fields = _parse_fields(Path(path).read_text().splitlines())
+    fields = _parse_fields(read_file(path).decode().splitlines())
     try:
         lambdas = tuple(float(fields[f"lambda{i + 1}"]) for i in range(5))
         return MasterKey(lambdas, int(fields["schedule_seed"]), fields.get("mode", "non_simplified"))
@@ -459,7 +452,7 @@ def read_ciphertext(path: str | Path) -> Ciphertext:
     are refused before anything is sized from them), aggregates no plaintext
     can produce, and a payload of the wrong length raise ValueError.  The
     payload is read once, after every check, into the array it stays in."""
-    with open(path, "rb") as f:
+    with open(open_regular(path), "rb") as f:
         head, start = _read_header(f, path)
         try:
             fields = _parse_fields(head.decode().splitlines()[1:])

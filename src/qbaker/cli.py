@@ -63,7 +63,7 @@ def _cmd_synth(args) -> int:
 def _cmd_verify(args) -> int:
     from . import circuit, sim
 
-    circ = circuit.circuit_from_text(Path(args.circuit).read_text())
+    circ = circuit.circuit_from_text(images.read_file(args.circuit).decode())
     ok, witness = sim.equivalence(circ, circ.partition)
     if ok:
         print(f"EQUIVALENT, {len(circ.gates)} gates")
@@ -107,8 +107,9 @@ def _cmd_chaos_trace(args) -> int:
     init = tuple(float(v) for v in args.init.split(","))
     if len(init) != 5:
         raise ValueError("--init needs five comma-separated components")
-    if args.steps < 1:
-        raise ValueError(f"--steps must be at least 1, got {args.steps}")
+    if not 1 <= args.steps <= chaos.MAX_STEPS:
+        # every row is kept until the end, about 0.36 kB a step
+        raise ValueError(f"--steps must lie in [1, {chaos.MAX_STEPS}], got {args.steps}")
     params = chaos.ScmParams(lambdas)  # validates count and bounds
     rows = ["step,x1,x2,x3,x4,x5"]
     state = init

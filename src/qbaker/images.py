@@ -4,12 +4,11 @@ M images of size 2^n x 2^n with L-bit pixels are grouped into blocks of
 2^ceil(log2 L) images (short blocks padded with all-zero blanks), and every
 pixel has 2^ceil(log2 L) bit planes.  The cells of the cube are indexed
 (block, image-in-block, row, column, plane).  Callers work a bounded chunk
-of blocks at a time (``block_chunks``), and hold a chunk's cells as words:
-one per (block, image-in-block, row, column), the narrowest little-endian
-unsigned type with 2^ceil(log2 L) bits, whose bit l is plane l.  ``pack``
-and ``unpack`` convert between images and the words of a chunk, and
-``to_bits`` and ``from_bits`` between words and one byte per bit.  No
-whole-cube array of words or bits is ever made.
+of blocks at a time (``block_chunks``), and hold a chunk's cells as uint8
+bits, one byte per cell, shaped (t, m, x, y, l).  ``pack`` turns images
+into the bits of a chunk and ``unpack`` turns them back; only these two
+know that a pixel passes through a little-endian word whose bit l is plane
+l.  No whole-cube array of bits is ever made.
 
 Images are read and written as binary 8-bit PGM (P5).  The reader accepts
 a header of ``P5``, width, height and maxval separated by whitespace or
@@ -21,13 +20,16 @@ relative to the manifest's directory (an absolute path stands as it is);
 blank lines and ``#`` lines are skipped, and every image must share one
 size.  ``write_pgm`` creates its file or truncates an existing one, so no
 bytes of an older, longer file remain; ``check_pgm`` is its range check,
-which a caller writing several files runs on all of them first.
+which a caller writing several files runs on all of them first.  Every
+input file of the program (manifest, PGM, key, ciphertext, circuit) is
+opened by ``open_regular``, which refuses anything but a regular file.
 """
 
 from __future__ import annotations
 
 import os
 import re
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,22 +108,6 @@ def block_chunks(blocks: int, cells_per_block: int) -> list[slice]:
     return [slice(lo, min(lo + step, blocks)) for lo in range(0, blocks, step)]
 
 
-def to_bits(words: np.ndarray, lplanes: int) -> np.ndarray:
-    """The (..., 2^lplanes) uint8 bits of each word; [..., l] is plane l."""
-    flat = np.unpackbits(words.view(np.uint8).reshape(-1), bitorder="little")
-    return flat.reshape(*words.shape, -1)[..., : 1 << lplanes]
-
-
-def from_bits(bits: np.ndarray, lplanes: int) -> np.ndarray:
-    """Words from (..., 2^lplanes) bits; the inverse of ``to_bits``."""
-    dtype = word_dtype(lplanes)
-    spare = 8 * dtype.itemsize - bits.shape[-1]  # high bits of a byte word, lplanes < 3
-    if spare:
-        bits = np.pad(bits, [(0, 0)] * (bits.ndim - 1) + [(0, spare)])
-    flat = np.packbits(bits.reshape(-1), bitorder="little")
-    return flat.view(dtype).reshape(bits.shape[:-1])
-
-
 def plan_layout(M: int, L: int) -> BlockLayout:
     """Block geometry for M images with L bit planes; blank count minimal."""
     if M < 1:
@@ -134,11 +120,12 @@ def plan_layout(M: int, L: int) -> BlockLayout:
 
 
 def pack(image_set: ImageSet, blocks: slice) -> np.ndarray:
-    """The words of the cube's blocks ``blocks``, shaped (blocks, 2^lplanes,
-    side, side); blank padding images are all zero.
+    """The (t, m, x, y, l) uint8 bits of the cube's blocks ``blocks``: bit l
+    of pixel (x, y) of image m of block t; blank padding images are all zero.
 
     An L-bit pixel fits in a word of 2^ceil(log2 L) bits as it is, so each
-    image becomes its words by one cast.
+    image becomes its words by one cast, and the words become bits by one
+    little-endian unpack.
     """
     layout = plan_layout(image_set.M, image_set.L)
     start, stop, _ = blocks.indices(layout.block_count)
@@ -146,18 +133,23 @@ def pack(image_set: ImageSet, blocks: slice) -> np.ndarray:
     words = np.zeros(((stop - start) * per_block, side, side), dtype=word_dtype(layout.lplanes))
     images = image_set.images[start * per_block : stop * per_block]
     words[: len(images)] = images
-    return words.reshape(-1, per_block, side, side)
+    bits = np.unpackbits(words.view(np.uint8), bitorder="little")
+    return bits.reshape(-1, per_block, side, side, 8 * words.itemsize)[..., :per_block]
 
 
-def unpack(words: np.ndarray, L: int, out: np.ndarray):
+def unpack(bits: np.ndarray, L: int, out: np.ndarray):
     """Write the low L planes of the first len(out) images held by a chunk's
-    ``words`` into ``out``; the images after them, blank padding, are
-    discarded."""
-    side = words.shape[-1]
-    images = words.reshape(-1, side, side)
-    if len(out) > len(images):
-        raise ValueError(f"{len(out)} images asked of words that hold {len(images)}")
-    np.bitwise_and(images[: len(out)], (1 << L) - 1, out=out, casting="unsafe")
+    (t, m, x, y, l) ``bits`` into ``out``; the images after them, blank
+    padding, are discarded."""
+    blocks, per_block, side, _, planes = bits.shape
+    if len(out) > blocks * per_block:
+        raise ValueError(f"{len(out)} images asked of bits that hold {blocks * per_block}")
+    if planes < 8:  # the spare high bits of a byte word
+        bits = np.pad(bits, [(0, 0)] * 4 + [(0, 8 - planes)])
+    # one flat pack: packing along the last axis ran about 50 times slower
+    words = np.packbits(bits.reshape(-1), bitorder="little").view(word_dtype(ceil_log2(planes)))
+    images = words.reshape(-1, side, side)[: len(out)]
+    np.bitwise_and(images, (1 << L) - 1, out=out, casting="unsafe")
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +164,20 @@ _PGM_HEADER = re.compile(
 _READ_CHUNK = 1 << 16
 
 
-def _read_bytes(path: str | os.PathLike) -> bytes:
-    fd = os.open(path, os.O_RDONLY)
+def open_regular(path: str | os.PathLike) -> int:
+    """A read-only descriptor of the regular file at path; anything else (a
+    FIFO, a device, a directory) raises ValueError naming it, before any
+    read and without waiting for a FIFO's writer (O_NONBLOCK)."""
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    if not stat.S_ISREG(os.fstat(fd).st_mode):
+        os.close(fd)
+        raise ValueError(f"{path}: not a regular file")
+    return fd
+
+
+def read_file(path: str | os.PathLike) -> bytes:
+    """Every byte of the regular file at path (``open_regular``)."""
+    fd = open_regular(path)
     try:
         chunks = []
         while chunk := os.read(fd, _READ_CHUNK):
@@ -238,7 +242,7 @@ def read_manifest(path: str | os.PathLike, L: int = 8) -> ImageSet:
     """Load the images listed one path per line (relative to the manifest);
     blank lines and lines starting with '#' are skipped."""
     base = os.path.dirname(path)
-    lines = (ln.strip() for ln in _read_bytes(path).decode().splitlines())
+    lines = (ln.strip() for ln in read_file(path).decode().splitlines())
     names = [ln for ln in lines if ln and not ln.startswith("#")]
     if not names:
         raise ValueError(f"{path}: manifest lists no images")
@@ -246,7 +250,7 @@ def read_manifest(path: str | os.PathLike, L: int = 8) -> ImageSet:
     payloads = []
     for name in names:
         file = os.path.join(base, name)
-        file_side, pixels = _pgm_pixels(file, _read_bytes(file))
+        file_side, pixels = _pgm_pixels(file, read_file(file))
         if side is None:
             side = file_side
         elif file_side != side:

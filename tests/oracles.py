@@ -2,10 +2,10 @@
 
 Each evaluates one point, one gate, one schedule draw, one key digit, one
 bit plane or one header field at a time, in plain Python, so it is slow and
-easy to check by eye.  The program itself works on whole tables, packed
-words and compiled patterns.  The
-helpers at the end, which only tests call, build whole baker tables through
-the program's own table code, read one PGM and write a key file.
+easy to check by eye.  The program itself works on whole tables, bit
+arrays and compiled patterns.  The helpers at the end, which only tests
+call, unrank one partition and build whole baker tables through the
+program's own table code, read one PGM and write a key file.
 """
 
 from __future__ import annotations
@@ -198,21 +198,25 @@ def key_digits(seqs: ChaoticSequences, layout: images.BlockLayout) -> np.ndarray
 # -- bit cube -------------------------------------------------------------------
 
 
-def cube_bits(words: np.ndarray) -> np.ndarray:
-    """The (t, m, x, y, l) uint8 bit array of the cube's (t, m, x, y) words,
-    which hold one plane per image of a block: bit l of each word, one plane
-    at a time by shift and mask."""
-    count = words.shape[1]
-    words = words.astype(np.uint64)
-    planes = [(words >> np.uint64(l)) & np.uint64(1) for l in range(count)]
-    return np.stack(planes, axis=-1).astype(np.uint8)
+def cube_bits(image_set: images.ImageSet) -> np.ndarray:
+    """The whole cube of ``image_set`` as (t, m, x, y, l) uint8 bits: cell
+    [t, m, x, y, l] is bit l of pixel (x, y) of image t * 2^lplanes + m,
+    taken one plane at a time by shift and mask, and zero for the blank
+    images that pad the last block."""
+    layout = images.plan_layout(image_set.M, image_set.L)
+    per_block, side = layout.images_per_block, 1 << image_set.n
+    pixels = np.zeros((layout.block_count * per_block, side, side), dtype=np.uint64)
+    pixels[: image_set.M] = image_set.images
+    planes = [(pixels >> np.uint64(l)) & np.uint64(1) for l in range(per_block)]
+    cube = np.stack(planes, axis=-1).astype(np.uint8)
+    return cube.reshape(layout.block_count, per_block, side, side, per_block)
 
 
-def cube_payload(words: np.ndarray) -> np.ndarray:
-    """The ciphertext file's payload for the cube's (t, m, x, y) words: the
-    ``cube_bits`` cells in (t, m, l, y, x) order, eight to a byte, first cell
-    in the high bit."""
-    return np.packbits(cube_bits(words).transpose(0, 1, 4, 3, 2).reshape(-1))
+def cube_payload(bits: np.ndarray) -> np.ndarray:
+    """The ciphertext file's payload for the cube's (t, m, x, y, l) bits:
+    its cells in (t, m, l, y, x) order, eight to a byte, first cell in the
+    high bit."""
+    return np.packbits(bits.transpose(0, 1, 4, 3, 2).reshape(-1))
 
 
 # -- PGM header -----------------------------------------------------------------
@@ -253,6 +257,12 @@ def pgm_accepts(width: int, height: int, maxval: int, payload: int) -> bool:
 # -- test-only table helpers ------------------------------------------------------
 
 
+def unrank_admissible(n: int, index: int) -> BakerPartition:
+    """The partition at ``index`` in ``enumerate_admissible(n)`` order."""
+    (row,) = baker.unrank_rows(n, [index]).tolist()
+    return BakerPartition(n, tuple(e for e in row if e >= 0))
+
+
 def rank_tables(n: int, ranks) -> np.ndarray:
     """``baker.partition_tables`` of the partitions with these ranks."""
     return baker.partition_tables(n, baker.unrank_rows(n, ranks))
@@ -274,7 +284,7 @@ def iterated_tables(n: int, ranks: np.ndarray, iters: np.ndarray, invert: bool =
 
 def read_pgm(path: str | os.PathLike) -> np.ndarray:
     """One image as a (side, side) uint8 array, after ``read_manifest``'s checks."""
-    side, pixels = images._pgm_pixels(path, images._read_bytes(path))
+    side, pixels = images._pgm_pixels(path, images.read_file(path))
     return np.frombuffer(bytearray(pixels), dtype=np.uint8).reshape(side, side)
 
 

@@ -199,11 +199,12 @@ def test_criterion_8_blank_image_handling():
     layout = plan_layout(10, 8)
     assert layout.images_per_block * layout.block_count == 16  # six blank images
 
-    words = pack(s, slice(None))
-    assert cube_bits(words).reshape(2, 8, -1)[1, 2:].sum() == 0  # blanks zero
+    bits = pack(s, slice(None))
+    assert np.array_equal(bits, cube_bits(s))
+    assert bits.reshape(2, 8, -1)[1, 2:].sum() == 0  # blanks zero
 
     back = np.empty_like(imgs)
-    unpack(words, 8, back)
+    unpack(bits, 8, back)
     assert np.array_equal(back, imgs)
 
     ct = encrypt(s, KEY)

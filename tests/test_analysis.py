@@ -35,6 +35,10 @@ class TestQubitWidth:
         with pytest.raises(ValueError):
             ProtocolParams("P2", 8, 4, 8)
 
+    def test_unknown_protocol_refused(self):
+        with pytest.raises(ValueError, match="P1 or P2"):
+            ProtocolParams("P3", 8, 30)
+
 
 class TestSimplifiedDepth:
     def test_p2_is_87(self):

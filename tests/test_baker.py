@@ -60,6 +60,10 @@ class TestPartition:
         with pytest.raises(ValueError):
             BakerPartition(2, (3,))
 
+    def test_empty_partition_refused(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            BakerPartition(3, ())
+
     def test_n_bounded_by_table_limit(self):
         assert baker.MAX_N == 15
         BakerPartition(15, (15,))
@@ -126,9 +130,9 @@ class TestRanking:
     def test_unranked_partitions_admissible_at_n8(self):
         total = baker.count_admissible(8)
         for i in (0, 1, total // 3, total // 2, total - 1):
-            assert baker.is_admissible(baker.unrank_admissible(8, i))
-        assert baker.unrank_admissible(8, 0).q == (0,) * 256
-        assert baker.unrank_admissible(8, total - 1).q == (8,)
+            assert baker.is_admissible(oracles.unrank_admissible(8, i))
+        assert oracles.unrank_admissible(8, 0).q == (0,) * 256
+        assert oracles.unrank_admissible(8, total - 1).q == (8,)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_batched_unrank_matches_scalar_walk_everywhere(self, n):
@@ -155,13 +159,13 @@ class TestRanking:
             got = [tuple(e for e in row if e >= 0) for row in baker.unrank_rows(8, ranks).tolist()]
             assert got == [oracles.unrank(8, i) for i in ranks]
         for i in (*wide, *narrow):
-            assert baker.unrank_admissible(8, i).q == oracles.unrank(8, i)
+            assert oracles.unrank_admissible(8, i).q == oracles.unrank(8, i)
 
     def test_rank_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            baker.unrank_admissible(3, baker.count_admissible(3))
+            oracles.unrank_admissible(3, baker.count_admissible(3))
         with pytest.raises(ValueError):
-            baker.unrank_admissible(3, -1)
+            oracles.unrank_admissible(3, -1)
         with pytest.raises(ValueError):
             baker.count_admissible(0)
         for ranks in ([0, baker.count_admissible(4)], [-1, 0], [0.5]):
@@ -182,7 +186,7 @@ class TestRankTables:
         ranks = [baker.count_admissible(5) - 1, 0, 123_456, 7, 123_456]
         got = oracles.rank_tables(5, ranks)
         for row, i in zip(got, ranks):
-            assert row.tolist() == permutation_table(baker.unrank_admissible(5, i))
+            assert row.tolist() == permutation_table(oracles.unrank_admissible(5, i))
 
     def test_size_guard(self):
         with pytest.raises(ValueError):
@@ -278,7 +282,7 @@ class TestInverseAndIterate:
         iters = np.tile([0, 1, 5, 16], baker.count_admissible(n))
         tables, at = oracles.iterated_tables(n, ranks, iters)
         for row, i, r in zip(tables[at], ranks, iters):
-            p = baker.unrank_admissible(n, int(i))
+            p = oracles.unrank_admissible(n, int(i))
             for x in range(4):
                 for y in range(4):
                     nx, ny = oracles.iterate(p, int(r), (x, y))

@@ -31,7 +31,7 @@ from qbaker.cli import main
 from qbaker.images import ImageSet, block_chunks, pack, plan_layout
 
 import oracles
-from oracles import cube_bits, write_key
+from oracles import write_key
 
 KEY = MasterKey((49.0, 23.0, 58.0, 120.0, 237.0), 0x1234ABCD)
 
@@ -329,21 +329,20 @@ def _with_identity_stage2(sched):
     )
 
 
-def _lit(words, cell):
-    """Words shaped like ``words`` with the one cell (t, m, x, y, l) lit."""
-    *word, plane = cell
-    lit = np.zeros_like(words)
-    lit[tuple(word)] = 1 << plane
+def _lit(bits, cell):
+    """Bits shaped like ``bits`` with the one cell (t, m, x, y, l) lit."""
+    lit = np.zeros_like(bits)
+    lit[cell] = 1
     return lit
 
 
-def _scrambled(words, sched, inverse=False):
-    """The cube's words through both stages (in reverse with ``inverse``), a
+def _scrambled(bits, sched, inverse=False):
+    """The cube's bits through both stages (in reverse with ``inverse``), a
     chunk of blocks at a time, as encrypt and decrypt move them."""
     scrambler = _Scrambler(sched, inverse)
-    out = np.empty_like(words)
-    for chunk in block_chunks(len(words), scrambler.cells):
-        out[chunk] = scrambler(words[chunk], chunk)
+    out = np.empty_like(bits)
+    for chunk in block_chunks(len(bits), scrambler.cells):
+        out[chunk] = scrambler(bits[chunk], chunk)
     return out
 
 
@@ -355,7 +354,7 @@ class TestScrambling:
 
     def test_identity_partitions_leave_tensor_alone(self):
         rng = np.random.default_rng(5)
-        words = pack(random_images(rng, M=20), slice(None))
+        bits = pack(random_images(rng, M=20), slice(None))
         layout = plan_layout(20, 8)
         same = _identity_schedule(2, layout)
         # any iteration count of the identity is the identity; varied counts
@@ -367,8 +366,8 @@ class TestScrambling:
         )
         for sched in (same, varied):
             for inverse in (False, True):
-                out = _scrambled(words, sched, inverse)
-                assert np.array_equal(cube_bits(out), cube_bits(words))
+                out = _scrambled(bits, sched, inverse)
+                assert np.array_equal(out, bits)
 
     def test_single_bit_follows_iterated_map(self):
         rng = np.random.default_rng(4)
@@ -392,13 +391,13 @@ class TestScrambling:
                 for _ in range(24):
                     m, x, y, l = (int(v) for v in rng.integers(0, [8, 4, 4, 8]))
                     t = int(rng.choice(blocks))
-                    p1 = baker.unrank_admissible(sched.plane_n, int(sched.s1_part[x, y, t]))
+                    p1 = oracles.unrank_admissible(sched.plane_n, int(sched.s1_part[x, y, t]))
                     m2, l2 = oracles.iterate(p1, int(sched.s1_iter[x, y, t]), (m, l))
-                    p2 = baker.unrank_admissible(sched.pixel_n, int(sched.s2_part[l2, m2, t]))
+                    p2 = oracles.unrank_admissible(sched.pixel_n, int(sched.s2_part[l2, m2, t]))
                     x2, y2 = oracles.iterate(p2, int(sched.s2_iter[l2, m2, t]), (x, y))
-                    out = cube_bits(_scrambled(_lit(empty, (t, m, x, y, l)), sched))
+                    out = _scrambled(_lit(empty, (t, m, x, y, l)), sched)
                     assert out[t, m2, x2, y2, l2] == 1 and out.sum() == 1
-                    back = cube_bits(_scrambled(_lit(empty, (t, m2, x2, y2, l2)), sched, True))
+                    back = _scrambled(_lit(empty, (t, m2, x2, y2, l2)), sched, True)
                     assert back[t, m, x, y, l] == 1 and back.sum() == 1
 
     def test_one_cell_map_per_chunk_or_one_shared(self, monkeypatch):
@@ -414,12 +413,12 @@ class TestScrambling:
 
         for name in ("scramble_stage1", "scramble_stage2"):
             monkeypatch.setattr(cipher, name, counted(name, getattr(cipher, name)))
-        words = pack(random_images(np.random.default_rng(12), M=1040), slice(None))
+        bits = pack(random_images(np.random.default_rng(12), M=1040), slice(None))
         for mode, blocks in (("simplified", [1]), ("non_simplified", [64] * 4)):
             sched = derive_schedule(MasterKey(KEY.lambdas, 1, mode), 2, plan_layout(1040, 8))
             for inverse, order in ((False, (1, 2)), (True, (2, 1))):
                 calls.clear()
-                _scrambled(words, sched, inverse)
+                _scrambled(bits, sched, inverse)
                 want = [(f"scramble_stage{s}", b) for b in blocks for s in order]
                 assert calls == want, (mode, inverse, calls)
 
@@ -438,43 +437,43 @@ class TestScrambling:
             rng.integers(1, 17, (2, 2, 1)),
         )
         images = rng.integers(0, 4, (2, side, side))
-        words = pack(ImageSet(n, 2, images), slice(None))
-        out = _scrambled(words, sched)
-        assert not np.array_equal(cube_bits(out), cube_bits(words))
-        assert np.array_equal(cube_bits(_scrambled(out, sched, inverse=True)), cube_bits(words))
+        bits = pack(ImageSet(n, 2, images), slice(None))
+        out = _scrambled(bits, sched)
+        assert not np.array_equal(out, bits)
+        assert np.array_equal(_scrambled(out, sched, inverse=True), bits)
         t, m, x, y, l = 0, 1, 93, 17, 0
-        p1 = baker.unrank_admissible(1, int(sched.s1_part[x, y, t]))
+        p1 = oracles.unrank_admissible(1, int(sched.s1_part[x, y, t]))
         m2, l2 = oracles.iterate(p1, int(sched.s1_iter[x, y, t]), (m, l))
-        p2 = baker.unrank_admissible(n, int(sched.s2_part[l2, m2, t]))
+        p2 = oracles.unrank_admissible(n, int(sched.s2_part[l2, m2, t]))
         x2, y2 = oracles.iterate(p2, int(sched.s2_iter[l2, m2, t]), (x, y))
-        lit = cube_bits(_scrambled(_lit(words, (t, m, x, y, l)), sched))
+        lit = _scrambled(_lit(bits, (t, m, x, y, l)), sched)
         assert lit[t, m2, x2, y2, l2] == 1 and lit.sum() == 1
 
     def test_stage_inverses(self):
         rng = np.random.default_rng(6)
-        words = pack(random_images(rng, M=20), slice(None))
+        bits = pack(random_images(rng, M=20), slice(None))
         layout = plan_layout(20, 8)
         assert layout.block_count == 4
         for mode in MODES:
             sched = derive_schedule(MasterKey(KEY.lambdas, KEY.schedule_seed, mode), 2, layout)
-            out = _scrambled(words, sched)
-            assert not np.array_equal(cube_bits(out), cube_bits(words))
-            assert np.array_equal(cube_bits(_scrambled(out, sched, inverse=True)), cube_bits(words))
-            back = _scrambled(_scrambled(words, sched, True), sched)
-            assert np.array_equal(cube_bits(back), cube_bits(words))
+            out = _scrambled(bits, sched)
+            assert not np.array_equal(out, bits)
+            assert np.array_equal(_scrambled(out, sched, inverse=True), bits)
+            back = _scrambled(_scrambled(bits, sched, True), sched)
+            assert np.array_equal(back, bits)
 
     def test_multiset_preserved_per_plane(self):
         # with stage 2 the identity, stage 1 only reorders (m, l) at each pixel
         rng = np.random.default_rng(7)
-        words = pack(random_images(rng, M=20), slice(None))
+        bits = pack(random_images(rng, M=20), slice(None))
         sched = _with_identity_stage2(derive_schedule(KEY, 2, plan_layout(20, 8)))
-        out = _scrambled(words, sched)
-        assert not np.array_equal(cube_bits(out), cube_bits(words))
-        assert np.array_equal(cube_bits(words).sum(axis=(1, 4)), cube_bits(out).sum(axis=(1, 4)))
+        out = _scrambled(bits, sched)
+        assert not np.array_equal(out, bits)
+        assert np.array_equal(bits.sum(axis=(1, 4)), out.sum(axis=(1, 4)))
 
     def test_schedule_entry_localized(self):
         rng = np.random.default_rng(8)
-        words = pack(random_images(rng, M=20), slice(None))
+        bits = pack(random_images(rng, M=20), slice(None))
         sched = _with_identity_stage2(derive_schedule(KEY, 2, plan_layout(20, 8)))
         x, y, t = 1, 1, 2
         rank, iters = sched.s1_part[x, y, t], sched.s1_iter[x, y, t]
@@ -488,8 +487,8 @@ class TestScrambling:
             sched.plane_n, sched.pixel_n,
             sched.s1_part, tweaked_iter, sched.s2_part, sched.s2_iter,
         )
-        a = cube_bits(_scrambled(words, sched))
-        b = cube_bits(_scrambled(words, tweaked))
+        a = _scrambled(bits, sched)
+        b = _scrambled(bits, tweaked)
         differs = (a != b).any(axis=(1, 4))  # collapse (m, l) per (t, x, y)
         assert differs[t, x, y]
         differs[t, x, y] = False
@@ -499,42 +498,44 @@ class TestScrambling:
 class TestDiffuse:
     def test_zero_keys_identity(self):
         rng = np.random.default_rng(9)
-        words = pack(random_images(rng), slice(None))
+        bits = pack(random_images(rng), slice(None))
         keys = np.zeros((1, 8, 4, 4), dtype=np.uint8)
-        assert np.array_equal(cube_bits(diffuse(words, keys)), cube_bits(words))
+        assert np.array_equal(diffuse(bits, keys), bits)
 
     def test_involution(self):
         rng = np.random.default_rng(10)
-        words = pack(random_images(rng), slice(None))
+        bits = pack(random_images(rng), slice(None))
         keys = rng.integers(0, 8, size=(1, 8, 4, 4)).astype(np.uint8)
-        twice = diffuse(diffuse(words, keys), keys)
-        assert np.array_equal(cube_bits(twice), cube_bits(words))
+        twice = diffuse(diffuse(bits, keys), keys)
+        assert np.array_equal(twice, bits)
 
     def test_single_digit_flips_predicted_planes(self):
-        words = pack(ImageSet(0, 8, np.zeros((1, 1, 1), dtype=int)), slice(None))
+        bits = pack(ImageSet(0, 8, np.zeros((1, 1, 1), dtype=int)), slice(None))
         keys = np.zeros((1, 8, 1, 1), dtype=np.uint8)
         keys[0, 0, 0, 0] = 0b101  # digit bits cycle over the 8 planes
-        out = diffuse(words, keys)
-        assert cube_bits(out)[0, 0, 0, 0].tolist() == [1, 0, 1, 1, 0, 1, 1, 0]
+        out = diffuse(bits, keys)
+        assert out[0, 0, 0, 0].tolist() == [1, 0, 1, 1, 0, 1, 1, 0]
 
     def test_layout_mismatch(self):
         rng = np.random.default_rng(11)
-        words = pack(random_images(rng), slice(None))
+        bits = pack(random_images(rng), slice(None))
         with pytest.raises(ValueError):
-            diffuse(words, np.zeros((2, 8, 4, 4), dtype=np.uint8))
+            diffuse(bits, np.zeros((2, 8, 4, 4), dtype=np.uint8))
 
     def test_peak_memory_within_two_cubes(self):
         # 4096 images of 16x16: a 512-block, 8.4 MB cube
-        words = pack(ImageSet(4, 8, np.zeros((4096, 16, 16), dtype=np.uint8)), slice(None))
+        bits = pack(ImageSet(4, 8, np.zeros((4096, 16, 16), dtype=np.uint8)), slice(None))
         keys = np.random.default_rng(12).integers(0, 8, size=(512, 8, 16, 16)).astype(np.uint8)
         tracemalloc.start()
         try:
-            out = diffuse(words, keys)
+            out = diffuse(bits, keys)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert cube_bits(out).sum() > 0
-        assert peak <= 2 * words.nbytes
+        assert out.sum() > 0
+        # the XOR's output and np.take's intp copy of the uint8 keys, each
+        # one byte per cell at L=8, and under 1 kB of small objects
+        assert peak <= 2 * bits.nbytes + 1024, peak
 
 
 class TestPipeline:
@@ -678,7 +679,7 @@ class TestPipeline:
     def test_roundtrip_keyed_n6(self):
         s = ImageSet(6, 8, (np.arange(4 * 64 * 64).reshape(4, 64, 64) * 7 + 3) % 256)
         ct = encrypt(s, KEY)
-        assert not np.array_equal(ct.payload, oracles.cube_payload(pack(s, slice(None))))
+        assert not np.array_equal(ct.payload, oracles.cube_payload(oracles.cube_bits(s)))
         assert np.array_equal(decrypt(ct, KEY).images, s.images)
 
     @pytest.mark.parametrize("mode", MODES)
@@ -688,7 +689,7 @@ class TestPipeline:
         s = ImageSet(8, 8, np.random.default_rng(23).integers(0, 256, (9, 256, 256), np.uint8))
         key = MasterKey(KEY.lambdas, KEY.schedule_seed, mode)
         ct = encrypt(s, key)
-        assert not np.array_equal(ct.payload, oracles.cube_payload(pack(s, slice(None))))
+        assert not np.array_equal(ct.payload, oracles.cube_payload(oracles.cube_bits(s)))
         assert np.array_equal(decrypt(ct, key).images, s.images)
 
 

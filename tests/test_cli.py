@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qbaker
-from qbaker import cipher, images
+from qbaker import chaos, cipher, images
 from qbaker.cipher import MasterKey
 from qbaker.images import ImageSet
 from qbaker.cli import main
@@ -179,6 +179,12 @@ class TestSynthVerify:
         assert main(["verify", "--circuit", str(circ)]) == 1
         assert "error: bad wire ''" in capsys.readouterr().err
 
+    def test_verify_control_value_outside_bits_exits_one(self, tmp_path, capsys):
+        circ = tmp_path / "c.txt"
+        circ.write_text("# n=3 partition=2,1,1\nCSWAP x0 x1 ? y0=2\n")
+        assert main(["verify", "--circuit", str(circ)]) == 1
+        assert "error: control value must be 0 or 1" in capsys.readouterr().err
+
     def test_verify_huge_n_exits_one(self, tmp_path, capsys):
         circ = tmp_path / "c.txt"
         circ.write_text("# n=100000000 partition=100000000\n")
@@ -260,6 +266,47 @@ class TestChaosTrace:
         assert main(["chaos-trace", "--steps", steps, "--out", str(out)]) == 1
         assert "--steps" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_steps_above_bound_rejected_before_any_step(self, tmp_path, capsys, monkeypatch):
+        # every row is held until the end, so the bound is checked first
+        def no_step(*args):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr(chaos, "scm_step", no_step)
+        out = tmp_path / "trace.csv"
+        steps = str(chaos.MAX_STEPS + 1)
+        assert main(["chaos-trace", "--steps", steps, "--out", str(out)]) == 1
+        assert f"--steps must lie in [1, {chaos.MAX_STEPS}], got {steps}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_wrong_lambda_count_exits_one(self, capsys):
+        assert main(["chaos-trace", "--lambdas", "1,2"]) == 1
+        assert "error: exactly five lambda parameters required" in capsys.readouterr().err
+
+
+class TestNonRegularInputs:
+    """A FIFO given as any input file is refused by name, with exit 1; each
+    run is a subprocess with a timeout, so a blocking read fails the test
+    instead of hanging the suite."""
+
+    @pytest.mark.parametrize("fifo, argv", [
+        ("manifest.txt", ["encrypt", "--manifest", "manifest.txt", "--key", "key.txt",
+                          "--out", "ct.bin"]),
+        ("img1.pgm", ["encrypt", "--manifest", "manifest.txt", "--key", "key.txt",
+                      "--out", "ct.bin"]),
+        ("key.txt", ["encrypt", "--manifest", "manifest.txt", "--key", "key.txt",
+                     "--out", "ct.bin"]),
+        ("ct.bin", ["decrypt", "--in", "ct.bin", "--key", "key.txt", "--out-dir", "out"]),
+        ("circ.txt", ["verify", "--circuit", "circ.txt"]),
+    ], ids=["manifest", "pgm", "key", "ciphertext", "circuit"])
+    def test_fifo_refused(self, workspace, fifo, argv):
+        (workspace / fifo).unlink(missing_ok=True)
+        os.mkfifo(workspace / fifo)
+        env = dict(os.environ, PYTHONPATH=str(Path(qbaker.__file__).resolve().parents[1]))
+        run = subprocess.run([sys.executable, "-m", "qbaker.cli", *argv], env=env,
+                             cwd=workspace, capture_output=True, text=True, timeout=60)
+        assert run.returncode == 1, run.stderr
+        assert f"error: {fifo}: not a regular file" in run.stderr
 
 
 # -- every input file, fuzzed: the CLI exits 0 or 1, never with a traceback ----

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from qbaker import images
 from qbaker.cipher import MasterKey, decrypt, encrypt
-from qbaker.images import ImageSet, block_chunks, from_bits, pack, plan_layout, to_bits, unpack
+from qbaker.images import ImageSet, block_chunks, pack, plan_layout, unpack
 
 import oracles
 
@@ -46,17 +46,17 @@ class TestPlanLayout:
 class TestPack:
     def test_single_pixel_binary_expansion(self):
         s = ImageSet(0, 8, np.array([[[5]]]))
-        bits = oracles.cube_bits(pack(s, slice(None)))[0, 0, 0, 0]
+        bits = pack(s, slice(None))[0, 0, 0, 0]
         assert bits.tolist() == [1, 0, 1, 0, 0, 0, 0, 0]
 
     def test_all_zero(self):
         s = ImageSet(1, 8, np.zeros((3, 2, 2), dtype=int))
-        assert oracles.cube_bits(pack(s, slice(None))).sum() == 0
+        assert pack(s, slice(None)).sum() == 0
 
     def test_against_per_pixel_expansion(self):
         rng = np.random.default_rng(3)
         imgs = rng.integers(0, 256, size=(3, 2, 2))
-        bits = oracles.cube_bits(pack(ImageSet(1, 8, imgs), slice(None)))
+        bits = pack(ImageSet(1, 8, imgs), slice(None))
         layout = plan_layout(3, 8)
         for idx in range(3):
             t, m = divmod(idx, layout.images_per_block)
@@ -67,22 +67,22 @@ class TestPack:
 
     def test_padding_images_zero(self):
         imgs = np.full((3, 2, 2), 255, dtype=int)
-        words = pack(ImageSet(1, 8, imgs), slice(None))
-        assert oracles.cube_bits(words)[0, 3:].sum() == 0
+        bits = pack(ImageSet(1, 8, imgs), slice(None))
+        assert bits[0, 3:].sum() == 0
 
     def test_chunks_are_slices_of_the_cube(self):
         # 17 images in 4 blocks of 8: block 2 holds one image, block 3 none
         s = ImageSet(1, 8, np.random.default_rng(4).integers(1, 256, size=(17, 2, 2)))
         whole = pack(s, slice(None))
-        assert whole.shape == (4, 8, 2, 2)
+        assert whole.shape == (4, 8, 2, 2, 8)
         for chunk in [slice(b, b + 1) for b in range(4)] + [slice(1, 3), slice(2, 4)]:
             assert np.array_equal(pack(s, chunk), whole[chunk])
         assert whole[2, 1:].sum() == 0 and whole[3].sum() == 0
 
     def test_address_bits_match_width_claim(self):
         # 2n + ceil(log2 L) + ceil(log2 M)
-        words = pack(ImageSet(2, 8, np.zeros((30, 4, 4), dtype=int)), slice(None))
-        assert oracles.cube_bits(words).size == 1 << (2 * 2 + 3 + 5)
+        bits = pack(ImageSet(2, 8, np.zeros((30, 4, 4), dtype=int)), slice(None))
+        assert bits.size == 1 << (2 * 2 + 3 + 5)
 
     def test_intensity_range_checked(self):
         with pytest.raises(ValueError):
@@ -93,10 +93,21 @@ class TestPack:
         with pytest.raises(ValueError, match=f"L={L} above 64"):
             ImageSet(1, L, np.zeros((1, 2, 2), dtype=int))
 
+    @pytest.mark.parametrize("n, L, imgs, reason", [
+        (-1, 8, np.zeros((1, 1, 1), dtype=int), "n must be"),
+        (1, 1, np.zeros((1, 2, 2), dtype=int), "L must be"),
+        (1, 8, np.zeros((1, 2, 4), dtype=int), "shape"),
+        (1, 8, np.zeros((0, 2, 2), dtype=int), "at least one image"),
+        (1, 8, np.zeros((1, 2, 2)), "integers"),
+    ], ids=["n-negative", "L-below-2", "not-square", "no-images", "float"])
+    def test_bad_image_sets_refused(self, n, L, imgs, reason):
+        with pytest.raises(ValueError, match=reason):
+            ImageSet(n, L, imgs)
 
-def _unpacked(words, M, L=8):
-    out = np.empty((M, *words.shape[2:]), dtype=np.uint64)
-    unpack(words, L, out)
+
+def _unpacked(bits, M, L=8):
+    out = np.empty((M, *bits.shape[2:4]), dtype=np.uint64)
+    unpack(bits, L, out)
     return out
 
 
@@ -110,7 +121,7 @@ class TestUnpack:
     def test_padding_content_ignored(self):
         s = ImageSet(1, 8, np.arange(12).reshape(3, 2, 2))
         dirty = pack(s, slice(None))
-        dirty[0, 3:] = 0xFF  # scribble over the blank images
+        dirty[0, 3:] = 1  # scribble over the blank images
         assert np.array_equal(_unpacked(dirty, 3), s.images)
 
     def test_zero_roundtrip(self):
@@ -126,9 +137,9 @@ class TestUnpack:
         assert np.array_equal(back.images, imgs)
 
     def test_layout_mismatch_reported(self):
-        words = pack(ImageSet(1, 8, np.zeros((2, 2, 2), dtype=int)), slice(None))
+        bits = pack(ImageSet(1, 8, np.zeros((2, 2, 2), dtype=int)), slice(None))
         with pytest.raises(ValueError):
-            _unpacked(words, 100)
+            _unpacked(bits, 100)
 
 
 @settings(max_examples=60)
@@ -142,15 +153,14 @@ def test_pack_unpack_identity(L, M, n, seed):
     side = 1 << n
     imgs = np.random.default_rng(seed).integers(0, 1 << L, size=(M, side, side))
     layout = plan_layout(M, L)
-    words = pack(ImageSet(n, L, imgs), slice(None))
-    assert 8 * words.dtype.itemsize == max(8, 1 << layout.lplanes)
-    bits = oracles.cube_bits(words)
-    assert np.array_equal(to_bits(words, layout.lplanes), bits)
-    assert np.array_equal(from_bits(bits, layout.lplanes), words)
+    s = ImageSet(n, L, imgs)
+    bits = pack(s, slice(None))
+    assert bits.dtype == np.uint8
+    assert np.array_equal(bits, oracles.cube_bits(s))
     back = np.empty_like(imgs)
     per_block = layout.images_per_block
     for chunk in block_chunks(layout.block_count, 1 << (2 * n + 2 * layout.lplanes)):
-        unpack(words[chunk], L, back[chunk.start * per_block : chunk.stop * per_block])
+        unpack(bits[chunk], L, back[chunk.start * per_block : chunk.stop * per_block])
     assert np.array_equal(back, imgs)
 
 
@@ -213,6 +223,11 @@ class TestPgm:
         img[1, 0] = 200  # in range: written as the bytes it holds
         images.write_pgm(path, img)
         assert path.read_bytes() == b"P5\n2 2\n255\n" + bytes([0, 255, 200, 7])
+
+    def test_check_refuses_non_square(self, tmp_path):
+        with pytest.raises(ValueError, match="square"):
+            images.check_pgm(tmp_path / "wide.pgm", np.zeros((2, 4), dtype=np.uint8))
+        assert not (tmp_path / "wide.pgm").exists()
 
     def test_overwrite_truncates(self, tmp_path):
         path = tmp_path / "old.pgm"

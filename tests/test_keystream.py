@@ -89,16 +89,16 @@ class TestAlphaBeta:
 
     def test_all_ones_tensor(self):
         s = ImageSet(1, 8, np.full((8, 2, 2), 255))
-        words = pack(s, slice(None))
-        assert cube_bits(words).all()
-        c = len(words) * words.shape[1] ** 2
+        bits = pack(s, slice(None))
+        assert bits.all()
+        c = len(bits) * bits.shape[1] ** 2
         assert alpha_beta(s) == (c, c * c)
 
     def test_brute_force_small(self):
         # counts of lit cells in the packed cube, blanks included
         rng = np.random.default_rng(9)
         s = ImageSet(1, 8, rng.integers(0, 256, size=(3, 2, 2)))
-        bits = cube_bits(pack(s, slice(None)))
+        bits = cube_bits(s)
         sums = np.zeros((2, 2), dtype=int)
         for t in range(len(bits)):
             for m in range(8):
@@ -211,6 +211,12 @@ class TestKeyBits:
         seqs = _sequences(1, layout)
         with pytest.raises(ValueError):
             key_factors(seqs, layout, 3)
+
+    def test_image_and_block_sequences_validated(self):
+        # sequences for 2 blocks of 8 images, a layout of 8 blocks
+        seqs = _sequences(1, plan_layout(10, 8))
+        with pytest.raises(ValueError, match="image/block sequences"):
+            key_factors(seqs, plan_layout(40, 8), 1)
 
 
 class TestDigitOracle:

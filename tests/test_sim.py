@@ -231,7 +231,7 @@ class TestSweep:
     def test_composed_pieces_are_the_synthesized_stream(self, fresh_pieces, monkeypatch):
         rng = np.random.default_rng(5)
         parts = [p for n in (1, 2, 3) for p in baker.enumerate_admissible(n)]
-        parts += [baker.unrank_admissible(5, int(i))
+        parts += [oracles.unrank_admissible(5, int(i))
                   for i in rng.integers(0, baker.count_admissible(5), 64)]
         built = {}
         build = circuit.build_piece
@@ -288,7 +288,7 @@ def test_sweep_samples_every_head(n, fresh_pieces):
     parts = []
     for q1, lo, hi in zip(heads, starts, (*starts[1:], count)):
         for _ in range(2):
-            p = baker.unrank_admissible(n, rng.randrange(lo, hi))
+            p = oracles.unrank_admissible(n, rng.randrange(lo, hi))
             assert p.q[0] == q1
             parts.append(p)
     assert list(sim.equivalence_sweep(n, parts)) == []

@@ -114,22 +114,17 @@ def count_admissible(n: int) -> int:
     return _ranking(n)[0]
 
 
-# Ranks below this walk in int64 with subtree starts clipped to it, which
-# keeps every comparison exact; larger ranks (n >= 7) walk as Python ints.
-_INT64_RANKS = (1 << 63) - 1
-
-
 @lru_cache(maxsize=None)
-def _walk_table(n: int, wide: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _walk_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``_ranking(n)``'s steps as arrays indexed [choice, prefix sum]: subtree
-    starts (int64 clipped to ``_INT64_RANKS``, or Python ints when ``wide``),
-    exponents and widths.  Padding starts lie above every rank."""
+    starts (int64 while the count fits it, n <= 6, else Python ints),
+    exponents and widths.  Padding starts equal the count, above every rank."""
     count, steps = _ranking(n)
-    pad = count if wide else _INT64_RANKS
-    starts = np.full((n + 1, 1 << n), pad, dtype=object if wide else np.int64)
+    wide = count > np.iinfo(np.int64).max
+    starts = np.full((n + 1, 1 << n), count, dtype=object if wide else np.int64)
     exps = np.zeros((n + 1, 1 << n), dtype=np.int8)
     for s, (st, ex) in enumerate(steps):
-        starts[: len(st), s] = [min(v, pad) for v in st]
+        starts[: len(st), s] = st
         exps[: len(ex), s] = ex
     return starts, exps, np.left_shift(1, exps, dtype=np.int64)
 
@@ -150,12 +145,11 @@ def unrank_rows(n: int, ranks: Sequence[int] | np.ndarray) -> np.ndarray:
         raise ValueError("ranks must be integers")
     if ranks.size and not (0 <= ranks.min() and ranks.max() < count):
         raise ValueError(f"rank outside [0, {count})")
-    wide = bool(ranks.size) and ranks.max() >= _INT64_RANKS
-    starts, exps, widths = _walk_table(n, wide)
+    starts, exps, widths = _walk_table(n)
     side = 1 << n
     rows = np.full((ranks.size, side), -1, dtype=np.int8)
     live = np.arange(ranks.size)
-    left = ranks.astype(object if wide else np.int64)
+    left = ranks.astype(starts.dtype)
     at = np.zeros(ranks.size, dtype=np.intp)  # prefix sum of each live rank
     parts = 0
     while live.size:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 
 # analysis, circuit and sim are imported by the subcommands that use them,
 # so encrypt and decrypt start without them.
@@ -20,7 +19,8 @@ from . import baker, chaos, cipher, images
 def _emit(text: str, out: str | None, summary: str) -> int:
     """Write ``text`` to the file ``out`` and say so, or to stdout."""
     if out:
-        Path(out).write_text(text)
+        with open(images.create_regular(out), "w") as f:
+            f.write(text)
         print(f"{summary} -> {out}")
     else:
         sys.stdout.write(text)
@@ -96,8 +96,7 @@ def _cmd_table1(args) -> int:
 
     table = analysis.table1()
     if args.csv:
-        Path(args.csv).write_text(table.to_csv())
-        print(f"csv -> {args.csv}")
+        _emit(table.to_csv(), args.csv, "csv")
     sys.stdout.write(table.render())
     return 0
 

@@ -22,11 +22,13 @@ size.  ``write_pgm`` creates its file or truncates an existing one, so no
 bytes of an older, longer file remain; ``check_pgm`` is its range check,
 which a caller writing several files runs on all of them first.  Every
 input file of the program (manifest, PGM, key, ciphertext, circuit) is
-opened by ``open_regular``, which refuses anything but a regular file.
+opened by ``open_regular`` and every output file by ``create_regular``;
+both refuse anything but a regular file, ``/dev/null`` included.
 """
 
 from __future__ import annotations
 
+import errno
 import os
 import re
 import stat
@@ -164,15 +166,26 @@ _PGM_HEADER = re.compile(
 _READ_CHUNK = 1 << 16
 
 
-def open_regular(path: str | os.PathLike) -> int:
-    """A read-only descriptor of the regular file at path; anything else (a
-    FIFO, a device, a directory) raises ValueError naming it, before any
-    read and without waiting for a FIFO's writer (O_NONBLOCK)."""
-    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
-    if not stat.S_ISREG(os.fstat(fd).st_mode):
+def open_regular(path: str | os.PathLike, flags: int = os.O_RDONLY) -> int:
+    """A descriptor of the regular file at path, opened with ``flags``;
+    anything else (a FIFO, a device, a directory) raises ValueError naming
+    it, before any byte moves and without waiting for a FIFO's other end
+    (O_NONBLOCK: a write-only open of a FIFO with no reader fails, ENXIO)."""
+    try:
+        fd = os.open(path, flags | os.O_NONBLOCK, 0o666)
+    except OSError as exc:
+        if exc.errno != errno.ENXIO:
+            raise
+    else:
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            return fd
         os.close(fd)
-        raise ValueError(f"{path}: not a regular file")
-    return fd
+    raise ValueError(f"{path}: not a regular file")
+
+
+def create_regular(path: str | os.PathLike) -> int:
+    """``open_regular`` for writing: creates the file or truncates it."""
+    return open_regular(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
 
 
 def read_file(path: str | os.PathLike) -> bytes:
@@ -229,7 +242,7 @@ def write_pgm(path: str | os.PathLike, image: np.ndarray):
     data = b"P5\n%d %d\n255\n" % (arr.shape[1], arr.shape[0]) + arr.astype(
         np.uint8, copy=False
     ).tobytes()
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    fd = create_regular(path)
     try:
         written = os.write(fd, data)
         while written < len(data):

@@ -10,7 +10,7 @@ whole circuits.  Every synthesized circuit is a concatenation of pieces
 (``circuit.piece_keys``), so the sweep simulates each distinct piece once,
 memoizes its permutation table by key in a least-recently-used cache of
 1024 tables (never gates; 930 tables, 1.8 MB, cover n <= 5, and 1024 n = 8
-tables take 128 MB).  It visits partitions in key order and composes each
+tables take 128 MB).  It visits partitions in input order and composes each
 one from the composed table of the key prefix it shares with the partition
 before it, one gather per later piece.  Each piece's gate count is checked
 against ``circuit.piece_budget`` once, when the piece is built; the budgets
@@ -31,8 +31,6 @@ from .circuit import Circuit
 
 # Partitions whose baker rows equivalence_sweep builds in one call.
 _CHUNK = 64
-# Partitions equivalence_sweep reads at once and visits in piece-key order.
-_WINDOW = 256
 
 
 def _bitpos(wire, n: int) -> int:
@@ -115,41 +113,35 @@ def equivalence_sweep(n: int, partitions):
     closed-form model.  A partition of another square than n raises
     ``ValueError``.
 
-    The input is read ``_WINDOW`` partitions at a time, and each window is
-    visited in ``circuit.piece_keys`` order.  A stack of (key, composed
-    table) pairs, kept for one call, holds the composed prefixes of the
-    partition visited last: the next partition pops back to the prefix the
-    two share and composes only its later pieces, one gather each.  Piece
-    tables are memoized across calls by key in a least-recently-used cache
-    of 1024 tables.  All n <= 5 need 930 pieces, 1.8 MB as uint16 tables; at
-    n = 8 a table is 128 KB, so a full memo holds 128 MB.  Baker rows are
-    built ``_CHUNK`` partitions at a time, in visit order.
+    A stack of (key, composed table) pairs, kept for one call, holds the
+    composed prefixes of the partition visited last: the next partition pops
+    back to the ``circuit.piece_keys`` prefix the two share and composes only
+    its later pieces, one gather each.  Input in q order, as enumeration
+    gives it (forward or reversed), keeps every key prefix contiguous, so
+    each distinct prefix is composed once.  Piece tables are memoized across
+    calls by key in a least-recently-used cache of 1024 tables (930 pieces,
+    1.8 MB, cover n <= 5; an n = 8 table is 128 KB).  Baker rows are built
+    ``_CHUNK`` partitions at a time.
     """
     dtype = _state_dtype(n)
     stack: list[tuple[tuple, np.ndarray]] = []
     partitions = iter(partitions)
-    while window := list(itertools.islice(partitions, _WINDOW)):
-        for p in window:
+    while chunk := list(itertools.islice(partitions, _CHUNK)):
+        for p in chunk:
             if p.n != n:
                 raise ValueError(f"partition {p} has n={p.n}, the sweep is over n={n}")
-        keys = [circuit.piece_keys(p) for p in window]
-        order = sorted(range(len(window)), key=keys.__getitem__)
-        found = {}
-        for lo in range(0, len(order), _CHUNK):
-            visit = order[lo:lo + _CHUNK]
-            refs = baker.partition_tables(n, [window[i].q for i in visit]).astype(dtype)
-            for i, ref in zip(visit, refs):
-                shared = 0
-                for (key, _), want in zip(stack, keys[i]):
-                    if key != want:
-                        break
-                    shared += 1
-                del stack[shared:]
-                for key in keys[i][shared:]:
-                    table = _piece_permutation(key)
-                    stack.append((key, table.take(stack[-1][1]) if stack else table))
-                witness = _witness(stack[-1][1], ref, n)
-                if witness is not None:
-                    found[i] = witness
-        for i in sorted(found):
-            yield window[i], found[i]
+        refs = baker.partition_tables(n, [p.q for p in chunk]).astype(dtype)
+        for p, ref in zip(chunk, refs):
+            keys = circuit.piece_keys(p)
+            shared = 0
+            for (key, _), want in zip(stack, keys):
+                if key != want:
+                    break
+                shared += 1
+            del stack[shared:]
+            for key in keys[shared:]:
+                table = _piece_permutation(key)
+                stack.append((key, table.take(stack[-1][1]) if stack else table))
+            witness = _witness(stack[-1][1], ref, n)
+            if witness is not None:
+                yield p, witness

@@ -151,7 +151,7 @@ class TestRanking:
         assert max(len(q) for q in got) == rows.shape[1]
 
     def test_batched_unrank_past_int64_at_n8(self):
-        # ranks from 2^63 - 1 on walk as Python ints, smaller ones in int64
+        # every n = 8 rank walks as Python ints, whether or not it fits int64
         count = baker.count_admissible(8)
         wide = [0, count - 1, 1 << 63, (1 << 63) + 12_345, count // 3]
         narrow = [(1 << 63) - 2, (1 << 62) + 99, 7]

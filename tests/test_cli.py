@@ -285,9 +285,9 @@ class TestChaosTrace:
 
 
 class TestNonRegularInputs:
-    """A FIFO given as any input file is refused by name, with exit 1; each
-    run is a subprocess with a timeout, so a blocking read fails the test
-    instead of hanging the suite."""
+    """A FIFO given as any input or output file is refused by name, with
+    exit 1; each run is a subprocess with a timeout, so a blocking read or
+    write fails the test instead of hanging the suite."""
 
     @pytest.mark.parametrize("fifo, argv", [
         ("manifest.txt", ["encrypt", "--manifest", "manifest.txt", "--key", "key.txt",
@@ -298,9 +298,21 @@ class TestNonRegularInputs:
                      "--out", "ct.bin"]),
         ("ct.bin", ["decrypt", "--in", "ct.bin", "--key", "key.txt", "--out-dir", "out"]),
         ("circ.txt", ["verify", "--circuit", "circ.txt"]),
-    ], ids=["manifest", "pgm", "key", "ciphertext", "circuit"])
+        ("ct.bin", ["encrypt", "--manifest", "manifest.txt", "--key", "key.txt",
+                    "--out", "ct.bin"]),
+        ("out/image_0000.pgm", ["decrypt", "--in", "ct.bin", "--key", "key.txt",
+                                "--out-dir", "out"]),
+        ("synth.txt", ["synth", "--n", "3", "--partition", "2,1,1", "--out", "synth.txt"]),
+        ("trace.csv", ["chaos-trace", "--steps", "5", "--out", "trace.csv"]),
+        ("table.csv", ["table1", "--csv", "table.csv"]),
+    ], ids=["manifest", "pgm", "key", "ciphertext", "circuit", "encrypt-out", "decrypt-out",
+            "synth-out", "chaos-trace-out", "table1-csv"])
     def test_fifo_refused(self, workspace, fifo, argv):
+        if argv[0] == "decrypt" and fifo != "ct.bin":  # a ciphertext to decrypt
+            assert main(["encrypt", "--manifest", str(workspace / "manifest.txt"), "--key",
+                         str(workspace / "key.txt"), "--out", str(workspace / "ct.bin")]) == 0
         (workspace / fifo).unlink(missing_ok=True)
+        (workspace / fifo).parent.mkdir(exist_ok=True)
         os.mkfifo(workspace / fifo)
         env = dict(os.environ, PYTHONPATH=str(Path(qbaker.__file__).resolve().parents[1]))
         run = subprocess.run([sys.executable, "-m", "qbaker.cli", *argv], env=env,

@@ -176,8 +176,7 @@ class TestSweep:
     @pytest.mark.parametrize("corrupt", [False, True])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_verdicts_equal_equivalence(self, n, corrupt, fresh_pieces, monkeypatch):
-        monkeypatch.setattr(sim, "_CHUNK", 50)  # batches end mid-window
-        monkeypatch.setattr(sim, "_WINDOW", 120)  # windows end mid-list
+        monkeypatch.setattr(sim, "_CHUNK", 50)  # batches end mid-list
         if corrupt:
             _corrupt_window_pieces(monkeypatch)
         parts = baker.enumerate_admissible(n)
@@ -191,7 +190,6 @@ class TestSweep:
 
     def test_one_gather_per_distinct_key_prefix(self, monkeypatch):
         parts = baker.enumerate_admissible(3)
-        assert len(parts) <= sim._WINDOW
         calls = []
         lookup = sim._piece_permutation
         monkeypatch.setattr(sim, "_piece_permutation",
@@ -200,9 +198,16 @@ class TestSweep:
         keys = [circuit.piece_keys(p) for p in parts]
         prefixes = {tuple(k[:j]) for k in keys for j in range(1, len(k) + 1)}
         assert len(calls) == len(prefixes) < sum(map(len, keys))
+        # forward q order, longer than any one batch of baker rows
+        parts = baker.enumerate_admissible(4)
+        assert len(parts) == 677
+        calls.clear()
+        assert list(sim.equivalence_sweep(4, parts)) == []
+        keys = [circuit.piece_keys(p) for p in parts]
+        prefixes = {tuple(k[:j]) for k in keys for j in range(1, len(k) + 1)}
+        assert len(calls) == len(prefixes) < sum(map(len, keys))
 
     def test_shuffled_corruption_reported_in_input_order(self, fresh_pieces, monkeypatch):
-        monkeypatch.setattr(sim, "_WINDOW", 100)
         _corrupt_window_pieces(monkeypatch)
         parts = baker.enumerate_admissible(4)
         random.Random(4).shuffle(parts)
@@ -213,6 +218,10 @@ class TestSweep:
                 want.append((p, witness))
         assert 0 < len(want) < len(parts)
         assert list(sim.equivalence_sweep(4, parts)) == want
+        # one corrupted partition listed twice in a row, then a clean one
+        (bad, witness), clean = want[0], parts[0]
+        assert sim.equivalence(synthesize(clean), clean) == (True, None)
+        assert list(sim.equivalence_sweep(4, [bad, bad, clean])) == [(bad, witness)] * 2
 
     def test_composed_prefixes_do_not_outlive_a_call(self, fresh_pieces, monkeypatch):
         p = BakerPartition(3, (2, 1, 1))

@@ -10,11 +10,12 @@ Admissible partitions are numbered by their lexicographic rank in q.  Since
 the admissible completions of a prefix depend only on its sum N, a DP over
 prefix sums counts them, and skipping whole subtrees by their counts unranks
 an index without listing the partitions before it (Kreher & Stinson,
-*Combinatorial Algorithms*, ch. 2).  ``unrank_rows`` is the one unranking:
-it walks a whole array of ranks down that tree together, one numpy pass per
-part index, over the DP's steps laid out as padded per-prefix-sum tables.
-Single partitions, listing (every index, a bounded batch at a time) and
-baker tables of ranks all go through it.
+*Combinatorial Algorithms*, ch. 2).  ``_ranking`` builds that tree once per
+n, in one DP pass, as padded arrays indexed [choice, prefix sum], and
+``count_admissible`` reads its count.  ``unrank_rows`` is the one unranking:
+it walks a whole array of ranks down the tree together, one numpy pass per
+part index.  Single partitions, listing (every index, a bounded batch at a
+time) and baker tables of ranks all go through it.
 """
 
 from __future__ import annotations
@@ -92,41 +93,31 @@ def enumerate_admissible(n: int) -> list[BakerPartition]:
 
 
 @lru_cache(maxsize=None)
-def _ranking(n: int) -> tuple[int, tuple]:
-    """Partition count, and per prefix sum s < 2^n the admissible next
-    exponents (ascending) with the rank at which each one's subtree starts."""
+def _ranking(n: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """Partition count, and the tree of admissible partitions as arrays
+    indexed [choice, prefix sum]: per prefix sum s < 2^n, the admissible
+    next exponents (ascending), the rank at which each one's subtree starts
+    and their widths.  Starts are int64 while the count fits (n <= 6), else
+    Python ints; padding starts equal the count, above every rank."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    total = 1 << n
-    counts = [0] * (total + 1)
-    counts[total] = 1
-    steps: list = [None] * total
-    for s in range(total - 1, -1, -1):
-        exps = [e for e in range(n + 1) if s % (1 << e) == 0 and s + (1 << e) <= total]
-        starts = list(accumulate((counts[s + (1 << e)] for e in exps), initial=0))
-        counts[s] = starts.pop()
-        steps[s] = (tuple(starts), tuple(exps))
-    return counts[0], tuple(steps)
+    side = 1 << n
+    counts = [0] * side + [1]
+    starts = np.full((n + 1, side), -1, dtype=np.int64 if n <= 6 else object)
+    exps = np.zeros((n + 1, side), dtype=np.int8)
+    for s in range(side - 1, -1, -1):
+        ex = [e for e in range(n + 1) if s % (1 << e) == 0 and s + (1 << e) <= side]
+        st = list(accumulate((counts[s + (1 << e)] for e in ex), initial=0))
+        counts[s] = st.pop()
+        starts[: len(st), s] = st
+        exps[: len(ex), s] = ex
+    starts[starts < 0] = counts[0]
+    return counts[0], starts, exps, np.left_shift(1, exps, dtype=np.int64)
 
 
 def count_admissible(n: int) -> int:
     """Number of admissible partitions for a 2^n square."""
     return _ranking(n)[0]
-
-
-@lru_cache(maxsize=None)
-def _walk_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_ranking(n)``'s steps as arrays indexed [choice, prefix sum]: subtree
-    starts (int64 while the count fits it, n <= 6, else Python ints),
-    exponents and widths.  Padding starts equal the count, above every rank."""
-    count, steps = _ranking(n)
-    wide = count > np.iinfo(np.int64).max
-    starts = np.full((n + 1, 1 << n), count, dtype=object if wide else np.int64)
-    exps = np.zeros((n + 1, 1 << n), dtype=np.int8)
-    for s, (st, ex) in enumerate(steps):
-        starts[: len(st), s] = st
-        exps[: len(ex), s] = ex
-    return starts, exps, np.left_shift(1, exps, dtype=np.int64)
 
 
 def unrank_rows(n: int, ranks: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -139,13 +130,12 @@ def unrank_rows(n: int, ranks: Sequence[int] | np.ndarray) -> np.ndarray:
     """
     if not 1 <= n <= MAX_N:
         raise ValueError(f"n must lie in [1, {MAX_N}], got {n}")
-    count, _ = _ranking(n)
+    count, starts, exps, widths = _ranking(n)
     ranks = np.asarray(ranks).reshape(-1)
     if ranks.dtype.kind not in "iuO":
         raise ValueError("ranks must be integers")
     if ranks.size and not (0 <= ranks.min() and ranks.max() < count):
         raise ValueError(f"rank outside [0, {count})")
-    starts, exps, widths = _walk_table(n)
     side = 1 << n
     rows = np.full((ranks.size, side), -1, dtype=np.int8)
     live = np.arange(ranks.size)

@@ -42,9 +42,16 @@ def _cmd_decrypt(args) -> int:
     key = cipher.read_key(args.key)
     image_set = cipher.decrypt(ct, key)
     out_dir = args.out_dir
-    paths = [os.path.join(out_dir, f"image_{i:04d}.pgm") for i in range(image_set.M)]
+    names = [f"image_{i:04d}.pgm" for i in range(image_set.M)]
+    paths = [os.path.join(out_dir, name) for name in names]
     for path, image in zip(paths, image_set.images):
         images.check_pgm(path, image)  # a refused image leaves no file behind
+    if os.path.isdir(out_dir):  # nor does a refused output path; opens none up front
+        wanted = set(names)
+        with os.scandir(out_dir) as entries:
+            for entry in entries:
+                if entry.name in wanted and not entry.is_file():
+                    raise ValueError(f"{entry.path}: not a regular file")
     os.makedirs(out_dir, exist_ok=True)
     for path, image in zip(paths, image_set.images):
         images.write_pgm(path, image)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from bisect import bisect_right
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -84,22 +84,42 @@ def admissible_partitions(n: int) -> list[tuple[int, ...]]:
     return out
 
 
+@lru_cache(maxsize=None)
+def completions(n: int) -> tuple[int, ...]:
+    """counts[s]: the admissible completions of a prefix that sums to s, by
+    a DP over prefix sums from the square's side down to 0 (counts[0] is the
+    number of admissible partitions)."""
+    side = 1 << n
+    counts = [0] * side + [1]
+    for s in range(side - 1, -1, -1):
+        counts[s] = sum(counts[s + (1 << e)] for e in range(n + 1)
+                        if s % (1 << e) == 0 and s + (1 << e) <= side)
+    return tuple(counts)
+
+
 def unrank(n: int, index: int) -> tuple[int, ...]:
     """The exponent list at ``index`` in lexicographic order, one rank at a
-    time: at each prefix sum of ``baker._ranking(n)``'s tree, take the last
-    choice whose subtree starts at or below the index left, and skip that
-    start."""
-    count, steps = baker._ranking(n)
-    if not 0 <= index < count:
-        raise ValueError(f"rank {index} outside [0, {count})")
+    time: at each prefix sum, try the next exponents in ascending order and
+    skip each one's whole subtree of completions while the index lies past
+    it."""
+    counts = completions(n)
+    if not 0 <= index < counts[0]:
+        raise ValueError(f"rank {index} outside [0, {counts[0]})")
+    side = 1 << n
     q: list[int] = []
     s = 0
-    while s < 1 << n:
-        starts, exps = steps[s]
-        j = bisect_right(starts, index) - 1
-        index -= starts[j]
-        q.append(exps[j])
-        s += 1 << exps[j]
+    while s < side:
+        for e in range(n + 1):
+            width = 1 << e
+            if s % width or s + width > side:
+                continue
+            if index < counts[s + width]:
+                q.append(e)
+                s += width
+                break
+            index -= counts[s + width]
+        else:
+            raise AssertionError("unreachable: the counts cover the index")
     return tuple(q)
 
 

@@ -126,6 +126,11 @@ class TestRanking:
     def test_counts_beyond_enumeration(self):
         assert baker.count_admissible(5) == 458_330
         assert 2.1e11 < baker.count_admissible(6) < 2.2e11
+        for n in (6, 7, 8):  # against the oracle's own DP, not the program's table
+            assert baker.count_admissible(n) == oracles.completions(n)[0]
+        # the walk stays int64 while the count fits it, and uses Python ints past it
+        assert baker._ranking(6)[1].dtype == np.int64
+        assert baker._ranking(7)[1].dtype == object
 
     def test_unranked_partitions_admissible_at_n8(self):
         total = baker.count_admissible(8)

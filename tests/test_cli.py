@@ -305,20 +305,30 @@ class TestNonRegularInputs:
         ("synth.txt", ["synth", "--n", "3", "--partition", "2,1,1", "--out", "synth.txt"]),
         ("trace.csv", ["chaos-trace", "--steps", "5", "--out", "trace.csv"]),
         ("table.csv", ["table1", "--csv", "table.csv"]),
+        ("out/image_0001.pgm", ["decrypt", "--in", "ct.bin", "--key", "key.txt",
+                                "--out-dir", "out"]),
     ], ids=["manifest", "pgm", "key", "ciphertext", "circuit", "encrypt-out", "decrypt-out",
-            "synth-out", "chaos-trace-out", "table1-csv"])
+            "synth-out", "chaos-trace-out", "table1-csv", "decrypt-out-second"])
     def test_fifo_refused(self, workspace, fifo, argv):
-        if argv[0] == "decrypt" and fifo != "ct.bin":  # a ciphertext to decrypt
+        decrypt_out = argv[0] == "decrypt" and fifo != "ct.bin"
+        if decrypt_out:  # a ciphertext to decrypt
             assert main(["encrypt", "--manifest", str(workspace / "manifest.txt"), "--key",
                          str(workspace / "key.txt"), "--out", str(workspace / "ct.bin")]) == 0
         (workspace / fifo).unlink(missing_ok=True)
         (workspace / fifo).parent.mkdir(exist_ok=True)
         os.mkfifo(workspace / fifo)
+        first = workspace / "out" / "image_0000.pgm"
+        kept = [first] if decrypt_out and fifo != "out/image_0000.pgm" else []
+        for path in kept:
+            path.write_bytes(b"kept")
         env = dict(os.environ, PYTHONPATH=str(Path(qbaker.__file__).resolve().parents[1]))
         run = subprocess.run([sys.executable, "-m", "qbaker.cli", *argv], env=env,
                              cwd=workspace, capture_output=True, text=True, timeout=60)
         assert run.returncode == 1, run.stderr
         assert f"error: {fifo}: not a regular file" in run.stderr
+        if decrypt_out:  # the output set is refused whole: no PGM made or truncated
+            assert [p for p in (workspace / "out").glob("*.pgm") if p.is_file()] == kept
+            assert all(path.read_bytes() == b"kept" for path in kept)
 
 
 # -- every input file, fuzzed: the CLI exits 0 or 1, never with a traceback ----

@@ -291,11 +291,11 @@ def test_sweep_samples_every_head(n, fresh_pieces):
     q1 >= 5 is a 2.2e-6 share of the partitions.  The fixture empties the
     memo afterwards, since an n = 8 table is 128 KB."""
     rng = random.Random(n)
-    count, steps = baker._ranking(n)
-    starts, heads = steps[0]
-    assert heads == tuple(range(n + 1))
+    count, starts, exps, _ = baker._ranking(n)
+    heads, firsts = exps[:, 0].tolist(), starts[:, 0].tolist()
+    assert heads == list(range(n + 1))
     parts = []
-    for q1, lo, hi in zip(heads, starts, (*starts[1:], count)):
+    for q1, lo, hi in zip(heads, firsts, (*firsts[1:], count)):
         for _ in range(2):
             p = oracles.unrank_admissible(n, rng.randrange(lo, hi))
             assert p.q[0] == q1

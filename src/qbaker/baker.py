@@ -76,6 +76,16 @@ def is_admissible(p: BakerPartition) -> bool:
     return True
 
 
+def _unranked(n: int, q: tuple[int, ...]) -> BakerPartition:
+    """The partition q, which ``unrank_rows`` made valid, built without
+    repeating ``__post_init__``'s checks: at n=5 they took about 1.8 s of
+    the 3.9 s that ``enumerate_admissible`` spent on its 458,330 objects."""
+    p = object.__new__(BakerPartition)
+    object.__setattr__(p, "n", n)
+    object.__setattr__(p, "q", q)
+    return p
+
+
 def enumerate_admissible(n: int) -> list[BakerPartition]:
     """All admissible partitions for a 2^n square, lexicographic in q."""
     if not 1 <= n <= MAX_ENUM_N:
@@ -87,7 +97,7 @@ def enumerate_admissible(n: int) -> list[BakerPartition]:
         used = rows >= 0
         flat, start = rows[used].tolist(), 0
         for stop in np.cumsum(np.count_nonzero(used, axis=1)).tolist():
-            parts.append(BakerPartition(n, tuple(flat[start:stop])))
+            parts.append(_unranked(n, tuple(flat[start:stop])))
             start = stop
     return parts
 

@@ -43,8 +43,8 @@ import numpy as np
 
 from . import baker
 from .chaos import ScmParams, generate_sequences
-from .images import (MAX_BIT_DEPTH, BlockLayout, ImageSet, block_chunks, create_regular,
-                     open_regular, pack, plan_layout, read_file, unpack)
+from .images import (MAX_BIT_DEPTH, BlockLayout, ImageSet, block_chunks, open_regular, pack,
+                     plan_layout, read_file, unpack, write_regular)
 from .keystream import Seed, derive_seed, key_factors, key_table, seed_from_header
 
 MAX_ITERATIONS = 16
@@ -426,9 +426,7 @@ def write_ciphertext(path: str | Path, ct: Ciphertext):
         "n": ct.n, "L": ct.L, "M": ct.M, "blocks": plan_layout(ct.M, ct.L).block_count,
         "x0": ct.x0, "alpha": ct.alpha, "beta": ct.beta, "mode": ct.mode,
     })
-    with open(create_regular(path), "wb") as f:
-        f.write(f"{MAGIC.decode()}\n{header}---\n".encode())
-        f.write(ct.payload)
+    write_regular(path, f"{MAGIC.decode()}\n{header}---\n".encode(), ct.payload)
 
 
 def _read_header(f, path) -> tuple[bytes, int]:

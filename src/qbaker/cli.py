@@ -19,8 +19,7 @@ from . import baker, chaos, cipher, images
 def _emit(text: str, out: str | None, summary: str) -> int:
     """Write ``text`` to the file ``out`` and say so, or to stdout."""
     if out:
-        with open(images.create_regular(out), "w") as f:
-            f.write(text)
+        images.write_regular(out, text.encode())
         print(f"{summary} -> {out}")
     else:
         sys.stdout.write(text)

@@ -1,3 +1,4 @@
+import errno
 import os
 import subprocess
 import sys
@@ -329,6 +330,68 @@ class TestNonRegularInputs:
         if decrypt_out:  # the output set is refused whole: no PGM made or truncated
             assert [p for p in (workspace / "out").glob("*.pgm") if p.is_file()] == kept
             assert all(path.read_bytes() == b"kept" for path in kept)
+
+
+class TestOutputFiles:
+    """Outputs are written over an existing file in place and cut to the
+    bytes written; no open truncates."""
+
+    def _encrypt(self, workspace, out):
+        return main(["encrypt", "--manifest", str(workspace / "manifest.txt"),
+                     "--key", str(workspace / "key.txt"), "--out", str(out)])
+
+    def test_longer_ciphertext_and_synth_files_hold_only_new_bytes(self, workspace, capsys):
+        assert self._encrypt(workspace, workspace / "fresh.bin") == 0
+        assert main(["synth", "--n", "3", "--partition", "2,1,1",
+                     "--out", str(workspace / "fresh.txt")]) == 0
+        for name in ("ct.bin", "synth.txt"):
+            (workspace / name).write_bytes(b"\xff" * 100_000)
+        assert self._encrypt(workspace, workspace / "ct.bin") == 0
+        assert main(["synth", "--n", "3", "--partition", "2,1,1",
+                     "--out", str(workspace / "synth.txt")]) == 0
+        assert (workspace / "ct.bin").read_bytes() == (workspace / "fresh.bin").read_bytes()
+        assert (workspace / "synth.txt").read_bytes() == (workspace / "fresh.txt").read_bytes()
+
+    def test_failed_write_leaves_only_the_bytes_written(self, workspace, monkeypatch, capsys):
+        assert self._encrypt(workspace, workspace / "fresh.bin") == 0
+        ct = workspace / "ct.bin"
+        ct.write_bytes(b"\xff" * 100_000)
+        real_write, calls = os.write, []
+
+        def full_disk(fd, data):  # a few bytes, then no space left
+            calls.append(fd)
+            if len(calls) == 1:
+                return real_write(fd, bytes(data[:7]))
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "write", full_disk)
+        assert self._encrypt(workspace, ct) == 1
+        monkeypatch.undo()
+        assert len(calls) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert ct.read_bytes() == (workspace / "fresh.bin").read_bytes()[:7]
+
+    def test_no_output_open_truncates(self, workspace, monkeypatch, capsys):
+        ct, out = workspace / "ct.bin", workspace / "out"
+        out.mkdir()
+        for path in (ct, out / "image_0001.pgm"):  # existing outputs, longer than the new ones
+            path.write_bytes(b"\xff" * 100_000)
+        real_open, flags = os.open, []
+
+        def recording_open(path, flag, *args, **kwargs):
+            flags.append(flag)
+            return real_open(path, flag, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording_open)
+        assert self._encrypt(workspace, ct) == 0
+        assert main(["decrypt", "--in", str(ct), "--key", str(workspace / "key.txt"),
+                     "--out-dir", str(out)]) == 0
+        monkeypatch.undo()
+        assert sum(1 for f in flags if f & os.O_CREAT) == 1 + 3  # the ciphertext and 3 PGMs
+        assert not any(f & os.O_TRUNC for f in flags)
+        for i in range(3):
+            assert (out / f"image_{i:04d}.pgm").read_bytes() == (
+                workspace / f"img{i}.pgm").read_bytes()
 
 
 # -- every input file, fuzzed: the CLI exits 0 or 1, never with a traceback ----

@@ -11,12 +11,12 @@ unpacks them, undoes the XOR, unscrambles (stage 2, then stage 1) and hands
 the bits to ``images.unpack``.  Each stage is one gather over the chunk's
 bits (``scramble_stage1``, ``scramble_stage2``): every row, a pixel's (m, l)
 square or a plane's (x, y) square, moves through its own table, inverted for
-encrypt.  Each stage unranks its distinct drawn ranks once per call, in one
-batch; a (rank, iterations) pair's table is then composed by binary powers,
-for all blocks at once when every key the stage could draw fits one block's
-cells, and otherwise for each chunk from its own keys.  When every position
-shares one key (simplified mode), the two gathers are composed once into one
-index over a block's cells.
+encrypt.  A stage position's key, its partition's row and its iteration
+count, names a table composed by binary powers: every key's table is built
+once when they all fit one block's cells, and otherwise each chunk builds its
+own keys' tables from the stage's distinct ranks, unranked once per call.
+When every position shares one key (simplified mode), the two gathers are
+composed once into one index over a block's cells.
 
 Baker parameters and iteration counts come from a keyed schedule, one
 SHAKE-256 stream (FIPS 202) per stage over the schedule seed and the stage's
@@ -135,26 +135,18 @@ def derive_schedule(key: MasterKey, n: int, layout: BlockLayout) -> KeySchedule:
     return KeySchedule(lplanes, n, *arrays)
 
 
-def _powers(n: int, exponents: np.ndarray, which: np.ndarray, iters: np.ndarray, invert: bool):
-    """(tables, row) for positions whose partitions are given as rows of
-    ``exponents`` (as ``baker.unrank_rows`` returns them), ``which`` holding
-    each position's row: one table over (x << n) | y per distinct (exponent
-    row, iterations) pair, P^c or with ``invert`` P^-c, and the row of each
-    position's pair, in the shape of ``which``.
+def _powers(n: int, exponents: np.ndarray, counts: np.ndarray, invert: bool):
+    """The tables over (x << n) | y of these (exponent row, count) pairs,
+    counts ascending: row i of ``exponents`` (as ``baker.unrank_rows``
+    returns them) taken ``counts[i]`` times, P^c or with ``invert`` P^-c.
 
-    A pair is keyed by its exponent row, never by the rank, so no key can
-    overflow.  Pairs sort by count, and each count c is a sum of powers of
-    two, so P^c is composed from P, P^2, P^4, ... (the binary method, Knuth,
-    TAOCP vol. 2, 4.6.3): the rows still squaring at bit b are the suffix
-    with count >= 2^(b+1), and each equal-count slice copies its lowest set
-    bit's power and composes one gather per further set bit.  Rows with
-    count 0 stay the identity.
+    Each count c is a sum of powers of two, so P^c is composed from P, P^2,
+    P^4, ... (the binary method, Knuth, TAOCP vol. 2, 4.6.3): the rows still
+    squaring at bit b are the suffix with count >= 2^(b+1), and each
+    equal-count slice copies its lowest set bit's power and composes one
+    gather per further set bit.  Rows with count 0 stay the identity.
     """
-    distinct = len(exponents)
-    pairs, row = np.unique(iters.ravel().astype(np.intp) * distinct + which.ravel(),
-                          return_inverse=True)
-    counts, first = np.divmod(pairs, distinct)
-    power = baker.partition_tables(n, exponents[first])
+    power = baker.partition_tables(n, exponents)
     cells = power.shape[1]
     dtype = np.int32 if power.size < 1 << 31 else np.int64
     power = power.astype(dtype, copy=False)
@@ -182,7 +174,7 @@ def _powers(n: int, exponents: np.ndarray, which: np.ndarray, iters: np.ndarray,
         flat[done.reshape(-1)] = np.arange(power.size, dtype=dtype)
         done = power
     done -= offsets
-    return done, row.reshape(which.shape)
+    return done
 
 
 def _compose(flat: np.ndarray, tables: np.ndarray, lo: int, hi: int, chunk: int):
@@ -199,32 +191,38 @@ class _StageTables:
     """One stage's iterated tables (inverted with ``invert``), handed out a
     chunk of blocks at a time.
 
-    The stage's distinct ranks are unranked once, and when the tables of
-    every key the stage could draw (count_admissible(n) ranks times
-    ``MAX_ITERATIONS`` counts) fit in ``budget`` cells, one block's, the
-    drawn keys' tables are built once for all blocks; otherwise each chunk's
-    are built from its own keys' exponent rows, so memory scales with one
-    chunk and not with the block count.
+    A position's key is (iterations - 1) * d + i, with i its partition's row
+    among the stage's d exponent rows.  If every key's table (count_admissible(n)
+    ranks times ``MAX_ITERATIONS`` counts) fits in ``budget`` cells, one
+    block's, the rows are every partition at its rank and all keys' tables are
+    built once, so a key is its table's row.  Otherwise the rows are the
+    distinct drawn ranks, unranked once, and each chunk builds its own keys'
+    tables: memory scales with one chunk, not with the block count.
     """
 
     def __init__(self, n: int, ranks: np.ndarray, iters: np.ndarray, budget: int, invert: bool):
-        self.n, self.iters, self.invert = n, iters, invert
-        distinct, which = np.unique(ranks, return_inverse=True)
-        exponents, which = baker.unrank_rows(n, distinct), which.reshape(ranks.shape)
-        self.whole = None
-        if baker.count_admissible(n) * MAX_ITERATIONS << (2 * n) <= budget:
-            self.whole = _powers(n, exponents, which, iters, invert)
-        else:
-            self.exponents, self.which = exponents, which
+        self.n, self.invert = n, invert
+        count = baker.count_admissible(n)
+        every = count * MAX_ITERATIONS << (2 * n) <= budget
+        ranked, row = (np.arange(count), ranks) if every else np.unique(ranks, return_inverse=True)
+        self.exponents, d = baker.unrank_rows(n, ranked), len(ranked)
+        dtype = np.min_scalar_type(d * MAX_ITERATIONS)
+        self.keys = (iters.astype(dtype) - 1) * d + row.astype(dtype)
+        self.whole = self._built(np.arange(d * MAX_ITERATIONS)) if every else None
+
+    def _built(self, keys: np.ndarray) -> np.ndarray:
+        """The tables of these keys, ascending."""
+        counts, rows = np.divmod(keys, len(self.exponents))
+        return _powers(self.n, self.exponents[rows], counts + 1, self.invert)
 
     def tables(self, blocks: slice) -> tuple[np.ndarray, np.ndarray]:
-        """(tables, row) as ``_powers`` returns them, for the positions of
-        ``blocks``: row[..., i] belongs to block blocks.start + i."""
+        """(tables, row) for the positions of ``blocks``: the position at
+        [..., i] of block blocks.start + i moves through tables[row[..., i]]."""
+        keys = self.keys[..., blocks]
         if self.whole is not None:
-            tables, row = self.whole
-            return tables, row[..., blocks]
-        return _powers(self.n, self.exponents, self.which[..., blocks], self.iters[..., blocks],
-                       self.invert)
+            return self.whole, keys
+        drawn, row = np.unique(keys, return_inverse=True)
+        return self._built(drawn), row
 
 
 def _gather(rows: np.ndarray, tables: np.ndarray, row: np.ndarray) -> np.ndarray:
@@ -266,7 +264,7 @@ class _Scrambler:
         self.cells = 1 << (2 * (lplanes + n))  # per block
         keys = (sched.s1_part, sched.s1_iter, sched.s2_part, sched.s2_iter)
         constant = all((a == a.flat[0]).all() for a in keys)
-        if constant:  # block 0's keys: np.unique of a broadcast view copies it to full size
+        if constant:  # block 0's keys: a broadcast view's stage keys would be full size
             keys = tuple(a[..., :1] for a in keys)
         self.stage1 = _StageTables(lplanes, *keys[:2], self.cells, not inverse)
         self.stage2 = _StageTables(n, *keys[2:], self.cells, not inverse)

@@ -292,11 +292,17 @@ def iterated_tables(n: int, ranks: np.ndarray, iters: np.ndarray, invert: bool =
     """(tables, row): one table over (x << n) | y per distinct (rank,
     iterations) pair, P^c or with ``invert`` P^-c, and the row of each
     position's pair, in the shape of ``ranks``.  Each distinct rank is
-    unranked once, in one batch, and ``cipher._powers`` composes the pairs'
-    tables from those exponent rows."""
+    unranked once, in one batch; a position's key is (iterations - 1) * d + i
+    with i its rank's row among the d distinct ranks, as in
+    ``cipher._StageTables``, and ``cipher._powers`` composes the distinct
+    keys' tables, counts ascending.  Counts may be 0, the identity."""
     distinct, which = np.unique(ranks, return_inverse=True)
-    exponents = baker.unrank_rows(n, distinct)
-    return cipher._powers(n, exponents, which.reshape(ranks.shape), iters, invert)
+    d = len(distinct)
+    # signed before subtracting 1: a uint8 count of 0 would wrap to 255
+    keys = (iters.astype(np.int64) - 1) * d + which
+    drawn, row = np.unique(keys, return_inverse=True)
+    counts, rows = np.divmod(drawn, d)  # floored: a count of 0 has key -d + i
+    return cipher._powers(n, baker.unrank_rows(n, distinct)[rows], counts + 1, invert), row
 
 
 # -- test-only file helpers -------------------------------------------------------

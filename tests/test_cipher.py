@@ -181,9 +181,9 @@ class TestIteratedTables:
 
     def test_one_table_per_distinct_pair(self):
         # a 2-D grid of positions: repeated (rank, iterations) pairs share a
-        # row, and count 0 is the identity whatever the rank
+        # row, and count 0 is the identity whatever the rank, also as uint8
         ranks = np.array([[7, 7, 3, 7], [3, 7, 7, 0]])
-        iters = np.array([[2, 2, 2, 5], [2, 0, 0, 0]])
+        iters = np.array([[2, 2, 2, 5], [2, 0, 0, 0]], dtype=np.uint8)
         tables, at = oracles.iterated_tables(3, ranks, iters)
         assert at.shape == ranks.shape
         assert len(tables) == len(set(zip(ranks.ravel().tolist(), iters.ravel().tolist()))) == 5
@@ -256,8 +256,10 @@ class TestStageTables:
 
     @pytest.mark.parametrize("n, M", [(2, 20), (3, 40), (5, 200)])
     def test_shared_and_per_block_tables_agree(self, n, M):
-        # chunk slices as scramble takes them: whole tables sliced per chunk
-        # and tables built from a chunk's keys give every position one table
+        # chunk slices as scramble takes them: tables built from a chunk's
+        # keys, and every key's tables where they fit in 2^22 cells, give
+        # each position the oracle's table (n=5's stage 2 would need
+        # 458,330 x 16 tables of 1,024 cells, so it is checked per chunk only)
         layout = plan_layout(M, 8)
         sched = derive_schedule(KEY, n, layout)
         stages = (
@@ -266,38 +268,71 @@ class TestStageTables:
         )
         cells = layout.images_per_block ** 2 << (2 * n)
         for (stage_n, ranks, iters), invert in itertools.product(stages, (False, True)):
-            per_chunk = _StageTables(stage_n, ranks, iters, 0, invert)
-            shared = _StageTables(stage_n, ranks, iters, 1 << 40, invert)
-            assert per_chunk.whole is None and shared.whole is not None
+            built = [_StageTables(stage_n, ranks, iters, 0, invert)]
+            assert built[0].whole is None
+            every = baker.count_admissible(stage_n) * MAX_ITERATIONS << (2 * stage_n)
+            if every <= 1 << 22:  # the every-key path at its budget's edge
+                built.append(_StageTables(stage_n, ranks, iters, every, invert))
+                assert built[1].whole is not None
+            assert len(built) == 1 + ((n, stage_n) != (5, 5))
             for chunk in [slice(1, 2), *block_chunks(layout.block_count, cells)]:
-                a_tables, a_row = per_chunk.tables(chunk)
-                b_tables, b_row = shared.tables(chunk)
-                assert a_row.shape == b_row.shape == ranks[..., chunk].shape
-                assert np.array_equal(a_tables[a_row], b_tables[b_row])
+                want, at = oracles.iterated_tables(stage_n, ranks[..., chunk], iters[..., chunk],
+                                                   invert)
+                for stage in built:
+                    tables, row = stage.tables(chunk)
+                    assert row.shape == ranks[..., chunk].shape
+                    assert np.array_equal(tables[row], want[at])
+
+    def test_every_key_tables_sort_nothing(self, monkeypatch):
+        # keyed n=5 stage 1: every (rank, count) key's tables fit one block,
+        # so setup and every chunk's tables run no np.unique, and a key is
+        # one byte or two per position, not an int64 rank plus an intp row
+        layout = plan_layout(200, 8)
+        sched = derive_schedule(KEY, 5, layout)
+        ranks, iters = sched.s1_part, sched.s1_iter
+        cells = layout.images_per_block ** 2 << 10
+        chunks = block_chunks(layout.block_count, cells)
+        wants = [oracles.iterated_tables(3, ranks[..., c], iters[..., c], invert)
+                 for invert in (False, True) for c in chunks]
+
+        def refused(*args, **kwargs):
+            raise AssertionError("np.unique called")
+
+        monkeypatch.setattr(np, "unique", refused)
+        for invert in (False, True):
+            stage = _StageTables(3, ranks, iters, cells, invert)
+            assert stage.whole.shape == (baker.count_admissible(3) * MAX_ITERATIONS, 64)
+            assert stage.keys.shape == ranks.shape and stage.keys.itemsize <= 2
+            for chunk in chunks:
+                want, at = wants.pop(0)
+                tables, row = stage.tables(chunk)
+                assert np.array_equal(tables[row], want[at])
 
     def test_constant_stage_built_from_one_position(self, monkeypatch):
         # simplified mode: each stage's tables come from block 0's positions
         # alone, and the one index they compose to covers one block's cells
-        shapes = []
+        built = []
 
-        def shaped(n, exponents, which, iters, invert):
-            shapes.append(which.shape)
-            return powers(n, exponents, which, iters, invert)
+        def counted(n, exponents, counts, invert):
+            built.append((n, len(counts)))
+            return powers(n, exponents, counts, invert)
 
         powers = cipher._powers
-        monkeypatch.setattr(cipher, "_powers", shaped)
+        monkeypatch.setattr(cipher, "_powers", counted)
         layout = plan_layout(4096, 8)
         sched = derive_schedule(MasterKey(KEY.lambdas, 1, "simplified"), 4, layout)
         assert layout.block_count == 512
         for inverse in (False, True):
-            shapes.clear()
+            built.clear()
             tracemalloc.start()
             try:
                 scrambler = _Scrambler(sched, inverse)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert sorted(shapes) == [(8, 8, 1), (16, 16, 1)]
+            assert sorted(built) == [(3, 1), (4, 1)]  # one table per stage
+            stages = (scrambler.stage1, scrambler.stage2)
+            assert sorted(stage.keys.shape for stage in stages) == [(8, 8, 1), (16, 16, 1)]
             assert scrambler.shared.shape == (scrambler.cells,)
             assert peak < sched.s1_part.size * 8  # one int64 copy of stage 1's keys
 

@@ -8,15 +8,15 @@ to the payload and back: encrypt scrambles a chunk's bits (stage 1, then
 stage 2), XORs in its key digits (``diffuse``) and packs them eight to a
 byte into its bytes of ``Ciphertext.payload``, in the file's order; decrypt
 unpacks them, undoes the XOR, unscrambles (stage 2, then stage 1) and hands
-the bits to ``images.unpack``.  Each stage is one gather over the chunk's
-bits (``scramble_stage1``, ``scramble_stage2``): every row, a pixel's (m, l)
-square or a plane's (x, y) square, moves through its own table, inverted for
-encrypt.  A stage position's key, its partition's row and its iteration
+the bits to ``images.unpack``.  Each stage moves every row of a chunk, a
+pixel's (m, l) square or a plane's (x, y) square, through its own forward
+table (``scramble_stage1``, ``scramble_stage2``): encrypt scatters, decrypt
+gathers.  A stage position's key, its partition's row and its iteration
 count, names a table composed by binary powers: every key's table is built
 once when they all fit one block's cells, and otherwise each chunk builds its
 own keys' tables from the stage's distinct ranks, unranked once per call.
-When every position shares one key (simplified mode), the two gathers are
-composed once into one index over a block's cells.
+When every position shares one key (simplified mode), the two stages are
+composed once into one gather index over a block's cells.
 
 Baker parameters and iteration counts come from a keyed schedule, one
 SHAKE-256 stream (FIPS 202) per stage over the schedule seed and the stage's
@@ -77,8 +77,7 @@ class MasterKey:
 @dataclass(frozen=True)
 class KeySchedule:
     """Per-position partition choices and iteration counts for both stages.
-    Counts are uint8; ranks int64, or Python ints where a square has 2^55
-    admissible partitions or more (n >= 7).
+    Counts are uint8; ranks the narrowest unsigned type, Python ints from n = 7.
 
     Stage 1 tables are indexed [x, y, t] and hold partitions of the 2^plane_n
     (m, l) square; stage 2 tables are indexed [l, m, t] and hold partitions of
@@ -110,6 +109,7 @@ def _draws(seed: int, label: bytes, shape: tuple[int, ...], count: int):
     part = np.zeros(size, dtype=dtype)
     for column in words[:, :width].T:
         part = (part * 256 + column.astype(dtype)) % count
+    part = part.astype(np.min_scalar_type(count - 1), copy=False)  # object past 2^64
     iters = words[:, width] % MAX_ITERATIONS + 1
     return part.reshape(shape), iters.reshape(shape)
 
@@ -135,10 +135,10 @@ def derive_schedule(key: MasterKey, n: int, layout: BlockLayout) -> KeySchedule:
     return KeySchedule(lplanes, n, *arrays)
 
 
-def _powers(n: int, exponents: np.ndarray, counts: np.ndarray, invert: bool):
+def _powers(n: int, exponents: np.ndarray, counts: np.ndarray):
     """The tables over (x << n) | y of these (exponent row, count) pairs,
     counts ascending: row i of ``exponents`` (as ``baker.unrank_rows``
-    returns them) taken ``counts[i]`` times, P^c or with ``invert`` P^-c.
+    returns them) taken ``counts[i]`` times, P^c.
 
     Each count c is a sum of powers of two, so P^c is composed from P, P^2,
     P^4, ... (the binary method, Knuth, TAOCP vol. 2, 4.6.3): the rows still
@@ -170,9 +170,6 @@ def _powers(n: int, exponents: np.ndarray, counts: np.ndarray, invert: bool):
                 else:
                     done[lo:hi] = power[lo:hi]
         _compose(flat, power, np.searchsorted(counts, 2 << bit), len(counts), chunk)
-    if invert:  # each row sends its values back to their cells, into the spare powers
-        flat[done.reshape(-1)] = np.arange(power.size, dtype=dtype)
-        done = power
     done -= offsets
     return done
 
@@ -188,8 +185,7 @@ def _compose(flat: np.ndarray, tables: np.ndarray, lo: int, hi: int, chunk: int)
 
 
 class _StageTables:
-    """One stage's iterated tables (inverted with ``invert``), handed out a
-    chunk of blocks at a time.
+    """One stage's iterated tables, handed out a chunk of blocks at a time.
 
     A position's key is (iterations - 1) * d + i, with i its partition's row
     among the stage's d exponent rows.  If every key's table (count_admissible(n)
@@ -200,8 +196,8 @@ class _StageTables:
     tables: memory scales with one chunk, not with the block count.
     """
 
-    def __init__(self, n: int, ranks: np.ndarray, iters: np.ndarray, budget: int, invert: bool):
-        self.n, self.invert = n, invert
+    def __init__(self, n: int, ranks: np.ndarray, iters: np.ndarray, budget: int):
+        self.n = n
         count = baker.count_admissible(n)
         every = count * MAX_ITERATIONS << (2 * n) <= budget
         ranked, row = (np.arange(count), ranks) if every else np.unique(ranks, return_inverse=True)
@@ -213,7 +209,7 @@ class _StageTables:
     def _built(self, keys: np.ndarray) -> np.ndarray:
         """The tables of these keys, ascending."""
         counts, rows = np.divmod(keys, len(self.exponents))
-        return _powers(self.n, self.exponents[rows], counts + 1, self.invert)
+        return _powers(self.n, self.exponents[rows], counts + 1)
 
     def tables(self, blocks: slice) -> tuple[np.ndarray, np.ndarray]:
         """(tables, row) for the positions of ``blocks``: the position at
@@ -225,38 +221,42 @@ class _StageTables:
         return self._built(drawn), row
 
 
-def _gather(rows: np.ndarray, tables: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """``rows`` (..., a, b) with each (a, b) row gathered through its table:
-    out[i][j] = rows[i][tables[row[i]][j]], ``row`` in the shape of the
-    leading axes.  One flat take: each table value is offset to its own row."""
+def _move(rows: np.ndarray, tables: np.ndarray, row: np.ndarray, send: bool) -> np.ndarray:
+    """``rows`` (..., a, b) with each (a, b) row moved through its table,
+    ``row`` in the shape of the leading axes: scattered with ``send``,
+    out[i][tables[row[i]][j]] = rows[i][j], else gathered, out[i][j] =
+    rows[i][tables[row[i]][j]].  Each table value is offset to its own row."""
     flat = rows.reshape(-1)
     index = tables[row.reshape(-1)]
     index += np.arange(0, flat.size, index.shape[1], dtype=index.dtype).reshape(-1, 1)
+    if send:
+        out = np.empty_like(flat)
+        out[index.reshape(-1)] = flat
+        return out.reshape(rows.shape)
     return np.take(flat, index).reshape(rows.shape)
 
 
-def scramble_stage1(cube: np.ndarray, tables: np.ndarray, row: np.ndarray) -> np.ndarray:
+def scramble_stage1(cube: np.ndarray, tables: np.ndarray, row: np.ndarray, send: bool):
     """Stage 1 on a chunk's (t, m, x, y, l) cells: the (m, l) square at each
-    pixel (x, y) of block t gathered through the table at row[x, y, t]."""
-    moved = _gather(cube.transpose(0, 2, 3, 1, 4), tables, row.transpose(2, 0, 1))
+    pixel (x, y) of block t moved through the table at row[x, y, t]."""
+    moved = _move(cube.transpose(0, 2, 3, 1, 4), tables, row.transpose(2, 0, 1), send)
     return moved.transpose(0, 3, 1, 2, 4)
 
 
-def scramble_stage2(cube: np.ndarray, tables: np.ndarray, row: np.ndarray) -> np.ndarray:
+def scramble_stage2(cube: np.ndarray, tables: np.ndarray, row: np.ndarray, send: bool):
     """Stage 2 on a chunk's (t, m, x, y, l) cells: the (x, y) square of each
-    plane (m, l) of block t gathered through the table at row[l, m, t]."""
-    moved = _gather(cube.transpose(0, 1, 4, 2, 3), tables, row.transpose(2, 1, 0))
+    plane (m, l) of block t moved through the table at row[l, m, t]."""
+    moved = _move(cube.transpose(0, 1, 4, 2, 3), tables, row.transpose(2, 1, 0), send)
     return moved.transpose(0, 1, 3, 4, 2)
 
 
 class _Scrambler:
-    """Moves a chunk of blocks' bits through both stages, as gathers.
+    """Moves a chunk of blocks' bits through both stages' forward tables.
 
-    Encrypt sends the bit at cell c of a row to P(c), so it gathers stage 1
-    then stage 2 through the inverted tables; decrypt gathers stage 2 then
-    stage 1 through the tables.  When every position of both stages has one
-    key (simplified mode), the tables come from block 0 alone, and the two
-    gathers are composed once into one index over a block's cells.
+    Encrypt sends the bit at cell c of a row to P(c), so it scatters stage 1
+    then stage 2; decrypt gathers stage 2 then stage 1.  When every position
+    of both stages has one key (simplified mode), block 0's cell numbers go
+    through both stages once, and the result gathers every chunk.
     """
 
     def __init__(self, sched: KeySchedule, inverse: bool):
@@ -266,9 +266,9 @@ class _Scrambler:
         constant = all((a == a.flat[0]).all() for a in keys)
         if constant:  # block 0's keys: a broadcast view's stage keys would be full size
             keys = tuple(a[..., :1] for a in keys)
-        self.stage1 = _StageTables(lplanes, *keys[:2], self.cells, not inverse)
-        self.stage2 = _StageTables(n, *keys[2:], self.cells, not inverse)
-        self.inverse = inverse
+        self.stage1 = _StageTables(lplanes, *keys[:2], self.cells)
+        self.stage2 = _StageTables(n, *keys[2:], self.cells)
+        self.send = not inverse
         self.shared = None
         if constant:
             cells = np.arange(self.cells, dtype=np.int32)  # block 0's cell numbers, moved
@@ -279,8 +279,8 @@ class _Scrambler:
     def _moved(self, cube: np.ndarray, blocks: slice) -> np.ndarray:
         """The (t, m, x, y, l) array ``cube`` of ``blocks`` through both stages."""
         stages = [(scramble_stage1, self.stage1), (scramble_stage2, self.stage2)]
-        for stage, tables in reversed(stages) if self.inverse else stages:
-            cube = stage(cube, *tables.tables(blocks))
+        for stage, tables in stages if self.send else reversed(stages):
+            cube = stage(cube, *tables.tables(blocks), self.send)
         return cube
 
     def __call__(self, bits: np.ndarray, blocks: slice) -> np.ndarray:

@@ -288,21 +288,21 @@ def rank_tables(n: int, ranks) -> np.ndarray:
     return baker.partition_tables(n, baker.unrank_rows(n, ranks))
 
 
-def iterated_tables(n: int, ranks: np.ndarray, iters: np.ndarray, invert: bool = False):
+def iterated_tables(n: int, ranks: np.ndarray, iters: np.ndarray):
     """(tables, row): one table over (x << n) | y per distinct (rank,
-    iterations) pair, P^c or with ``invert`` P^-c, and the row of each
-    position's pair, in the shape of ``ranks``.  Each distinct rank is
-    unranked once, in one batch; a position's key is (iterations - 1) * d + i
-    with i its rank's row among the d distinct ranks, as in
-    ``cipher._StageTables``, and ``cipher._powers`` composes the distinct
-    keys' tables, counts ascending.  Counts may be 0, the identity."""
+    iterations) pair, P^c, and the row of each position's pair, in the shape
+    of ``ranks``.  Each distinct rank is unranked once, in one batch; a
+    position's key is (iterations - 1) * d + i with i its rank's row among
+    the d distinct ranks, as in ``cipher._StageTables``, and
+    ``cipher._powers`` composes the distinct keys' tables, counts ascending.
+    Counts may be 0, the identity."""
     distinct, which = np.unique(ranks, return_inverse=True)
     d = len(distinct)
     # signed before subtracting 1: a uint8 count of 0 would wrap to 255
     keys = (iters.astype(np.int64) - 1) * d + which
     drawn, row = np.unique(keys, return_inverse=True)
     counts, rows = np.divmod(drawn, d)  # floored: a count of 0 has key -d + i
-    return cipher._powers(n, baker.unrank_rows(n, distinct)[rows], counts + 1, invert), row
+    return cipher._powers(n, baker.unrank_rows(n, distinct)[rows], counts + 1), row
 
 
 # -- test-only file helpers -------------------------------------------------------

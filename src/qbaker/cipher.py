@@ -122,6 +122,9 @@ def derive_schedule(key: MasterKey, n: int, layout: BlockLayout) -> KeySchedule:
         raise ValueError(f"n={n} outside [1, {baker.MAX_N}]")
     if not 2 <= per_block <= MAX_BIT_DEPTH:
         raise ValueError(f"a block of {per_block} planes outside [2, {MAX_BIT_DEPTH}]")
+    if per_block * per_block << 2 * n >= 1 << 31:  # cell numbers and table values are int32
+        raise ValueError(f"n={n} outside what blocks of {per_block} planes allow: "
+                         "a block holds 2^31 cells or more")
     stages = (
         (b"stage1", (1 << n, 1 << n, layout.block_count), baker.count_admissible(lplanes)),
         (b"stage2", (per_block, per_block, layout.block_count), baker.count_admissible(n)),
@@ -148,14 +151,12 @@ def _powers(n: int, exponents: np.ndarray, counts: np.ndarray):
     """
     power = baker.partition_tables(n, exponents)
     cells = power.shape[1]
-    dtype = np.int32 if power.size < 1 << 31 else np.int64
-    power = power.astype(dtype, copy=False)
     # every value a flat index into its own row, so one gather composes rows
-    offsets = np.arange(0, power.size, cells, dtype=dtype).reshape(-1, 1)
+    offsets = np.arange(0, power.size, cells, dtype=power.dtype).reshape(-1, 1)
     power += offsets
     done = np.empty_like(power)
     idle = np.searchsorted(counts, 1)
-    done[:idle] = offsets[:idle] + np.arange(cells, dtype=dtype)
+    done[:idle] = offsets[:idle] + np.arange(cells, dtype=power.dtype)
     flat = power.reshape(-1)
     starts = np.flatnonzero(np.diff(counts, prepend=-1)).tolist()  # of equal-count slices
     groups = [(lo, hi, int(counts[lo])) for lo, hi in zip(starts, [*starts[1:], len(counts)])]

@@ -2,18 +2,17 @@
 
 Wires are x_{n-1}..x_0 (column register) and y_{n-1}..y_0 (row register).
 Every pass of a circuit moves whole wires, and every pass has one lowering:
-the minimal swap cycles of its wire move (``_cycle_gates``).  ``synthesize``
-lowers an admissible partition to a gate list in three layers:
+the minimal swap cycles of its wire move (``_cycle_gates``), where the move
+is ``_delta_move(n, s, w, v)``: M_v after undoing M_w on a 2^s sub-square.
 
-* the first strip's map M_{q_1} over the whole square (``_m_move``);
-* the later strips split into runs (``_runs``): a strip wider than 2^{q_1}
-  is one run, the move that converts the M_{q_1} image to the strip's own
-  (``_delta_move``), gated on the strip-identifying y wires; strips as wide
-  as the first need no gates;
-* strips narrower than 2^{q_1} share a 2^{q_1}-aligned window, one run whose
-  correction is itself a baker map one size down, so the lowering recurses
-  on the top q_1 x wires and bottom q_1 y wires: an M_head pass over the
-  window, then its runs split the same way.
+A circuit is lowered by one recursion over runs (``_run_gates``).  A run is
+a strip wider than its head, or a head-width window of strips no wider than
+the head (``_runs``).  A wide strip converts the head's M image to its own
+in one pass, gated on its y pattern.  A window is a baker map one size down,
+on the top and bottom head-many x and y wires: an M pass for its own head
+strip over the window, then the window's runs, lowered the same way.  The
+whole square is the window of an n-wide head at column 0, so a partition's
+stream is ``_run_gates(n, n, n, q, 0, ())``.
 
 Controls are placed only on wires that (a) are never targets of the same
 subcircuit and (b) provably hold the strip pattern at that point in the
@@ -21,11 +20,11 @@ stream.  Conditioning each gate on wires its own subcircuit relocates would
 break the swap-gate involution property, so narrow-strip gates condition on
 window tags (high y wires) rather than on every pattern bit; a documented
 consequence is that consecutive same-width strips are handled by shared
-gates.  The stream is cut into pieces, the M_{q_1} pass and one per
-top-level run (``piece_keys``).  ``build_piece`` lowers each piece and pads
-it with copies of its last, self-inverse gate up to its share of the
-closed-form model (``piece_budget``); the stream is sliced per subfunction by
-``gate_count``.
+gates.  The stream is cut into pieces, each a run ``(n, head, run, start)``
+(``piece_keys``): the square's head strip alone, then every top-level run.
+``build_piece`` lowers a piece and pads it with copies of its last,
+self-inverse gate up to its share of the closed-form model
+(``piece_budget``); the stream is sliced per subfunction by ``gate_count``.
 """
 
 from __future__ import annotations
@@ -176,11 +175,10 @@ def gate_count(p: BakerPartition) -> tuple[list[int], int]:
 def piece_budget(key: tuple) -> int:
     """Model gate count of the piece with this ``piece_keys`` key; a
     partition's piece budgets sum to its ``gate_count`` total, because
-    strips as wide as the first cost nothing."""
-    if len(key) == 2:
-        return _count_first(*key)
-    _, q1, qs, _ = key
-    return sum(_count_later(q1, e) for e in qs)
+    strips as wide as the first cost nothing.  The head piece
+    ``(n, n, (q1,), 0)`` costs ``_count_first(n, q1)``, since q1 <= n."""
+    _, head, run, _ = key
+    return sum(_count_later(head, e) for e in run)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +212,7 @@ def _m_move(n: int, s: int, u: int) -> dict[Wire, Wire]:
 
 def _delta_move(n: int, s: int, w: int, v: int) -> dict[Wire, Wire]:
     """Content movement of M_v after undoing M_w, on the 2^s sub-square;
-    ``_m_move(n, s, u)`` is the case w = s."""
+    with w = s it is M_v's own movement, since M_s is the identity."""
     mw = _m_move(n, s, w)
     mv = _m_move(n, s, v)
     inv_w = {dst: src for src, dst in mw.items()}
@@ -280,26 +278,21 @@ def _runs(qs: tuple[int, ...], start: int) -> list[tuple[tuple[int, ...], int]]:
 
 def _run_gates(n: int, s: int, head: int, run: tuple[int, ...], start: int,
                controls: tuple[ControlCondition, ...]) -> list[Gate]:
-    """Gates of one run of a 2^s sub-square whose strips are staged by M_head.
+    """Gates of one run at column ``start`` of a 2^s sub-square whose strips
+    are staged by M_head, tagged with the run's y pattern on top of
+    ``controls``.
 
-    A wide strip converts the M_head image to its own by the minimal swap
-    cycles, tagged with its y pattern; a window of narrower strips is a baker
-    map one size down, tagged with the window's y pattern.
+    A wide strip converts the M_head image to its own by one pass.  A window
+    of strips no wider than the head is a 2^head sub-square: an M pass for
+    its first strip, then the gates of each of its runs.
     """
     if run[0] > head:
         tag = _window_tag(start, run[0], s - 1, controls)
         return _cycle_gates(_delta_move(n, s, head, run[0]), tag)
-    return _stream(n, head, run, start, _window_tag(start, head, s - 1, controls))
-
-
-def _stream(n: int, s: int, qs: tuple[int, ...], start: int,
-            controls: tuple[ControlCondition, ...]) -> list[Gate]:
-    """Gate stream for an admissible partition ``qs`` of a 2^s sub-square
-    whose first column is ``start``: an M_head pass over the whole
-    sub-square, then the gates of each run."""
-    out = _cycle_gates(_m_move(n, s, qs[0]), controls)
-    for run, run_start in _runs(qs, start):
-        out.extend(_run_gates(n, s, qs[0], run, run_start, controls))
+    tag = _window_tag(start, head, s - 1, controls)
+    out = _cycle_gates(_delta_move(n, head, head, run[0]), tag)
+    for sub, sub_start in _runs(run, start):
+        out += _run_gates(n, head, run[0], sub, sub_start, tag)
     return out
 
 
@@ -333,31 +326,26 @@ def _pad(stream: list[Gate], deficit: int, n: int) -> list[Gate]:
 
 
 def piece_keys(p: BakerPartition) -> list[tuple]:
-    """Keys of the pieces a partition's gate stream is cut into, in order.
-
-    ``(n, q1)`` is the M_{q1} pass over the whole square; each later key
-    ``(n, q1, qs, start)`` is one run of ``_runs``.  Equal keys give equal
-    pieces in every partition.
+    """Keys ``(n, head, run, start)`` of the pieces a partition's gate stream
+    is cut into, in order: ``(n, n, (q1,), 0)``, the square as a window
+    holding only its head strip (the M_{q1} pass), then each run of
+    ``_runs``.  Equal keys give equal pieces in every partition.
     """
     n, q1 = p.n, p.q[0]
-    keys: list[tuple] = [(n, q1)]
+    keys = [(n, n, (q1,), 0)]
     keys += [(n, q1, run, start) for run, start in _runs(p.q, 0)]
     return keys
 
 
 def build_piece(key: tuple) -> tuple[Gate, ...]:
-    """The gates of the piece with this ``piece_keys`` key, padded to its
-    ``piece_budget``.
+    """The gates ``_run_gates`` lowers the run ``key`` to, on the whole
+    square with no inherited controls, padded to its ``piece_budget``.
 
     It is built afresh on every call: the equivalence sweep memoizes piece
     permutations by key instead of gate tuples.
     """
-    if len(key) == 2:
-        n, q1 = key
-        piece = _cycle_gates(_m_move(n, n, q1), ())
-    else:
-        n, q1, qs, start = key
-        piece = _run_gates(n, n, q1, qs, start, ())
+    n = key[0]
+    piece = _run_gates(n, n, *key[1:], ())
     deficit = piece_budget(key) - len(piece)
     if deficit < 0:
         raise AssertionError(f"piece {key} emits more gates than the count model")

@@ -118,5 +118,6 @@ def key_table(factors: tuple[np.ndarray, ...], blocks: slice) -> np.ndarray:
     """
     t_t, t_z, t_y, t_x = factors
     prod = t_t[blocks] * t_z[blocks] * t_y * t_x
-    scaled = np.floor(np.abs(prod) * KEY_SCALE)
-    return (scaled.astype(np.int64) % t_t.shape[1]).astype(np.uint8)  # mod 2^lplanes
+    np.abs(prod, out=prod)
+    prod *= KEY_SCALE  # in [0, KEY_SCALE], so the int64 cast floors
+    return (prod.astype(np.int64) & (t_t.shape[1] - 1)).astype(np.uint8)  # mod 2^lplanes

@@ -1,12 +1,13 @@
-"""Basis-state simulation of swap circuits.
+"""Basis-state simulation of swap-gate sequences.
 
-Every gate maps computational basis states to basis states, so a circuit is
-simulated exactly as a permutation of (x, y) integer pairs.  States pack as
-s = (x << n) | y; x wire i is bit n+i, y wire i is bit i.
+Every gate maps computational basis states to basis states, so a gate
+sequence is simulated exactly as a permutation of (x, y) integer pairs.
+States pack as s = (x << n) | y; x wire i is bit n+i, y wire i is bit i.
 
-``to_permutation`` is the one simulation kernel: numpy applies each gate to
-all 4^n packed states at once.  ``equivalence_sweep`` does not simulate
-whole circuits.  Every synthesized circuit is a concatenation of pieces
+``to_permutation(n, gates)`` is the one simulation kernel: numpy applies
+each gate to all 4^n packed states at once.  ``equivalence`` simulates a
+whole circuit's gates; ``equivalence_sweep`` does not.  Every synthesized
+circuit is a concatenation of pieces, runs ``(n, head, run, start)``
 (``circuit.piece_keys``), so the sweep simulates each distinct piece once,
 memoizes its permutation table by key in a least-recently-used cache of
 1024 tables (never gates; 930 tables, 1.8 MB, cover n <= 5, and 1024 n = 8
@@ -22,12 +23,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Iterable
 
 import numpy as np
 
 from . import baker, circuit
 from .baker import BakerPartition
-from .circuit import Circuit
+from .circuit import Circuit, Gate
 
 # Partitions whose baker rows equivalence_sweep builds in one call.
 _CHUNK = 64
@@ -41,17 +43,17 @@ def _state_dtype(n: int):
     return np.uint16 if n <= 8 else np.uint32
 
 
-def to_permutation(c: Circuit) -> np.ndarray:
-    """Permutation table over packed indices (x << n) | y.
+def to_permutation(n: int, gates: Iterable[Gate]) -> np.ndarray:
+    """Permutation table of a gate sequence on 2n wires, over packed indices
+    (x << n) | y.
 
     Entry s is the image of state s.  The table is uint16 while 4^n <= 65536
     and uint32 above that.
     """
-    n = c.n
     if n > circuit.MAX_N:
         raise ValueError(f"table materialization capped at n={circuit.MAX_N}")
     out = np.arange(1 << (2 * n), dtype=_state_dtype(n))
-    for g in c.gates:
+    for g in gates:
         cmask = cval = 0
         for wire, value in g.controls:
             cmask |= 1 << _bitpos(wire, n)
@@ -81,7 +83,7 @@ def equivalence(c: Circuit, p: BakerPartition):
     Returns (True, None) on equality, else (False, (point, circuit_image,
     baker_image)) for the first mismatching basis state.
     """
-    perm = to_permutation(c)
+    perm = to_permutation(c.n, c.gates)
     ref = baker.partition_tables(p.n, [p.q])[0].astype(perm.dtype)
     witness = _witness(perm, ref, c.n)
     return witness is None, witness
@@ -91,13 +93,11 @@ def equivalence(c: Circuit, p: BakerPartition):
 def _piece_permutation(key: tuple) -> np.ndarray:
     """Memoized, read-only table of one stream piece; its gate count is
     checked against ``circuit.piece_budget`` when the piece is built."""
-    n = key[0]
     gates = circuit.build_piece(key)
     budget = circuit.piece_budget(key)
     if len(gates) != budget:
         raise AssertionError(f"gate count {len(gates)} != model {budget} for piece {key}")
-    # A one-block circuit; the simulation never reads its partition.
-    table = to_permutation(Circuit(n, BakerPartition(n, (n,)), (gates,)))
+    table = to_permutation(key[0], gates)
     table.flags.writeable = False  # every caller shares this array
     return table
 

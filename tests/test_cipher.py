@@ -149,10 +149,11 @@ class TestSchedule:
             sched = derive_schedule(key, 6, plan_layout(4, 8))
             assert sched.s2_part.shape == (8, 8, 1)
 
-    @pytest.mark.parametrize("n, L", [(16, 8), (0, 8), (3, 128), (3, 1 << 40)])
+    @pytest.mark.parametrize("n, L", [(16, 8), (0, 8), (3, 128), (3, 1 << 40), (10, 64), (13, 8)])
     def test_squares_and_blocks_past_the_limits_rejected(self, n, L):
-        # past baker.MAX_N or MAX_BIT_DEPTH: refused before any array is
-        # sized, so in well under a second and with almost nothing allocated
+        # past baker.MAX_N, MAX_BIT_DEPTH or 2^31 cells a block: refused before
+        # any array is sized, so in well under a second and with almost
+        # nothing allocated
         match = f"n={n} outside" if L <= 64 else f"{plan_layout(2, L).images_per_block} planes"
         for mode in MODES:
             start = time.process_time()

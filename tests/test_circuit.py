@@ -96,25 +96,25 @@ class TestGateCount:
 
 
 class TestSynthF1:
-    """The first subfunction is the head piece ``(n, q1)``: M_{q1} over the
-    whole square, lowered by swap cycles and padded to the model."""
+    """The first subfunction is the head piece ``(n, n, (q1,), 0)``: M_{q1}
+    over the whole square, lowered by swap cycles and padded to the model."""
 
     def test_pinned_gate_list(self):
-        gates = build_piece((2, 1))
+        gates = build_piece((2, 2, (1,), 0))
         assert [str(g) for g in gates] == ["SWAP y0 y1", "SWAP y1 x1", "SWAP x1 x0"]
 
     def test_five_gates_for_n3_q2(self):
-        assert len(build_piece((3, 2))) == 5
+        assert len(build_piece((3, 3, (2,), 0))) == 5
 
     def test_identity_when_single_strip(self):
-        assert build_piece((4, 4)) == ()
+        assert build_piece((4, 4, (4,), 0)) == ()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_action_equals_ms(self, n):
         for q in range(n + 1):
             p = BakerPartition(n, tuple([q] * (2 ** (n - q))))
             circ = synthesize(p)  # all strips share q, so the map is M_q
-            perm = sim.to_permutation(circ)
+            perm = sim.to_permutation(n, circ.gates)
             for x in range(2**n):
                 for y in range(2**n):
                     mx, my = oracles.apply_ms(q, n, (x, y))
@@ -132,7 +132,7 @@ class TestPadding:
     def test_piece_over_budget_raises(self, monkeypatch):
         monkeypatch.setattr(circuit, "piece_budget", lambda key: 4)
         with pytest.raises(AssertionError, match="more gates than the count model"):
-            build_piece((3, 2))  # emits 5 gates
+            build_piece((3, 3, (2,), 0))  # emits 5 gates
 
     @pytest.mark.parametrize("deficit", [1, 2])
     def test_empty_piece_cannot_be_padded(self, deficit):

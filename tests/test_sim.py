@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qbaker import baker, circuit, sim
+from qbaker.analysis import CASES
 from qbaker.baker import BakerPartition
 from qbaker.circuit import Circuit, ControlCondition, Gate, Wire, synthesize
 
@@ -60,7 +61,7 @@ class TestToPermutation:
     def test_matches_scalar_run(self):
         p = BakerPartition(3, (2, 1, 1))
         circ = synthesize(p)
-        perm = sim.to_permutation(circ)
+        perm = sim.to_permutation(3, circ.gates)
         for x in range(8):
             for y in range(8):
                 nx, ny = oracles.run(circ, (x, y))
@@ -68,16 +69,16 @@ class TestToPermutation:
 
     def test_identity_partition(self):
         circ = synthesize(BakerPartition(3, (3,)))
-        assert np.array_equal(sim.to_permutation(circ), np.arange(64))
+        assert np.array_equal(sim.to_permutation(3, circ.gates), np.arange(64))
 
     def test_is_bijection(self):
         circ = synthesize(BakerPartition(4, (2, 2, 2, 2)))
-        perm = sim.to_permutation(circ)
+        perm = sim.to_permutation(4, circ.gates)
         assert np.array_equal(np.sort(perm), np.arange(256))
 
     def test_size_cap(self):
         with pytest.raises(ValueError):
-            sim.to_permutation(Circuit(13, BakerPartition(13, (13,)), ((),)))
+            sim.to_permutation(13, ())
 
 
 class TestEquivalence:
@@ -127,11 +128,11 @@ def fresh_pieces():
 
 def _patch_pieces(monkeypatch, change, head=False):
     """Apply ``change`` to every run piece the builder returns, or to every
-    head piece ``(n, q1)`` instead when ``head`` is set."""
+    head piece ``(n, n, (q1,), 0)`` instead when ``head`` is set."""
     build = circuit.build_piece
     monkeypatch.setattr(
         circuit, "build_piece",
-        lambda key: change(build(key)) if (len(key) == 2) == head else build(key))
+        lambda key: change(build(key)) if (key[1] == key[0]) == head else build(key))
 
 
 def _corrupt_window_pieces(monkeypatch):
@@ -284,12 +285,10 @@ class TestWidePieces:
 
 
 
-@pytest.mark.parametrize("n", [6, 7, 8])
-def test_sweep_samples_every_head(n, fresh_pieces):
+def _two_per_head(n):
     """Two partitions per head q1, drawn uniformly inside q1's rank interval.
     Uniform draws over all ranks almost never reach a wide head: at n = 8,
-    q1 >= 5 is a 2.2e-6 share of the partitions.  The fixture empties the
-    memo afterwards, since an n = 8 table is 128 KB."""
+    q1 >= 5 is a 2.2e-6 share of the partitions."""
     rng = random.Random(n)
     count, starts, exps, _ = baker._ranking(n)
     heads, firsts = exps[:, 0].tolist(), starts[:, 0].tolist()
@@ -300,7 +299,36 @@ def test_sweep_samples_every_head(n, fresh_pieces):
             p = oracles.unrank_admissible(n, rng.randrange(lo, hi))
             assert p.q[0] == q1
             parts.append(p)
-    assert list(sim.equivalence_sweep(n, parts)) == []
+    return parts
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_sweep_samples_every_head(n, fresh_pieces):
+    """Two partitions per head.  The fixture empties the memo afterwards,
+    since an n = 8 table is 128 KB."""
+    assert list(sim.equivalence_sweep(n, _two_per_head(n))) == []
+
+
+def test_unpadded_streams():
+    """A partition's unpadded stream, one ``_run_gates`` recursion over the
+    whole square, is its baker map, is its pieces' unpadded gates in order,
+    and has no more gates than the count model.  Table 1's cases i-iv emit
+    22, 29, 52 and 40 gates against the model's 48, 51, 91 and 76."""
+    parts = [p for n in range(1, 5) for p in baker.enumerate_admissible(n)]
+    parts += [p for n in range(5, 9) for p in _two_per_head(n)]
+    parts += [case["partition"] for case in CASES.values()]
+    emitted = {}
+    for p in parts:
+        n = p.n
+        stream = circuit._run_gates(n, n, n, p.q, 0, ())
+        ref = baker.partition_tables(n, [p.q])[0]
+        assert np.array_equal(sim.to_permutation(n, stream), ref), p
+        pieces = [g for key in circuit.piece_keys(p)
+                  for g in circuit._run_gates(n, n, *key[1:], ())]
+        assert stream == pieces, p
+        assert len(stream) <= circuit.gate_count(p)[1], p
+        emitted[p] = len(stream)
+    assert [emitted[case["partition"]] for case in CASES.values()] == [22, 29, 52, 40]
 
 
 def _fired_transpositions(circ):
@@ -332,5 +360,5 @@ class TestParity:
     def test_permutation_parity_counts_fired_swaps(self, q):
         p = BakerPartition(3, q)
         circ = synthesize(p)
-        perm = sim.to_permutation(circ)
+        perm = sim.to_permutation(3, circ.gates)
         assert _parity(perm) == _fired_transpositions(circ) % 2

@@ -5,14 +5,17 @@ Every pass of a circuit moves whole wires, and every pass has one lowering:
 the minimal swap cycles of its wire move (``_cycle_gates``), where the move
 is ``_delta_move(n, s, w, v)``: M_v after undoing M_w on a 2^s sub-square.
 
-A circuit is lowered by one recursion over runs (``_run_gates``).  A run is
-a strip wider than its head, or a head-width window of strips no wider than
-the head (``_runs``).  A wide strip converts the head's M image to its own
-in one pass, gated on its y pattern.  A window is a baker map one size down,
-on the top and bottom head-many x and y wires: an M pass for its own head
-strip over the window, then the window's runs, lowered the same way.  The
-whole square is the window of an n-wide head at column 0, so a partition's
-stream is ``_run_gates(n, n, n, q, 0, ())``.
+A circuit is lowered by one recursion over runs (``_run_gates``).  Under the
+paper's condition [BA] every strip starts at a multiple of its own width, so
+after a 2^head-wide head strip, the strips that start between two multiples
+of 2^head form a run (``_runs``): one strip wider than the head, or a window
+of narrower strips, tagged with the high bits of its column.  A wide strip
+converts the head's M image to its own in one pass.  A window is a baker map
+one size down, on the top and bottom head-many x and y wires: an M pass for
+its own head strip over the window, then the window's runs, lowered the same
+way.  The whole square is the window of an n-wide head at column 0, so a
+partition's stream is ``_run_gates(n, n, n, q, 0, ())``, and the count model
+prices each strip by ``_strip_gates(head, q)``, with head n for the first.
 
 Controls are placed only on wires that (a) are never targets of the same
 subcircuit and (b) provably hold the strip pattern at that point in the
@@ -147,19 +150,15 @@ def circuit_from_text(text: str) -> Circuit:
 # Gate-count model
 
 
-def _count_first(s: int, q: int) -> int:
-    """Gates for M_q on a 2^s square (the first-strip cost)."""
-    if q <= s / 2:
-        return s + q
-    return (s - q) * (3 * q - s + 2)
-
-
-def _count_later(q1: int, qi: int) -> int:
-    """Gates for converting M_{q1} staging to strip width 2^qi.  A strip no
-    wider than the first costs what M_qi costs on a 2^q1 square."""
-    if qi <= q1:
-        return _count_first(q1, qi)
-    return (qi - q1) * (2 * q1 + 1)
+def _strip_gates(head: int, q: int) -> int:
+    """Model gates for a strip of width 2^q staged by M_head: M_q's cost on
+    a 2^head square when q <= head (nothing when q == head), else the cost of
+    converting the M_head image to M_q.  The first strip's head is n."""
+    if q > head:
+        return (q - head) * (2 * head + 1)
+    if q <= head / 2:
+        return head + q
+    return (head - q) * (3 * q - head + 2)
 
 
 def gate_count(p: BakerPartition) -> tuple[list[int], int]:
@@ -167,31 +166,17 @@ def gate_count(p: BakerPartition) -> tuple[list[int], int]:
     if not is_admissible(p):
         raise ValueError(f"partition {p} is not admissible")
     q1 = p.q[0]
-    counts = [_count_first(p.n, q1)]
-    counts.extend(_count_later(q1, qi) for qi in p.q[1:])
+    counts = [_strip_gates(p.n, q1)] + [_strip_gates(q1, q) for q in p.q[1:]]
     return counts, sum(counts)
 
 
 def piece_budget(key: tuple) -> int:
-    """Model gate count of the piece with this ``piece_keys`` key; a
-    partition's piece budgets sum to its ``gate_count`` total, because
-    strips as wide as the first cost nothing.  The head piece
-    ``(n, n, (q1,), 0)`` costs ``_count_first(n, q1)``, since q1 <= n."""
+    """Model gate count of the piece with this ``piece_keys`` key, its run's
+    ``_strip_gates(head, e)`` summed.  The head piece ``(n, n, (q1,), 0)``
+    is the first strip's cost, and a partition's piece budgets sum to its
+    ``gate_count`` total, since strips as wide as the head cost nothing."""
     _, head, run, _ = key
-    return sum(_count_later(head, e) for e in run)
-
-
-# ---------------------------------------------------------------------------
-# Control bookkeeping
-
-
-def _window_tag(start: int, lo: int, hi: int,
-                base: tuple[ControlCondition, ...]) -> tuple[ControlCondition, ...]:
-    """Pin y[lo..hi] to the bits of ``start`` on top of inherited conditions."""
-    extra = tuple(
-        ControlCondition(Wire("y", j), (start >> j) & 1) for j in range(hi, lo - 1, -1)
-    )
-    return base + extra
+    return sum(_strip_gates(head, e) for e in run)
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +231,10 @@ def _cycle_gates(move: dict[Wire, Wire],
 def _runs(qs: tuple[int, ...], start: int) -> list[tuple[tuple[int, ...], int]]:
     """The runs after the head strip ``qs[0]``, with their start columns.
 
-    ``start`` is the head's column.  A run is one strip wider than the head,
-    or the narrower strips that exactly fill one head-width window.  Strips
-    as wide as the head are covered by its M_head pass and form no run.
+    ``start`` is the head's column.  A run is the strips that start in
+    ``[c, c + 2^head)``, c a multiple of 2^head: one strip wider than the
+    head, or narrower strips that fill that window.  A strip as wide as the
+    head is covered by its M_head pass and forms no run.
     """
     head = qs[0]
     window = 1 << head
@@ -256,40 +242,34 @@ def _runs(qs: tuple[int, ...], start: int) -> list[tuple[tuple[int, ...], int]]:
     pos = start + window
     i = 1
     while i < len(qs):
-        q = qs[i]
-        if q < head:
-            j = i
-            width = 0
-            while width < window:
-                width += 1 << qs[j]
-                j += 1
-            if width != window:
-                raise AssertionError("strips straddle a window boundary")
-            runs.append((qs[i:j], pos))
-            i = j
-        else:
-            width = 1 << q
-            if q > head:
-                runs.append((qs[i : i + 1], pos))
-            i += 1
-        pos += width
+        end = (pos | window - 1) + 1  # the next multiple of 2^head
+        if end - pos != window:
+            raise AssertionError("strips straddle a window boundary")
+        j = i
+        while pos < end:
+            pos += 1 << qs[j]
+            j += 1
+        if qs[i] != head:
+            runs.append((qs[i:j], end - window))
+        i = j
     return runs
 
 
 def _run_gates(n: int, s: int, head: int, run: tuple[int, ...], start: int,
                controls: tuple[ControlCondition, ...]) -> list[Gate]:
     """Gates of one run at column ``start`` of a 2^s sub-square whose strips
-    are staged by M_head, tagged with the run's y pattern on top of
-    ``controls``.
+    are staged by M_head, tagged on top of ``controls`` with y[s-1..m] set to
+    the bits of ``start``, m = max(head, run[0]): the run starts at a
+    multiple of 2^m, so the tag pins its columns.
 
     A wide strip converts the M_head image to its own by one pass.  A window
     of strips no wider than the head is a 2^head sub-square: an M pass for
     its first strip, then the gates of each of its runs.
     """
+    tag = controls + tuple(ControlCondition(Wire("y", j), (start >> j) & 1)
+                           for j in range(s - 1, max(head, run[0]) - 1, -1))
     if run[0] > head:
-        tag = _window_tag(start, run[0], s - 1, controls)
         return _cycle_gates(_delta_move(n, s, head, run[0]), tag)
-    tag = _window_tag(start, head, s - 1, controls)
     out = _cycle_gates(_delta_move(n, head, head, run[0]), tag)
     for sub, sub_start in _runs(run, start):
         out += _run_gates(n, head, run[0], sub, sub_start, tag)

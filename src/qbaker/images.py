@@ -174,11 +174,12 @@ def open_regular(path: str | os.PathLike, flags: int = os.O_RDONLY) -> int:
     """A descriptor of the regular file at path, opened with ``flags``;
     anything else (a FIFO, a device, a directory) raises ValueError naming
     it, before any byte moves and without waiting for a FIFO's other end
-    (O_NONBLOCK: a write-only open of a FIFO with no reader fails, ENXIO)."""
+    (O_NONBLOCK: a write-only open of a FIFO with no reader fails, ENXIO;
+    a write open of a directory fails, EISDIR)."""
     try:
         fd = os.open(path, flags | os.O_NONBLOCK, 0o666)
     except OSError as exc:
-        if exc.errno != errno.ENXIO:
+        if exc.errno not in (errno.ENXIO, errno.EISDIR):
             raise
     else:
         if stat.S_ISREG(os.fstat(fd).st_mode):

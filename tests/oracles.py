@@ -4,8 +4,9 @@ Each evaluates one point, one gate, one schedule draw, one key digit, one
 bit plane or one header field at a time, in plain Python, so it is slow and
 easy to check by eye.  The program itself works on whole tables, bit
 arrays and compiled patterns.  The helpers at the end, which only tests
-call, unrank one partition and build whole baker tables through the
-program's own table code, read one PGM and write a key file.
+call, unrank one partition, draw two partitions per head, build whole
+baker tables through the program's own table code, read one PGM and write a
+key file.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import random
 from functools import lru_cache
 from pathlib import Path
 
@@ -281,6 +283,23 @@ def unrank_admissible(n: int, index: int) -> BakerPartition:
     """The partition at ``index`` in ``enumerate_admissible(n)`` order."""
     (row,) = baker.unrank_rows(n, [index]).tolist()
     return BakerPartition(n, tuple(e for e in row if e >= 0))
+
+
+def two_per_head(n: int) -> list[BakerPartition]:
+    """Two partitions per head q1, drawn uniformly inside q1's rank interval.
+    Uniform draws over all ranks almost never reach a wide head: at n = 8,
+    q1 >= 5 is a 2.2e-6 share of the partitions."""
+    rng = random.Random(n)
+    count, starts, exps, _ = baker._ranking(n)
+    heads, firsts = exps[:, 0].tolist(), starts[:, 0].tolist()
+    assert heads == list(range(n + 1))
+    parts = []
+    for q1, lo, hi in zip(heads, firsts, (*firsts[1:], count)):
+        for _ in range(2):
+            p = unrank_admissible(n, rng.randrange(lo, hi))
+            assert p.q[0] == q1
+            parts.append(p)
+    return parts
 
 
 def rank_tables(n: int, ranks) -> np.ndarray:

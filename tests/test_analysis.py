@@ -25,11 +25,10 @@ class TestQubitWidth:
         assert qubit_width(ProtocolParams("P1", 8, 200)) == 33
 
     def test_boundary_equal_m_and_l(self):
-        # both formulas give 23 when ceil(log2 M) == ceil(log2 L); the block
-        # regime check is relaxed via M = L + eps... use M=8 by formula only
-        lM = lL = 3
-        n = 8
-        assert 2 * (n + lM) + 1 == 2 * n + lM + lL + 1 == 23
+        # M > L with ceil(log2 M) == ceil(log2 L) == 3: both protocols need
+        # 2 (n + 3) + 1 = 2 n + 3 + 3 + 1 qubits
+        p1, p2 = ProtocolParams("P1", 8, 8, 5), ProtocolParams("P2", 8, 8, 5)
+        assert qubit_width(p1) == qubit_width(p2) == 23
 
     def test_block_regime_enforced(self):
         with pytest.raises(ValueError):

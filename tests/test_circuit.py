@@ -1,8 +1,11 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbaker import baker, circuit, sim
+from qbaker.analysis import CASES
 from qbaker.baker import BakerPartition
 from qbaker.circuit import (
     ControlCondition,
@@ -233,6 +236,84 @@ class TestSynthesize:
         assert want == {ControlCondition(Wire("y", 2), 1)}
         for g in block:
             assert set(g.controls) == want
+
+
+class TestCircuitDigest:
+    """SHA-256 over the synthesized circuits of 714 partitions (every
+    admissible one with n <= 4, then Table 1's four cases), so circuits
+    must not drift.  Per partition it hashes ``synthesize(p).to_text()``,
+    the subfunction lengths, ``gate_count(p)`` and ``piece_keys(p)``.  A
+    change that alters circuits re-records the constant and says so in
+    CHANGES.md."""
+
+    DIGEST = "48a5a34eeea3dd1e2db8c2f34e89f3ccdcf190bccd3897d26a330739f4c88001"
+
+    def test_circuit_digest(self):
+        h = hashlib.sha256()
+        parts = [p for n in range(1, 5) for p in baker.enumerate_admissible(n)]
+        parts += [case["partition"] for case in CASES.values()]
+        assert len(parts) == 714
+        for p in parts:
+            circ = synthesize(p)
+            h.update(circ.to_text().encode())
+            fields = ([len(b) for b in circ.subfunctions], gate_count(p),
+                      circuit.piece_keys(p))
+            h.update(repr(fields).encode())
+        assert h.hexdigest() == self.DIGEST
+
+
+class TestRuns:
+    """``_runs`` by its definition: after the head strip, each run is one
+    strip wider than the head at its own column, or narrower strips that
+    fill one head-width window ``[c, c + 2^head)`` with c a multiple of
+    2^head; runs come in column order, and runs plus head-width strips
+    cover ``[2^q1, 2^n)`` once."""
+
+    @staticmethod
+    def check(p):
+        head = p.q[0]
+        window = 1 << head
+        at = {}  # strip index by start column
+        covered = []  # (start, end) of every run and head-width strip
+        pos = 0
+        for i, q in enumerate(p.q):
+            at[pos] = i
+            if i and q == head:
+                covered.append((pos, pos + window))
+            pos += 1 << q
+        last = 0
+        for run, start in circuit._runs(p.q, 0):
+            assert start >= last, p
+            i = at[start]
+            assert p.q[i : i + len(run)] == run, p
+            if run[0] > head:
+                assert len(run) == 1 and start % (1 << run[0]) == 0, p
+                end = start + (1 << run[0])
+            else:
+                assert max(run) < head and start % window == 0, p
+                end = start + window
+                assert sum(1 << q for q in run) == window, p
+            covered.append((start, end))
+            last = end
+        pos = window
+        for start, end in sorted(covered):
+            assert start == pos, p
+            pos = end
+        assert pos == 1 << p.n, p
+
+    def test_small_partitions(self):
+        for n in range(1, 5):
+            for p in baker.enumerate_admissible(n):
+                self.check(p)
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_two_per_head(self, n):
+        for p in oracles.two_per_head(n):
+            self.check(p)
+
+    def test_straddling_strips_raise(self):
+        with pytest.raises(AssertionError, match="straddle a window boundary"):
+            circuit._runs((1, 0, 2, 0), 0)
 
 
 class TestTextFormat:

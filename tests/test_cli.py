@@ -156,6 +156,11 @@ class TestSynthVerify:
         assert main(["verify", "--circuit", str(circ)]) == 0
         assert "EQUIVALENT, 11 gates" in capsys.readouterr().out
 
+    def test_synth_out_directory_exits_one(self, tmp_path, capsys):
+        assert main(["synth", "--n", "3", "--partition", "2,1,1",
+                     "--out", str(tmp_path)]) == 1
+        assert f"{tmp_path}: not a regular file" in capsys.readouterr().err
+
     def test_verify_detects_tampering(self, tmp_path, capsys):
         circ = tmp_path / "c.txt"
         main(["synth", "--n", "3", "--partition", "2,1,1", "--out", str(circ)])

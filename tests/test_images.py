@@ -164,6 +164,23 @@ def test_pack_unpack_identity(L, M, n, seed):
     assert np.array_equal(back, imgs)
 
 
+class TestRegularFiles:
+    """``read_file`` and ``write_regular`` refuse a directory and a device
+    with ValueError naming the path."""
+
+    @pytest.fixture(params=["directory", "dev-null"])
+    def not_regular(self, request, tmp_path):
+        return str(tmp_path) if request.param == "directory" else "/dev/null"
+
+    def test_read_refused(self, not_regular):
+        with pytest.raises(ValueError, match=f"^{not_regular}: not a regular file$"):
+            images.read_file(not_regular)
+
+    def test_write_refused(self, not_regular):
+        with pytest.raises(ValueError, match=f"^{not_regular}: not a regular file$"):
+            images.write_regular(not_regular, b"x")
+
+
 class TestPgm:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)

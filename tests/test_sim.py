@@ -284,29 +284,11 @@ class TestWidePieces:
                 assert len(circ.gates) == circuit.gate_count(p)[1]
 
 
-
-def _two_per_head(n):
-    """Two partitions per head q1, drawn uniformly inside q1's rank interval.
-    Uniform draws over all ranks almost never reach a wide head: at n = 8,
-    q1 >= 5 is a 2.2e-6 share of the partitions."""
-    rng = random.Random(n)
-    count, starts, exps, _ = baker._ranking(n)
-    heads, firsts = exps[:, 0].tolist(), starts[:, 0].tolist()
-    assert heads == list(range(n + 1))
-    parts = []
-    for q1, lo, hi in zip(heads, firsts, (*firsts[1:], count)):
-        for _ in range(2):
-            p = oracles.unrank_admissible(n, rng.randrange(lo, hi))
-            assert p.q[0] == q1
-            parts.append(p)
-    return parts
-
-
 @pytest.mark.parametrize("n", [6, 7, 8])
 def test_sweep_samples_every_head(n, fresh_pieces):
     """Two partitions per head.  The fixture empties the memo afterwards,
     since an n = 8 table is 128 KB."""
-    assert list(sim.equivalence_sweep(n, _two_per_head(n))) == []
+    assert list(sim.equivalence_sweep(n, oracles.two_per_head(n))) == []
 
 
 def test_unpadded_streams():
@@ -315,7 +297,7 @@ def test_unpadded_streams():
     and has no more gates than the count model.  Table 1's cases i-iv emit
     22, 29, 52 and 40 gates against the model's 48, 51, 91 and 76."""
     parts = [p for n in range(1, 5) for p in baker.enumerate_admissible(n)]
-    parts += [p for n in range(5, 9) for p in _two_per_head(n)]
+    parts += [p for n in range(5, 9) for p in oracles.two_per_head(n)]
     parts += [case["partition"] for case in CASES.values()]
     emitted = {}
     for p in parts:

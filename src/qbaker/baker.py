@@ -174,7 +174,8 @@ def partition_tables(n: int, partitions: Iterable[Sequence[int]] | np.ndarray) -
 
     One vectorized pass: every column x gets its strip's left edge N and
     shift s = n - q, and (x, y) goes to ((x - N) << s | y mod 2^s, N + y >> s).
-    The y-dependent share of that index depends only on s, so it is looked up.
+    The y-dependent share of that index depends only on s, so it is looked up
+    (``_y_shares``, built once per n).
     """
     if not 1 <= n <= MAX_N:
         raise ValueError(f"tables need 1 <= n <= {MAX_N}")
@@ -187,9 +188,17 @@ def partition_tables(n: int, partitions: Iterable[Sequence[int]] | np.ndarray) -
     edge = np.repeat((np.cumsum(widths, dtype=np.int32) - widths) % side, widths)
     shift = np.repeat(n - q, widths)
     x = np.arange(edge.size, dtype=np.int32) % side
-    y = np.arange(side, dtype=np.int32)
-    s = np.arange(n + 1, dtype=np.int32).reshape(-1, 1)
-    y_share = ((y & ((1 << s) - 1)) << n) | (y >> s)
     column = ((x - edge) << (shift + n)) | edge
-    return (column.reshape(-1, 1) + y_share[shift]).reshape(-1, side * side)
+    table = np.take(_y_shares(n), shift, axis=0)  # filled in place: no broadcast temporary
+    table += column.reshape(-1, 1)
+    return table.reshape(-1, side * side)
+
+
+@lru_cache(maxsize=None)
+def _y_shares(n: int) -> np.ndarray:
+    """Row s: the y-dependent share of the table index, (y mod 2^s) << n
+    | y >> s, at every y of a 2^n side."""
+    y = np.arange(1 << n, dtype=np.int32)
+    s = np.arange(n + 1, dtype=np.int32).reshape(-1, 1)
+    return ((y & ((1 << s) - 1)) << n) | (y >> s)
 

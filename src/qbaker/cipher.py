@@ -13,10 +13,19 @@ pixel's (m, l) square or a plane's (x, y) square, through its own forward
 table (``scramble_stage1``, ``scramble_stage2``): encrypt scatters, decrypt
 gathers.  A stage position's key, its partition's row and its iteration
 count, names a table composed by binary powers: every key's table is built
-once when they all fit one block's cells, and otherwise each chunk builds its
-own keys' tables from the stage's distinct ranks, unranked once per call.
-When every position shares one key (simplified mode), the two stages are
-composed once into one gather index over a block's cells.
+once when they all fit one block's cells, and otherwise each slice of rows
+builds its own keys' tables from the stage's distinct ranks, unranked once
+per call.  When every position shares one key (simplified mode), the two
+stages are composed once into one gather index over a block's cells.
+
+Besides a chunk's bits and the arrays they move into, no array that a move,
+a table build, a schedule draw or the XOR's digit lookup makes spans more
+than ``_SLICE_CELLS`` cells (or one row, where a row is larger), whatever the
+block size.  Moves walk a chunk's rows a slice at a time, read them as they
+lie and index them through one intp buffer held for the whole call; a
+shared index larger than a slice is int32 and gathers through that buffer a
+slice at a time; and Horner's rule reduces the one SHAKE-256 output a slice
+of draws at a time.
 
 Baker parameters and iteration counts come from a keyed schedule, one
 SHAKE-256 stream (FIPS 202) per stage over the schedule seed and the stage's
@@ -43,8 +52,8 @@ import numpy as np
 
 from . import baker
 from .chaos import ScmParams, generate_sequences
-from .images import (MAX_BIT_DEPTH, BlockLayout, ImageSet, block_chunks, open_regular, pack,
-                     plan_layout, read_file, unpack, write_regular)
+from .images import (_CHUNK_CELLS, MAX_BIT_DEPTH, BlockLayout, ImageSet, block_chunks,
+                     open_regular, pack, plan_layout, read_file, unpack, write_regular)
 from .keystream import Seed, derive_seed, key_factors, key_table, seed_from_header
 
 MAX_ITERATIONS = 16
@@ -52,6 +61,12 @@ MAGIC = b"QBMI2"
 # Bytes of a ciphertext file read for its header; headers written here are
 # about 150 bytes.
 _HEADER_BYTES = 1 << 16
+# Cells that one array of a stage move, a table build, a schedule draw or the
+# XOR spans, whatever the block size (a move takes at least one row): half of
+# ``images._CHUNK_CELLS``, so even a one-block chunk moves in slices.  A
+# quarter ran keyed n=5, M=200 about 13% slower in process (2-core host):
+# each slice's table build costs about 0.2 ms, however few its rows.
+_SLICE_CELLS = _CHUNK_CELLS >> 1
 
 Mode = str  # one of MODES
 MODES = ("simplified", "non_simplified")
@@ -99,18 +114,24 @@ def _draws(seed: int, label: bytes, shape: tuple[int, ...], count: int):
     an array of ``shape`` (() makes one), read from one SHAKE-256 stream over
     the seed and the label, ``width + 1`` bytes per position in C order: a
     big-endian word of ``width`` bytes modulo ``count``, reduced one byte
-    column at a time (Horner's rule), then one byte modulo 16 (a divisor of
-    256, so unbiased) plus one."""
+    column at a time (Horner's rule) over ``_SLICE_CELLS`` positions at a
+    time, then one byte modulo 16 (a divisor of 256, so unbiased) plus one."""
     size = math.prod(shape)
     width = (count.bit_length() + 64 + 7) // 8
     stream = hashlib.shake_256(seed.to_bytes(8, "big") + label).digest(size * (width + 1))
     words = np.frombuffer(stream, dtype=np.uint8).reshape(size, width + 1)
     dtype = np.int64 if count < 1 << 55 else object  # part * 256 stays in int64
-    part = np.zeros(size, dtype=dtype)
-    for column in words[:, :width].T:
-        part = (part * 256 + column.astype(dtype)) % count
-    part = part.astype(np.min_scalar_type(count - 1), copy=False)  # object past 2^64
-    iters = words[:, width] % MAX_ITERATIONS + 1
+    part = np.empty(size, dtype=np.min_scalar_type(count - 1))  # object past 2^64
+    for lo in range(0, size, _SLICE_CELLS):
+        rows = words[lo : lo + _SLICE_CELLS, :width]
+        acc = np.zeros(len(rows), dtype=dtype)
+        for column in rows.T:
+            acc *= 256
+            acc += column
+            acc %= count
+        part[lo : lo + len(rows)] = acc
+    iters = words[:, width] % MAX_ITERATIONS
+    iters += 1
     return part.reshape(shape), iters.reshape(shape)
 
 
@@ -146,8 +167,8 @@ def _powers(n: int, exponents: np.ndarray, counts: np.ndarray):
     Each count c is a sum of powers of two, so P^c is composed from P, P^2,
     P^4, ... (the binary method, Knuth, TAOCP vol. 2, 4.6.3): the rows still
     squaring at bit b are the suffix with count >= 2^(b+1), and each
-    equal-count slice copies its lowest set bit's power and composes one
-    gather per further set bit.  Rows with count 0 stay the identity.
+    equal-count run of rows copies its lowest set bit's power and composes
+    one gather per further set bit.  Rows with count 0 stay the identity.
     """
     power = baker.partition_tables(n, exponents)
     cells = power.shape[1]
@@ -158,12 +179,13 @@ def _powers(n: int, exponents: np.ndarray, counts: np.ndarray):
     idle = np.searchsorted(counts, 1)
     done[:idle] = offsets[:idle] + np.arange(cells, dtype=power.dtype)
     flat = power.reshape(-1)
-    starts = np.flatnonzero(np.diff(counts, prepend=-1)).tolist()  # of equal-count slices
-    groups = [(lo, hi, int(counts[lo])) for lo, hi in zip(starts, [*starts[1:], len(counts)])]
-    # a take's intp copy of its indices and its output, 384 kB at 2^15 cells,
-    # stay in cache: 2^16 or more ran about 1.5 times slower at n=5
-    chunk = max(1, (1 << 15) // cells)
-    for bit in range(int(counts[-1]).bit_length()):
+    listed = counts.tolist()  # equal-count runs: Python beats numpy at a slice's rows
+    starts = [i for i in range(len(listed)) if not i or listed[i] != listed[i - 1]]
+    groups = [(lo, hi, listed[lo]) for lo, hi in zip(starts, [*starts[1:], len(listed)])]
+    # a slice of cells per gather: a take's intp copy of its indices and its
+    # output stay in cache (2^16 cells or more ran about 1.5 times slower at n=5)
+    chunk = max(1, _SLICE_CELLS // cells)
+    for bit in range(listed[-1].bit_length()):
         for lo, hi, count in groups:
             if count >> bit & 1:
                 if count & ((1 << bit) - 1):
@@ -182,19 +204,20 @@ def _compose(flat: np.ndarray, tables: np.ndarray, lo: int, hi: int, chunk: int)
     ``flat``, so overwriting earlier rows is safe."""
     for at in range(lo, hi, chunk):
         rows = slice(at, min(at + chunk, hi))
-        tables[rows] = np.take(flat, tables[rows])
+        tables[rows] = flat.take(tables[rows])
 
 
 class _StageTables:
-    """One stage's iterated tables, handed out a chunk of blocks at a time.
+    """One stage's iterated tables, handed out for the keys of a slice of rows.
 
     A position's key is (iterations - 1) * d + i, with i its partition's row
     among the stage's d exponent rows.  If every key's table (count_admissible(n)
     ranks times ``MAX_ITERATIONS`` counts) fits in ``budget`` cells, one
     block's, the rows are every partition at its rank and all keys' tables are
     built once, so a key is its table's row.  Otherwise the rows are the
-    distinct drawn ranks, unranked once, and each chunk builds its own keys'
-    tables: memory scales with one chunk, not with the block count.
+    distinct drawn ranks, unranked once, and each slice of rows that a move
+    takes builds its own keys' tables: memory scales with one slice, not with
+    the block or the block count.
     """
 
     def __init__(self, n: int, ranks: np.ndarray, iters: np.ndarray, budget: int):
@@ -212,42 +235,80 @@ class _StageTables:
         counts, rows = np.divmod(keys, len(self.exponents))
         return _powers(self.n, self.exponents[rows], counts + 1)
 
-    def tables(self, blocks: slice) -> tuple[np.ndarray, np.ndarray]:
-        """(tables, row) for the positions of ``blocks``: the position at
-        [..., i] of block blocks.start + i moves through tables[row[..., i]]."""
-        keys = self.keys[..., blocks]
+    def tables(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(tables, row) for some of ``self.keys``: the position of keys[i]
+        moves through tables[row[i]], and row has the shape of keys."""
         if self.whole is not None:
             return self.whole, keys
         drawn, row = np.unique(keys, return_inverse=True)
-        return self._built(drawn), row
+        return self._built(drawn), row.reshape(keys.shape)
 
 
-def _move(rows: np.ndarray, tables: np.ndarray, row: np.ndarray, send: bool) -> np.ndarray:
-    """``rows`` (..., a, b) with each (a, b) row moved through its table,
-    ``row`` in the shape of the leading axes: scattered with ``send``,
-    out[i][tables[row[i]][j]] = rows[i][j], else gathered, out[i][j] =
-    rows[i][tables[row[i]][j]].  Each table value is offset to its own row."""
-    flat = rows.reshape(-1)
-    index = tables[row.reshape(-1)]
-    index += np.arange(0, flat.size, index.shape[1], dtype=index.dtype).reshape(-1, 1)
-    if send:
-        out = np.empty_like(flat)
-        out[index.reshape(-1)] = flat
-        return out.reshape(rows.shape)
-    return np.take(flat, index).reshape(rows.shape)
+def _row_slices(lead: tuple[int, ...], step: int):
+    """(at, lo, hi) for runs of at most ``step`` consecutive rows (at least
+    one) of an array whose leading axes are ``lead``, in C order: the index
+    ``at`` picks rows lo:hi of the flattened leading axes as a view, whatever
+    the array's strides.  Trailing axes that fit go whole; the next one is split."""
+    inner, axis = 1, len(lead)
+    while axis and inner * lead[axis - 1] <= step:
+        axis -= 1
+        inner *= lead[axis]
+    if not axis:
+        yield (), 0, inner
+        return
+    split, lo = lead[axis - 1], 0
+    width = max(1, step // inner)  # of the split axis
+    for outer in np.ndindex(*lead[: axis - 1]):
+        for at in range(0, split, width):
+            hi = lo + (min(at + width, split) - at) * inner
+            yield (*outer, slice(at, at + width)), lo, hi
+            lo = hi
 
 
-def scramble_stage1(cube: np.ndarray, tables: np.ndarray, row: np.ndarray, send: bool):
-    """Stage 1 on a chunk's (t, m, x, y, l) cells: the (m, l) square at each
-    pixel (x, y) of block t moved through the table at row[x, y, t]."""
-    moved = _move(cube.transpose(0, 2, 3, 1, 4), tables, row.transpose(2, 0, 1), send)
+def _move(rows: np.ndarray, stage: _StageTables, keys: np.ndarray, send: bool,
+          index: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``rows`` (..., a, b), of any strides, with each (a, b) row moved
+    through the table of its key (``keys`` has the shape of the leading axes)
+    into ``out``, C-contiguous and as large as rows, returned in rows'
+    shape: scattered with ``send``, out[i][T_i[j]] = rows[i][j], else
+    gathered, out[i][j] = rows[i][T_i[j]].
+
+    Rows move ``_SLICE_CELLS // (a * b)`` at a time, at least one.  Each
+    slice's rows are read from ``rows`` as they lie, and its index, its
+    tables' rows plus slice-local row offsets, is written into ``index``, an
+    intp buffer of at least one slice (np.take copies any other dtype).
+    """
+    cells = rows.shape[-2] * rows.shape[-1]
+    step = max(1, _SLICE_CELLS // cells)
+    offsets = np.arange(0, step * cells, cells, dtype=np.intp).reshape(-1, 1)
+    moved = out.reshape(-1, cells)
+    for at, lo, hi in _row_slices(rows.shape[:-2], step):
+        tables, row = stage.tables(keys[at].reshape(-1))
+        ix = index[: (hi - lo) * cells].reshape(hi - lo, cells)
+        np.add(tables[row], offsets[: hi - lo], out=ix)
+        src = rows[at].reshape(-1)  # a copy of the slice when rows are strided
+        if send:
+            moved[lo:hi].reshape(-1)[ix.reshape(-1)] = src
+        else:
+            moved[lo:hi] = np.take(src, ix)
+    return moved.reshape(rows.shape)
+
+
+def scramble_stage1(cube: np.ndarray, stage: _StageTables, keys: np.ndarray, send: bool,
+                    index: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Stage 1 on (t, m, x, y, l) cells: the (m, l) square at each pixel
+    (x, y) of block t moved through the table of keys[x, y, t], some of
+    ``stage.keys``, into ``out`` (``_move``), returned as (t, m, x, y, l)."""
+    moved = _move(cube.transpose(0, 2, 3, 1, 4), stage, keys.transpose(2, 0, 1), send, index, out)
     return moved.transpose(0, 3, 1, 2, 4)
 
 
-def scramble_stage2(cube: np.ndarray, tables: np.ndarray, row: np.ndarray, send: bool):
-    """Stage 2 on a chunk's (t, m, x, y, l) cells: the (x, y) square of each
-    plane (m, l) of block t moved through the table at row[l, m, t]."""
-    moved = _move(cube.transpose(0, 1, 4, 2, 3), tables, row.transpose(2, 1, 0), send)
+def scramble_stage2(cube: np.ndarray, stage: _StageTables, keys: np.ndarray, send: bool,
+                    index: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Stage 2 on (t, m, x, y, l) cells: the (x, y) square of each plane
+    (m, l) of block t moved through the table of keys[l, m, t], some of
+    ``stage.keys``, into ``out`` (``_move``), returned as (t, m, x, y, l)."""
+    moved = _move(cube.transpose(0, 1, 4, 2, 3), stage, keys.transpose(2, 1, 0), send, index, out)
     return moved.transpose(0, 1, 3, 4, 2)
 
 
@@ -255,9 +316,11 @@ class _Scrambler:
     """Moves a chunk of blocks' bits through both stages' forward tables.
 
     Encrypt sends the bit at cell c of a row to P(c), so it scatters stage 1
-    then stage 2; decrypt gathers stage 2 then stage 1.  When every position
-    of both stages has one key (simplified mode), block 0's cell numbers go
-    through both stages once, and the result gathers every chunk.
+    then stage 2; decrypt gathers stage 2 then stage 1.  Every move slices
+    its rows through one intp index buffer, held for the whole call.  When
+    every position of both stages has one key (simplified mode), each stage
+    has one table, and the two compose into one gather index over a block's
+    cells that moves every chunk.
     """
 
     def __init__(self, sched: KeySchedule, inverse: bool):
@@ -270,25 +333,53 @@ class _Scrambler:
         self.stage1 = _StageTables(lplanes, *keys[:2], self.cells)
         self.stage2 = _StageTables(n, *keys[2:], self.cells)
         self.send = not inverse
-        self.shared = None
-        if constant:
-            cells = np.arange(self.cells, dtype=np.int32)  # block 0's cell numbers, moved
-            moved = self._moved(cells.reshape(1, 1 << lplanes, 1 << n, 1 << n, -1), slice(0, 1))
-            # np.take would copy an int32 index to intp for every chunk
-            self.shared = moved.reshape(-1).astype(np.intp)
+        self.index = np.empty(max(_SLICE_CELLS, 1 << 2 * lplanes, 1 << 2 * n), dtype=np.intp)
+        self.shared = self._composed(lplanes, n) if constant else None
 
-    def _moved(self, cube: np.ndarray, blocks: slice) -> np.ndarray:
-        """The (t, m, x, y, l) array ``cube`` of ``blocks`` through both stages."""
+    def _stages(self) -> list:
+        """(stage function, tables) of both stages, in the order they run."""
         stages = [(scramble_stage1, self.stage1), (scramble_stage2, self.stage2)]
-        for stage, tables in stages if self.send else reversed(stages):
-            cube = stage(cube, *tables.tables(blocks), self.send)
-        return cube
+        return stages if self.send else stages[::-1]
+
+    def _composed(self, lplanes: int, n: int) -> np.ndarray:
+        """Block 0's cell numbers through both stages, as one gather index
+        in (m, x, y, l) order.  Cell (m, x, y, l) is numbered g(m, l) +
+        h(x, y), and each stage moves one share by one table: stage 1 g's
+        (m, l) square, stage 2 h's (x, y) square.  So each share moves on
+        its own, and their sum is written into the index: intp, as np.take
+        uses it, when a block fits one slice, else int32, half the bytes."""
+        planes, side = 1 << lplanes, 1 << n
+        _, m, x, y, l = np.ogrid[:1, :planes, :side, :side, :planes]
+        shares = [m * (side * side * planes) + l, (x * side + y) * planes]
+        moved = [
+            stage(share, tables, tables.keys[:1, :1, :1], self.send, self.index,
+                  np.empty(share.size, dtype=share.dtype))
+            for (stage, tables), share in zip(self._stages(), shares if self.send else shares[::-1])
+        ]
+        shared = np.empty(self.cells, dtype=np.intp if self.cells <= _SLICE_CELLS else np.int32)
+        np.add(*moved, out=shared.reshape(1, planes, side, side, planes), casting="same_kind")
+        return shared
 
     def __call__(self, bits: np.ndarray, blocks: slice) -> np.ndarray:
-        """The (t, m, x, y, l) bits of the chunk ``blocks``, moved."""
-        if self.shared is not None:
-            return np.take(bits.reshape(len(bits), -1), self.shared, axis=1).reshape(bits.shape)
-        return self._moved(bits, blocks)
+        """The (t, m, x, y, l) bits of the chunk ``blocks``, moved, as a
+        view of a new array."""
+        if self.shared is None:
+            for stage, tables in self._stages():
+                out = np.empty(bits.size, dtype=bits.dtype)
+                bits = stage(bits, tables, tables.keys[..., blocks], self.send, self.index, out)
+            return bits
+        # every block of the chunk gathers through the shared index: at once,
+        # or a slice of it at a time copied into the intp buffer
+        flat = bits.reshape(len(bits), -1)
+        if self.shared.dtype == np.intp:
+            return np.take(flat, self.shared, axis=1).reshape(bits.shape)
+        out = np.empty(bits.shape, dtype=bits.dtype)
+        moved = out.reshape(len(bits), -1)
+        for lo in range(0, self.cells, _SLICE_CELLS):
+            ix = self.index[: min(_SLICE_CELLS, self.cells - lo)]
+            ix[...] = self.shared[lo : lo + len(ix)]
+            moved[:, lo : lo + len(ix)] = np.take(flat, ix, axis=1)
+        return out
 
 
 @functools.cache
@@ -305,12 +396,19 @@ def diffuse(bits: np.ndarray, keys: np.ndarray) -> np.ndarray:
 
     Key digits carry ceil(log2 L) bits while the cube has 2^ceil(log2 L)
     planes, so digit bits are reused cyclically across planes; the operation
-    stays an involution.  Each digit's planes are looked up as one row.
+    stays an involution.  Each digit's planes are looked up as one row,
+    ``_SLICE_CELLS`` cells at a time: np.take copies its digits to intp.
     """
     if keys.shape != bits.shape[:-1]:
         raise ValueError("key digits disagree with the bits' layout")
-    # np.take, not table[keys]: fancy indexing ran about eight times slower
-    mask = np.take(_plane_bits(bits.shape[-1].bit_length() - 1), keys, axis=0)
+    planes = bits.shape[-1]
+    table = _plane_bits(planes.bit_length() - 1)
+    mask = np.empty(bits.shape, dtype=np.uint8)
+    rows, digits = mask.reshape(-1, planes), keys.reshape(-1)
+    step = max(1, _SLICE_CELLS // planes)
+    for lo in range(0, len(digits), step):
+        # np.take, not table[keys]: fancy indexing ran about eight times slower
+        rows[lo : lo + step] = np.take(table, digits[lo : lo + step], axis=0)
     mask ^= bits
     return mask
 
@@ -360,7 +458,8 @@ def encrypt(image_set: ImageSet, key: MasterKey) -> Ciphertext:
     payload = np.empty(layout.block_count * block_bytes, dtype=np.uint8)
     scrambler = _Scrambler(sched, inverse=False)
     for chunk in block_chunks(layout.block_count, scrambler.cells):
-        bits = diffuse(scrambler(pack(image_set, chunk), chunk), key_table(factors, chunk))
+        keys = key_table(factors, chunk)  # first: its float temporaries meet no chunk of bits
+        bits = diffuse(scrambler(pack(image_set, chunk), chunk), keys)
         # (t, m, x, y, l) bits in file order, (t, m, l, y, x)
         payload[chunk.start * block_bytes : chunk.stop * block_bytes] = np.packbits(
             bits.transpose(0, 1, 4, 3, 2))
@@ -381,10 +480,10 @@ def decrypt(ct: Ciphertext, key: MasterKey) -> ImageSet:
     images = np.empty((ct.M, side, side), dtype=np.min_scalar_type((1 << ct.L) - 1))
     scrambler = _Scrambler(sched, inverse=True)
     for chunk in block_chunks(layout.block_count, scrambler.cells):
+        keys = key_table(factors, chunk)  # first: its float temporaries meet no chunk of bits
         raw = ct.payload[chunk.start * block_bytes : chunk.stop * block_bytes]
         # seen as (t, m, x, y, l); the XOR writes them contiguous
-        bits = np.unpackbits(raw).reshape(file_order).transpose(0, 1, 4, 3, 2)
-        bits = diffuse(bits, key_table(factors, chunk))
+        bits = diffuse(np.unpackbits(raw).reshape(file_order).transpose(0, 1, 4, 3, 2), keys)
         out = images[chunk.start * per_block : chunk.stop * per_block]
         unpack(scrambler(bits, chunk), ct.L, out)
     return ImageSet(ct.n, ct.L, images)

@@ -86,16 +86,22 @@ class TestSchedule:
             assert a.strides == (0,) * a.ndim
 
     @pytest.mark.parametrize("n", range(1, 9))
-    def test_draws_match_oracle(self, n):
+    def test_draws_match_oracle(self, n, monkeypatch):
         # both stage labels at every square of n <= 8; n >= 7 takes the
-        # Python-int path (count_admissible(7) is about 4.4e22)
+        # Python-int path (count_admissible(7) is about 4.4e22).  Horner's
+        # rule runs a slice of positions at a time: 30 positions in one
+        # slice, in slices of 7 (the last one 2), and in two slices of the
+        # program's bound, the last one 11 positions
         count = baker.count_admissible(n)
-        for label in (b"stage1", b"stage2"):
-            part, iters = _draws(KEY.schedule_seed, label, (3, 5, 2), count)
-            narrow = np.min_scalar_type(count - 1) if n <= 6 else object
-            assert part.dtype == narrow and iters.dtype == np.uint8
-            want = oracles.schedule_draws(KEY.schedule_seed, label, count, 30)
-            assert (part.ravel().tolist(), iters.ravel().tolist()) == want
+        bound = cipher._SLICE_CELLS
+        for shape, cells in (((3, 5, 2), bound), ((3, 5, 2), 7), ((bound + 11,), bound)):
+            monkeypatch.setattr(cipher, "_SLICE_CELLS", cells)
+            for label in (b"stage1", b"stage2"):
+                part, iters = _draws(KEY.schedule_seed, label, shape, count)
+                narrow = np.min_scalar_type(count - 1) if n <= 6 else object
+                assert part.dtype == narrow and iters.dtype == np.uint8
+                want = oracles.schedule_draws(KEY.schedule_seed, label, count, part.size)
+                assert (part.ravel().tolist(), iters.ravel().tolist()) == want
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("n, L", [(1, 2), (3, 8), (5, 64), (8, 16)])
@@ -260,7 +266,7 @@ class TestStageTables:
         assert len(chunks) == 4
         for chunk in chunks:
             for a, b in ((forward.stage1, backward.stage1), (forward.stage2, backward.stage2)):
-                (tables, row), (want, want_row) = a.tables(chunk), b.tables(chunk)
+                (tables, row), (want, want_row) = (s.tables(s.keys[..., chunk]) for s in (a, b))
                 assert np.array_equal(tables, want) and np.array_equal(row, want_row)
 
     @pytest.mark.parametrize("n, M", [(2, 20), (3, 40), (5, 200)])
@@ -287,7 +293,7 @@ class TestStageTables:
             for chunk in [slice(1, 2), *block_chunks(layout.block_count, cells)]:
                 want, at = oracles.iterated_tables(stage_n, ranks[..., chunk], iters[..., chunk])
                 for stage in built:
-                    tables, row = stage.tables(chunk)
+                    tables, row = stage.tables(stage.keys[..., chunk])
                     assert row.shape == ranks[..., chunk].shape
                     assert np.array_equal(tables[row], want[at])
 
@@ -310,7 +316,7 @@ class TestStageTables:
         assert stage.whole.shape == (baker.count_admissible(3) * MAX_ITERATIONS, 64)
         assert stage.keys.shape == ranks.shape and stage.keys.itemsize <= 2
         for chunk, (want, at) in zip(chunks, wants):
-            tables, row = stage.tables(chunk)
+            tables, row = stage.tables(stage.keys[..., chunk])
             assert np.array_equal(tables[row], want[at])
 
     def test_constant_stage_built_from_one_position(self, monkeypatch):
@@ -489,6 +495,22 @@ class TestScrambling:
         lit = _scrambled(_lit(bits, (t, m, x, y, l)), sched)
         assert lit[t, m2, x2, y2, l2] == 1 and lit.sum() == 1
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_blocks_moved_in_many_slices(self, mode, monkeypatch):
+        # n=2, four blocks of 1,024 cells in one chunk: with slices of 48
+        # cells, stage 1 moves one 64-cell row at a time, stage 2 three 16-cell
+        # rows (with a two-row slice closing each image's run of 8 planes),
+        # and the shared index gathers 48 cells at a time; the scramble does
+        # not change, and decrypt undoes it
+        layout = plan_layout(20, 8)
+        bits = pack(random_images(np.random.default_rng(25), M=20), slice(None))
+        sched = derive_schedule(MasterKey(KEY.lambdas, KEY.schedule_seed, mode), 2, layout)
+        want = _scrambled(bits, sched)
+        monkeypatch.setattr(cipher, "_SLICE_CELLS", 48)
+        out = _scrambled(bits, sched)
+        assert np.array_equal(out, want)
+        assert np.array_equal(_scrambled(out, sched, inverse=True), bits)
+
     def test_stage_inverses(self):
         rng = np.random.default_rng(6)
         bits = pack(random_images(rng, M=20), slice(None))
@@ -533,6 +555,56 @@ class TestScrambling:
         assert differs[t, x, y]
         differs[t, x, y] = False
         assert not differs.any()
+
+
+class TestMove:
+    """``cipher._move`` a slice of rows at a time, against one row at a time."""
+
+    @staticmethod
+    def _stage(n, lead, budget):
+        """Stage tables of random keys at the positions ``lead``, and each
+        position's table by the oracle, flattened."""
+        rng = np.random.default_rng(len(lead) + budget)
+        ranks = rng.integers(0, baker.count_admissible(n), lead)
+        iters = rng.integers(1, MAX_ITERATIONS + 1, lead)
+        want, at = oracles.iterated_tables(n, ranks, iters)
+        return _StageTables(n, ranks, iters, budget), want[at.reshape(-1)]
+
+    @staticmethod
+    def _per_row(rows, tables, send):
+        out = np.empty((len(tables), tables.shape[1]), dtype=rows.dtype)
+        for i, (row, table) in enumerate(zip(rows.reshape(out.shape), tables)):
+            if send:
+                out[i][table] = row
+            else:
+                out[i] = row[table]
+        return out.reshape(rows.shape)
+
+    @pytest.mark.parametrize("budget", [0, 1 << 20], ids=["per_slice", "every_key"])
+    @pytest.mark.parametrize("cells", [16, 48, 96, None])
+    def test_matches_one_row_at_a_time(self, monkeypatch, budget, cells):
+        # 4x4 rows (n=2) with leading axes (2, 3, 5): slices of 1 and 3 rows
+        # split the last axis (3 + 2), slices of up to 6 rows take it whole
+        # (5 rows), and the program's bound (None) takes all 30 at once.  Inputs:
+        # rows as they lie, rows whose reshape(-1, 16) is a view with inner
+        # strides (stage 2 fed a (t, x, y, m, l) array), and rows seen
+        # through a transpose that no reshape flattens (stage 1's input)
+        cells = cells or cipher._SLICE_CELLS
+        monkeypatch.setattr(cipher, "_SLICE_CELLS", cells)
+        rng = np.random.default_rng(cells)
+        plain = rng.integers(0, 1 << 30, (2, 3, 5, 4, 4)).astype(np.int32)
+        view = rng.integers(0, 256, (1, 4, 4, 3, 5)).astype(np.uint8).transpose(0, 3, 4, 1, 2)
+        assert np.shares_memory(view.reshape(-1, 16), view) and not view.flags.c_contiguous
+        strided = rng.integers(0, 256, (2, 4, 3, 5, 4)).astype(np.uint8).transpose(0, 2, 3, 1, 4)
+        for rows in (plain, view, strided):
+            stage, tables = self._stage(2, rows.shape[:-2], budget)
+            assert (stage.whole is None) == (budget == 0)
+            for send in (True, False):
+                index = np.full(max(cells, 16), -1, dtype=np.intp)
+                out = np.empty(rows.size, dtype=rows.dtype)
+                moved = cipher._move(rows, stage, stage.keys, send, index, out)
+                assert moved.shape == rows.shape and np.shares_memory(moved, out)
+                assert np.array_equal(moved, self._per_row(rows, tables, send))
 
 
 class TestDiffuse:
@@ -685,6 +757,16 @@ class TestPipeline:
         s = ImageSet(5, 8, np.random.default_rng(19).integers(0, 256, (200, 32, 32), np.uint8))
         peaks = self._traced_peaks(tmp_path, s, KEY)
         assert max(peaks) <= 4e6, peaks
+
+    def test_block_above_a_slice_peak_memory(self, tmp_path):
+        # keyed n=7: one block of 2^20 cells, many slices.  Stage moves,
+        # stage-2 table builds (16,384-cell rows) and schedule draws stay
+        # within a slice, so each direction traces at most five bytes a
+        # cell: a few one-byte arrays of the chunk's bits
+        s = ImageSet(7, 8, np.random.default_rng(24).integers(0, 256, (8, 128, 128), np.uint8))
+        assert cipher._SLICE_CELLS <= 1 << 15
+        peaks = self._traced_peaks(tmp_path, s, KEY)
+        assert max(peaks) <= 5 << 20, peaks
 
     def test_ciphertext_header_checked(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -19,13 +19,12 @@ per call.  When every position shares one key (simplified mode), the two
 stages are composed once into one gather index over a block's cells.
 
 Besides a chunk's bits and the arrays they move into, no array that a move,
-a table build, a schedule draw or the XOR's digit lookup makes spans more
-than ``_SLICE_CELLS`` cells (or one row, where a row is larger), whatever the
-block size.  Moves walk a chunk's rows a slice at a time, read them as they
-lie and index them through one intp buffer held for the whole call; a
-shared index larger than a slice is int32 and gathers through that buffer a
-slice at a time; and Horner's rule reduces the one SHAKE-256 output a slice
-of draws at a time.
+a table build or a schedule draw makes spans more than ``_SLICE_CELLS``
+cells (or one row, where a row is larger), whatever the block size.  Moves
+walk a chunk's rows a slice at a time, read them as they lie and index them
+through one intp buffer held for the whole call; the shared index is int32
+and gathers through that buffer a slice at a time; and Horner's rule
+reduces the one SHAKE-256 output a slice of draws at a time.
 
 Baker parameters and iteration counts come from a keyed schedule, one
 SHAKE-256 stream (FIPS 202) per stage over the schedule seed and the stage's
@@ -61,8 +60,8 @@ MAGIC = b"QBMI2"
 # Bytes of a ciphertext file read for its header; headers written here are
 # about 150 bytes.
 _HEADER_BYTES = 1 << 16
-# Cells that one array of a stage move, a table build, a schedule draw or the
-# XOR spans, whatever the block size (a move takes at least one row): half of
+# Cells that one array of a stage move, a table build or a schedule draw
+# spans, whatever the block size (a move takes at least one row): half of
 # ``images._CHUNK_CELLS``, so even a one-block chunk moves in slices.  A
 # quarter ran keyed n=5, M=200 about 13% slower in process (2-core host):
 # each slice's table build costs about 0.2 ms, however few its rows.
@@ -204,7 +203,7 @@ def _compose(flat: np.ndarray, tables: np.ndarray, lo: int, hi: int, chunk: int)
     ``flat``, so overwriting earlier rows is safe."""
     for at in range(lo, hi, chunk):
         rows = slice(at, min(at + chunk, hi))
-        tables[rows] = flat.take(tables[rows])
+        tables[rows] = np.take(flat, tables[rows])
 
 
 class _StageTables:
@@ -346,8 +345,8 @@ class _Scrambler:
         in (m, x, y, l) order.  Cell (m, x, y, l) is numbered g(m, l) +
         h(x, y), and each stage moves one share by one table: stage 1 g's
         (m, l) square, stage 2 h's (x, y) square.  So each share moves on
-        its own, and their sum is written into the index: intp, as np.take
-        uses it, when a block fits one slice, else int32, half the bytes."""
+        its own, and their sum is written into an int32 index, half the
+        bytes of intp."""
         planes, side = 1 << lplanes, 1 << n
         _, m, x, y, l = np.ogrid[:1, :planes, :side, :side, :planes]
         shares = [m * (side * side * planes) + l, (x * side + y) * planes]
@@ -356,7 +355,7 @@ class _Scrambler:
                   np.empty(share.size, dtype=share.dtype))
             for (stage, tables), share in zip(self._stages(), shares if self.send else shares[::-1])
         ]
-        shared = np.empty(self.cells, dtype=np.intp if self.cells <= _SLICE_CELLS else np.int32)
+        shared = np.empty(self.cells, dtype=np.int32)
         np.add(*moved, out=shared.reshape(1, planes, side, side, planes), casting="same_kind")
         return shared
 
@@ -368,11 +367,9 @@ class _Scrambler:
                 out = np.empty(bits.size, dtype=bits.dtype)
                 bits = stage(bits, tables, tables.keys[..., blocks], self.send, self.index, out)
             return bits
-        # every block of the chunk gathers through the shared index: at once,
-        # or a slice of it at a time copied into the intp buffer
+        # every block of the chunk gathers through the shared index, a slice
+        # of it at a time copied into the intp buffer
         flat = bits.reshape(len(bits), -1)
-        if self.shared.dtype == np.intp:
-            return np.take(flat, self.shared, axis=1).reshape(bits.shape)
         out = np.empty(bits.shape, dtype=bits.dtype)
         moved = out.reshape(len(bits), -1)
         for lo in range(0, self.cells, _SLICE_CELLS):
@@ -396,19 +393,12 @@ def diffuse(bits: np.ndarray, keys: np.ndarray) -> np.ndarray:
 
     Key digits carry ceil(log2 L) bits while the cube has 2^ceil(log2 L)
     planes, so digit bits are reused cyclically across planes; the operation
-    stays an involution.  Each digit's planes are looked up as one row,
-    ``_SLICE_CELLS`` cells at a time: np.take copies its digits to intp.
+    stays an involution.  Each digit's planes are looked up as one row.
     """
     if keys.shape != bits.shape[:-1]:
         raise ValueError("key digits disagree with the bits' layout")
-    planes = bits.shape[-1]
-    table = _plane_bits(planes.bit_length() - 1)
-    mask = np.empty(bits.shape, dtype=np.uint8)
-    rows, digits = mask.reshape(-1, planes), keys.reshape(-1)
-    step = max(1, _SLICE_CELLS // planes)
-    for lo in range(0, len(digits), step):
-        # np.take, not table[keys]: fancy indexing ran about eight times slower
-        rows[lo : lo + step] = np.take(table, digits[lo : lo + step], axis=0)
+    # np.take, not table[keys]: fancy indexing ran about eight times slower
+    mask = np.take(_plane_bits(bits.shape[-1].bit_length() - 1), keys, axis=0)
     mask ^= bits
     return mask
 
@@ -458,8 +448,7 @@ def encrypt(image_set: ImageSet, key: MasterKey) -> Ciphertext:
     payload = np.empty(layout.block_count * block_bytes, dtype=np.uint8)
     scrambler = _Scrambler(sched, inverse=False)
     for chunk in block_chunks(layout.block_count, scrambler.cells):
-        keys = key_table(factors, chunk)  # first: its float temporaries meet no chunk of bits
-        bits = diffuse(scrambler(pack(image_set, chunk), chunk), keys)
+        bits = diffuse(scrambler(pack(image_set, chunk), chunk), key_table(factors, chunk))
         # (t, m, x, y, l) bits in file order, (t, m, l, y, x)
         payload[chunk.start * block_bytes : chunk.stop * block_bytes] = np.packbits(
             bits.transpose(0, 1, 4, 3, 2))
@@ -480,10 +469,10 @@ def decrypt(ct: Ciphertext, key: MasterKey) -> ImageSet:
     images = np.empty((ct.M, side, side), dtype=np.min_scalar_type((1 << ct.L) - 1))
     scrambler = _Scrambler(sched, inverse=True)
     for chunk in block_chunks(layout.block_count, scrambler.cells):
-        keys = key_table(factors, chunk)  # first: its float temporaries meet no chunk of bits
         raw = ct.payload[chunk.start * block_bytes : chunk.stop * block_bytes]
         # seen as (t, m, x, y, l); the XOR writes them contiguous
-        bits = diffuse(np.unpackbits(raw).reshape(file_order).transpose(0, 1, 4, 3, 2), keys)
+        bits = np.unpackbits(raw).reshape(file_order).transpose(0, 1, 4, 3, 2)
+        bits = diffuse(bits, key_table(factors, chunk))
         out = images[chunk.start * per_block : chunk.stop * per_block]
         unpack(scrambler(bits, chunk), ct.L, out)
     return ImageSet(ct.n, ct.L, images)

@@ -104,9 +104,9 @@ def word_dtype(lplanes: int) -> np.dtype:
 # Cells per chunk of blocks: bounds the bit-per-byte and float arrays of a
 # chunked pass to a few hundred kB.  A chunk is still at least one block,
 # whatever its size: 65,536 cells for 32x32 images at L=8, 4M for 256x256.
-# Inside a chunk, the cipher's stage moves, table builds, schedule draws and
-# XOR lookups work a slice of half of this at a time (``cipher._SLICE_CELLS``),
-# so their index arrays stay within it even when a single block is larger.
+# Inside a chunk, the cipher's stage moves, table builds and schedule draws
+# work a slice of half of this at a time (``cipher._SLICE_CELLS``), so their
+# index arrays stay within it even when a single block is larger.
 _CHUNK_CELLS = 1 << 16
 
 

@@ -32,6 +32,13 @@ label, so both sides agree without sharing plaintext; simplified mode makes
 one draw per stage, a broadcast view over the positions.  A rank is a word
 64 bits wider than the partition count, modulo the count (bias below 2^-64),
 so every square up to ``baker.MAX_N`` is drawn; only drawn ranks are unranked.
+The stream comes from ``_sha3``, CPython's built-in Keccak, which ``hashlib``
+itself falls back to for SHAKE and which gives the same bytes: taking it from
+``hashlib`` loads OpenSSL's libcrypto, about 3.6 MB of every encrypt and
+decrypt process, for this one call.  Its digests stop below 2^29 bytes
+(``_MAX_STREAM``), so a keyed stage whose stream would be longer is refused:
+at L <= 8 stage 1 takes 10 bytes a position, which at L = 8 refuses keyed
+n=8 past 4096 images and keyed n=10 past 256.
 Diffusion XORs key digits derived from the plaintext-seeded chaotic
 sequences into the bit cube; the aggregates x0/alpha/beta travel in the
 ciphertext header so the receiver can rebuild the keystream, while the
@@ -41,13 +48,13 @@ lambda tuning parameters stay secret.
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from _sha3 import shake_256
 
 from . import baker
 from .chaos import ScmParams, generate_sequences
@@ -66,6 +73,8 @@ _HEADER_BYTES = 1 << 16
 # quarter ran keyed n=5, M=200 about 13% slower in process (2-core host):
 # each slice's table build costs about 0.2 ms, however few its rows.
 _SLICE_CELLS = _CHUNK_CELLS >> 1
+# ``_sha3`` digests raise ValueError from this length up.
+_MAX_STREAM = 1 << 29
 
 Mode = str  # one of MODES
 MODES = ("simplified", "non_simplified")
@@ -108,26 +117,49 @@ class KeySchedule:
     s2_iter: np.ndarray
 
 
+def _record_bytes(count: int) -> int:
+    """Stream bytes per position of a stage drawing ranks below ``count``:
+    a word 64 bits wider than the count, and one byte of iterations."""
+    return (count.bit_length() + 64 + 7) // 8 + 1
+
+
 def _draws(seed: int, label: bytes, shape: tuple[int, ...], count: int):
     """(ranks below ``count``, iteration counts), one draw per position of
     an array of ``shape`` (() makes one), read from one SHAKE-256 stream over
-    the seed and the label, ``width + 1`` bytes per position in C order: a
-    big-endian word of ``width`` bytes modulo ``count``, reduced one byte
-    column at a time (Horner's rule) over ``_SLICE_CELLS`` positions at a
-    time, then one byte modulo 16 (a divisor of 256, so unbiased) plus one."""
+    the seed and the label, ``_record_bytes(count)`` bytes per position in C
+    order: a big-endian word modulo ``count``, reduced by Horner's rule over
+    ``_SLICE_CELLS`` positions at a time, then one byte modulo 16 (a divisor
+    of 256, so unbiased) plus one.
+
+    Below 2^55 the word is reduced in int64 once per group of g byte columns:
+    an accumulator below ``count`` (2^b > count) stays below 2^(b + 8g) <= 2^63
+    for g = (63 - b) // 8 more columns.  Larger counts reduce Python ints
+    after every column."""
     size = math.prod(shape)
-    width = (count.bit_length() + 64 + 7) // 8
-    stream = hashlib.shake_256(seed.to_bytes(8, "big") + label).digest(size * (width + 1))
+    width = _record_bytes(count) - 1
+    stream = shake_256(seed.to_bytes(8, "big") + label).digest(size * (width + 1))
     words = np.frombuffer(stream, dtype=np.uint8).reshape(size, width + 1)
-    dtype = np.int64 if count < 1 << 55 else object  # part * 256 stays in int64
+    wide = count >= 1 << 55
+    group = (63 - count.bit_length()) // 8
     part = np.empty(size, dtype=np.min_scalar_type(count - 1))  # object past 2^64
+    quotients = np.empty(min(size, _SLICE_CELLS), dtype=np.int64)
     for lo in range(0, size, _SLICE_CELLS):
         rows = words[lo : lo + _SLICE_CELLS, :width]
-        acc = np.zeros(len(rows), dtype=dtype)
-        for column in rows.T:
+        acc = np.zeros(len(rows), dtype=object if wide else np.int64)
+        q = quotients[: len(rows)]
+        for at, column in enumerate(rows.T, 1):
             acc *= 256
             acc += column
-            acc %= count
+            if wide:
+                acc %= count
+            elif at % group == 0 or at == width:
+                # acc %= count by the quotient, held in one buffer: int64
+                # floor division by a scalar ran about 2.5 times faster than
+                # np.remainder, and fresh quotients added 0.7 MB to a keyed
+                # n=5 CLI process
+                np.floor_divide(acc, count, out=q)
+                q *= count
+                acc -= q
         part[lo : lo + len(rows)] = acc
     iters = words[:, width] % MAX_ITERATIONS
     iters += 1
@@ -136,7 +168,8 @@ def _draws(seed: int, label: bytes, shape: tuple[int, ...], count: int):
 
 def derive_schedule(key: MasterKey, n: int, layout: BlockLayout) -> KeySchedule:
     """Deterministic schedule from the seed; positions ignored when simplified.
-    Squares and blocks too large to scramble are refused before any sizing."""
+    Squares and blocks too large to scramble, and keyed stages whose stream
+    ``_sha3`` cannot produce, are refused before any sizing or hashing."""
     lplanes, per_block = layout.lplanes, layout.images_per_block
     if not 1 <= n <= baker.MAX_N:
         raise ValueError(f"n={n} outside [1, {baker.MAX_N}]")
@@ -150,6 +183,12 @@ def derive_schedule(key: MasterKey, n: int, layout: BlockLayout) -> KeySchedule:
         (b"stage2", (per_block, per_block, layout.block_count), baker.count_admissible(n)),
     )
     simplified = key.mode == "simplified"
+    for label, shape, count in stages:
+        stream = math.prod(shape) * _record_bytes(count)
+        if not simplified and stream >= _MAX_STREAM:
+            raise ValueError(f"keyed n={n} over {layout.block_count} blocks of {per_block} "
+                             f"planes: {label.decode()} draws a SHAKE-256 stream of {stream} "
+                             f"bytes, 2^29 or more")
     arrays = []
     for label, shape, count in stages:
         # simplified: one draw with no position, seen at every position

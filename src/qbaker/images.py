@@ -270,23 +270,25 @@ def write_pgm(path: str | os.PathLike, image: np.ndarray):
 
 def read_manifest(path: str | os.PathLike, L: int = 8) -> ImageSet:
     """Load the images listed one path per line (relative to the manifest);
-    blank lines and lines starting with '#' are skipped."""
+    blank lines and lines starting with '#' are skipped.  Each file's pixels
+    are copied into one (M, side, side) buffer, sized once the first file
+    gives the side."""
     base = os.path.dirname(path)
     lines = (ln.strip() for ln in read_file(path).decode().splitlines())
     names = [ln for ln in lines if ln and not ln.startswith("#")]
     if not names:
         raise ValueError(f"{path}: manifest lists no images")
-    side = None
-    payloads = []
-    for name in names:
+    stack = None
+    for i, name in enumerate(names):
         file = os.path.join(base, name)
         file_side, pixels = _pgm_pixels(file, read_file(file))
-        if side is None:
+        if stack is None:
             side = file_side
+            stack = np.empty((len(names), side, side), dtype=np.uint8)
+            flat = memoryview(stack).cast("B")  # a slice store without numpy's per-call cost
         elif file_side != side:
             raise ValueError(
                 f"{file}: side {file_side}; all images must share one size ({side})"
             )
-        payloads.append(pixels)
-    stack = np.frombuffer(bytearray().join(payloads), dtype=np.uint8)
-    return ImageSet(side.bit_length() - 1, L, stack.reshape(len(payloads), side, side))
+        flat[i * len(pixels) : (i + 1) * len(pixels)] = pixels
+    return ImageSet(side.bit_length() - 1, L, stack)

@@ -85,23 +85,56 @@ class TestSchedule:
         for a in (sched.s1_part, sched.s1_iter, sched.s2_part, sched.s2_iter):
             assert a.strides == (0,) * a.ndim
 
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_draws_match_oracle(self, n, monkeypatch):
-        # both stage labels at every square of n <= 8; n >= 7 takes the
-        # Python-int path (count_admissible(7) is about 4.4e22).  Horner's
-        # rule runs a slice of positions at a time: 30 positions in one
-        # slice, in slices of 7 (the last one 2), and in two slices of the
-        # program's bound, the last one 11 positions
-        count = baker.count_admissible(n)
+    @pytest.mark.parametrize("count", [
+        *(pytest.param(baker.count_admissible(n), id=str(n)) for n in range(1, 9)),
+        # Horner's rule groups (63 - b) // 8 byte columns per reduction for
+        # counts of b < 56 bits: 7 columns, 6, then one, at the tightest
+        # int64 count and at the first count on the Python-int path.  A count
+        # just below 2^48 overflows int64 if its groups are one column wider
+        # than the bound allows
+        pytest.param((1 << 7) - 1, id="2^7-1"),
+        pytest.param(1 << 7, id="2^7"),
+        pytest.param((1 << 47) + 1, id="2^47+1"),
+        pytest.param((1 << 48) - 1, id="2^48-1"),
+        pytest.param((1 << 55) - 1, id="2^55-1"),
+        pytest.param(1 << 55, id="2^55"),
+    ])
+    def test_draws_match_oracle(self, count, monkeypatch):
+        # both stage labels at every square of n <= 8 and at the counts
+        # where the grouped reduction changes; n >= 7 takes the Python-int
+        # path (count_admissible(7) is about 4.4e22).  Horner's rule runs a
+        # slice of positions at a time: 30 positions in one slice, in slices
+        # of 7 (the last one 2), and in two slices of the program's bound, the
+        # last one 11 positions.  The oracle's SHAKE-256 is hashlib's, so the
+        # two Keccak implementations are compared too
         bound = cipher._SLICE_CELLS
         for shape, cells in (((3, 5, 2), bound), ((3, 5, 2), 7), ((bound + 11,), bound)):
             monkeypatch.setattr(cipher, "_SLICE_CELLS", cells)
             for label in (b"stage1", b"stage2"):
                 part, iters = _draws(KEY.schedule_seed, label, shape, count)
-                narrow = np.min_scalar_type(count - 1) if n <= 6 else object
-                assert part.dtype == narrow and iters.dtype == np.uint8
+                assert part.dtype == np.min_scalar_type(count - 1) and iters.dtype == np.uint8
                 want = oracles.schedule_draws(KEY.schedule_seed, label, count, part.size)
                 assert (part.ravel().tolist(), iters.ravel().tolist()) == want
+
+    def test_keyed_stream_past_the_builtin_digest_refused(self, monkeypatch):
+        # _sha3 digests stop below 2^29 bytes: keyed n=8 with 4097 images
+        # would draw 671 MB for stage 1, refused before any hashing, while
+        # 4096 images (335 MB) get as far as the hash
+        class Hashed(Exception):
+            pass
+
+        def no_hash(*args):
+            raise Hashed
+
+        monkeypatch.setattr(cipher, "shake_256", no_hash)
+        with pytest.raises(ValueError, match="stage1 draws a SHAKE-256 stream of 671088640"):
+            derive_schedule(KEY, 8, plan_layout(4097, 8))
+        with pytest.raises(Hashed):
+            derive_schedule(KEY, 8, plan_layout(4096, 8))
+        monkeypatch.undo()
+        # simplified mode makes one draw per stage, whatever the layout
+        sched = derive_schedule(MasterKey(KEY.lambdas, 1, "simplified"), 8, plan_layout(4097, 8))
+        assert sched.s1_part.shape == (256, 256, 1024)
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("n, L", [(1, 2), (3, 8), (5, 64), (8, 16)])

@@ -497,6 +497,33 @@ def test_encrypt_and_decrypt_leave_numpy_ma_out(workspace):
         workspace / "img2.pgm").read_bytes()
 
 
+def test_cipher_process_loads_no_libcrypto(workspace):
+    # hashlib's SHAKE would load OpenSSL's libcrypto (_hashlib), about 3.6 MB
+    # of every encrypt and decrypt process; the test process imports hashlib
+    # itself, so a fresh interpreter runs the commands
+    write_key(workspace / "simple.txt", MasterKey((49.0, 23.0, 58.0, 120.0, 237.0), 77,
+                                                  "simplified"))
+    env = dict(os.environ, PYTHONPATH=str(Path(qbaker.__file__).resolve().parents[1]))
+    code = (
+        "import sys\n"
+        "from qbaker.cli import main\n"
+        "loaded = ['_hashlib' in sys.modules]\n"
+        "for key in ('key.txt', 'simple.txt'):\n"
+        "    assert main(['encrypt', '--manifest', 'manifest.txt', '--key', key,"
+        " '--out', 'ct.bin']) == 0\n"
+        "    loaded.append('_hashlib' in sys.modules)\n"
+        "    assert main(['decrypt', '--in', 'ct.bin', '--key', key, '--out-dir', key + '.out']) == 0\n"
+        "    loaded.append('_hashlib' in sys.modules)\n"
+        "print(loaded)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=workspace,
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    assert out.splitlines()[-1] == str([False] * 5)
+    for key in ("key.txt", "simple.txt"):
+        assert (workspace / f"{key}.out" / "image_0002.pgm").read_bytes() == (
+            workspace / "img2.pgm").read_bytes()
+
+
 def test_unknown_command_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
